@@ -106,8 +106,10 @@ void BM_ExpLibm(benchmark::State& state) {
 }
 BENCHMARK(BM_ExpLibm);
 
+// The production configuration (FP16 arithmetic, n_r = -6), one call per
+// element, as the prefill kernel runs it.
 void BM_ExpSas(benchmark::State& state) {
-  const Sas sas(SasConfig{.fp16_arithmetic = false});
+  const Sas sas;
   std::vector<float> x(4096);
   Rng rng(5);
   for (float& v : x) v = static_cast<float>(rng.uniform(-6.0, 0.0));
@@ -119,6 +121,24 @@ void BM_ExpSas(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * x.size());
 }
 BENCHMARK(BM_ExpSas);
+
+// Same values through the batch path the decode kernel runs (AVX2 + F16C
+// when the CPU has them), bit-identical to BM_ExpSas's results.
+void BM_ExpSasApply(benchmark::State& state) {
+  const Sas sas;
+  std::vector<float> x(4096);
+  Rng rng(5);
+  for (float& v : x) v = static_cast<float>(rng.uniform(-6.0, 0.0));
+  std::vector<float> y(x.size());
+  for (auto _ : state) {
+    y = x;
+    sas.apply(y);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * x.size());
+}
+BENCHMARK(BM_ExpSasApply);
 
 void BM_SoftmaxExact(benchmark::State& state) {
   const MatrixF scores = random_matrix(64, 1024, 6);
@@ -204,43 +224,80 @@ void BM_TurboPrefill(benchmark::State& state) {
 }
 BENCHMARK(BM_TurboPrefill)->Arg(256)->Arg(512);
 
+// Decode benches take {context, head_dim}; head_dim 128 is the model
+// profiles' (and the end-to-end benchmark's).
+QuantizedKvCache decode_cache(std::size_t ctx, std::size_t d) {
+  const MatrixF k = random_matrix(ctx, d, 12);
+  const MatrixF v = random_matrix(ctx, d, 13);
+  const MatrixF qp = random_matrix(ctx, d, 14);
+  QuantizedKvCache cache(d, BitWidth::kInt4, 64, 64);
+  turbo_attention_prefill(qp, k, v, AttentionConfig{}, Sas{}, &cache);
+  return cache;
+}
+
 void BM_TurboDecode(benchmark::State& state) {
   const std::size_t ctx = static_cast<std::size_t>(state.range(0));
-  const MatrixF k = random_matrix(ctx, 64, 12);
-  const MatrixF v = random_matrix(ctx, 64, 13);
-  const MatrixF qp = random_matrix(ctx, 64, 14);
+  const std::size_t d = static_cast<std::size_t>(state.range(1));
+  const QuantizedKvCache cache = decode_cache(ctx, d);
   AttentionConfig cfg;
   const Sas sas;
-  QuantizedKvCache cache(64, BitWidth::kInt4, 64, 64);
-  turbo_attention_prefill(qp, k, v, cfg, sas, &cache);
-  std::vector<float> q(64, 0.3f);
+  std::vector<float> q(d, 0.3f);
   for (auto _ : state) {
     auto o = turbo_attention_decode(q, cache, cfg, sas);
     benchmark::DoNotOptimize(o.data());
   }
-  state.SetItemsProcessed(state.iterations() * ctx * 64);
+  state.SetItemsProcessed(state.iterations() * ctx * d);
 }
-BENCHMARK(BM_TurboDecode)->Arg(1024)->Arg(4096);
+BENCHMARK(BM_TurboDecode)
+    ->Args({1024, 64})
+    ->Args({4096, 64})
+    ->Args({1024, 128})
+    ->Args({4096, 128});
 
 void BM_TurboDecodeFused(benchmark::State& state) {
-  // Same workload as BM_TurboDecode through the register-fused kernel
-  // (no INT8 K/V materialization) — bit-identical output, less traffic.
+  // Same workload as BM_TurboDecode through the fused kernel (the one
+  // TurboKvAttention runs) — bit-identical output.
   const std::size_t ctx = static_cast<std::size_t>(state.range(0));
-  const MatrixF k = random_matrix(ctx, 64, 12);
-  const MatrixF v = random_matrix(ctx, 64, 13);
-  const MatrixF qp = random_matrix(ctx, 64, 14);
+  const std::size_t d = static_cast<std::size_t>(state.range(1));
+  const QuantizedKvCache cache = decode_cache(ctx, d);
   AttentionConfig cfg;
   const Sas sas;
-  QuantizedKvCache cache(64, BitWidth::kInt4, 64, 64);
-  turbo_attention_prefill(qp, k, v, cfg, sas, &cache);
-  std::vector<float> q(64, 0.3f);
+  std::vector<float> q(d, 0.3f);
   for (auto _ : state) {
     auto o = fused_turbo_decode(q, cache, cfg, sas);
     benchmark::DoNotOptimize(o.data());
   }
-  state.SetItemsProcessed(state.iterations() * ctx * 64);
+  state.SetItemsProcessed(state.iterations() * ctx * d);
 }
-BENCHMARK(BM_TurboDecodeFused)->Arg(1024)->Arg(4096);
+BENCHMARK(BM_TurboDecodeFused)
+    ->Args({1024, 64})
+    ->Args({4096, 64})
+    ->Args({1024, 128})
+    ->Args({4096, 128});
+
+void BM_TurboDecodeFusedBaseline(benchmark::State& state) {
+  // Same workload through the baseline-ISA entry (the detail seam): on an
+  // AVX2 host the gap to BM_TurboDecodeFused is what the AVX2 entry adds.
+  const std::size_t ctx = static_cast<std::size_t>(state.range(0));
+  const std::size_t d = static_cast<std::size_t>(state.range(1));
+  const QuantizedKvCache cache = decode_cache(ctx, d);
+  std::vector<const KvBlock*> blocks;
+  for (std::size_t j = 0; j < cache.block_count(); ++j) {
+    blocks.push_back(&cache.block(j));
+  }
+  const detail::FusedDecodeFn baseline =
+      detail::fused_decode_entries().front().fn;
+  AttentionConfig cfg;
+  const Sas sas;
+  std::vector<float> q(d, 0.3f);
+  for (auto _ : state) {
+    auto o = baseline(q, blocks, cache.key_buffer(), cache.value_buffer(),
+                      cfg, sas);
+    benchmark::DoNotOptimize(o.data());
+  }
+  state.SetItemsProcessed(state.iterations() * ctx * d);
+}
+BENCHMARK(BM_TurboDecodeFusedBaseline)->Args({1024, 128})->Args({4096, 128});
 
 void BM_GroupedQuantChannelwise(benchmark::State& state) {
   const MatrixF m = random_matrix(512, 64, 15);

@@ -5,6 +5,7 @@
 #include "attention/flash.h"
 #include "common/check.h"
 #include "common/fp16.h"
+#include "kernels/fused_decode.h"
 
 namespace turbo {
 
@@ -66,7 +67,7 @@ std::vector<float> TurboKvAttention::decode(std::span<const float> q,
     return flash_decode(q, k_fp16_, v_fp16_, config_.attention, options);
   }
   cache_.append_token(k, v);
-  return turbo_attention_decode(q, cache_, config_.attention, sas_);
+  return fused_turbo_decode(q, cache_, config_.attention, sas_);
 }
 
 std::vector<float> TurboKvAttention::attend(std::span<const float> q) {
@@ -77,7 +78,7 @@ std::vector<float> TurboKvAttention::attend(std::span<const float> q) {
     options.kv_prerounded = true;
     return flash_decode(q, k_fp16_, v_fp16_, config_.attention, options);
   }
-  return turbo_attention_decode(q, cache_, config_.attention, sas_);
+  return fused_turbo_decode(q, cache_, config_.attention, sas_);
 }
 
 std::size_t TurboKvAttention::kv_cache_bytes() const {

@@ -1,208 +1,70 @@
 #include "kernels/fused_decode.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <span>
+#include <vector>
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 #include "common/check.h"
+#include "common/cpu.h"
+#include "common/numeric.h"
 #include "quant/packing.h"
+#include "quant/progressive.h"
 #include "quant/symmetric.h"
 
 namespace turbo {
+namespace detail {
 
-namespace {
+// The kernel body, once per instruction set (see fused_decode_body.h).
+// Every header it needs is included above, before the target pragma.
+namespace baseline_isa {
+constexpr bool kSimd = false;
+#include "kernels/fused_decode_body.h"
+}  // namespace baseline_isa
 
-constexpr float kNegInf = -std::numeric_limits<float>::infinity();
+// The AVX2 build rests on GCC's target pragma; other compilers build the
+// baseline entry only.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#pragma GCC push_options
+#pragma GCC target("avx2,f16c")
+namespace avx2_isa {
+constexpr bool kSimd = true;
+#include "kernels/fused_decode_body.h"
+}  // namespace avx2_isa
+#pragma GCC pop_options
+#endif
 
-struct State {
-  float m = kNegInf;
-  float l = 0.0f;
-  std::vector<float> o;
-  explicit State(std::size_t d) : o(d, 0.0f) {}
-};
-
-// Shared online-softmax tail once the scores s[] of a chunk are known:
-// computes P~, rescales the accumulator, and returns the INT8-quantized
-// P~ with its scale through the out-parameters.
-void softmax_update(State& state, std::span<float> s, const Sas& sas,
-                    std::vector<std::int32_t>& p_q, float& o_scale,
-                    float v_scale) {
-  float block_max = kNegInf;
-  for (float v : s) block_max = std::max(block_max, v);
-  const float m_new = std::max(state.m, block_max);
-  const float alpha = state.m == kNegInf ? 0.0f : sas.exp_neg(state.m - m_new);
-
-  float p_max = 0.0f;
-  float row_sum = 0.0f;
-  for (float& v : s) {
-    v = sas.exp_neg(v - m_new);
-    row_sum += v;
-    p_max = std::max(p_max, v);
-  }
-  if (alpha != 1.0f) {
-    for (float& v : state.o) v *= alpha;
-  }
-  state.l = state.l * alpha + row_sum;
-  state.m = m_new;
-
-  const float p_scale = p_max > 0.0f ? p_max / kSymmetricHeadroom : 1.0f;
-  const float inv_p = 1.0f / p_scale;
-  p_q.resize(s.size());
-  for (std::size_t t = 0; t < s.size(); ++t) {
-    const float scaled = std::nearbyint(s[t] * inv_p);
-    p_q[t] = static_cast<std::int32_t>(std::clamp(scaled, 0.0f, 127.0f));
-  }
-  o_scale = p_scale * v_scale;
+std::span<const FusedDecodeEntry> fused_decode_entries() {
+  static const std::vector<FusedDecodeEntry> kEntries = {
+      {"baseline", &baseline_isa::fused_decode, true},
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+      {"avx2", &avx2_isa::fused_decode, cpu_has_avx2_f16c()},
+#endif
+  };
+  return kEntries;
 }
 
-// One packed block, consumed channel-by-channel without materializing the
-// INT8 K/V. Channel-major accumulation is integer for S (order-invariant)
-// and matches the reference path's per-channel float add order for O, so
-// results are bit-identical to the reference kernel.
-void absorb_packed(State& state, std::span<const std::int8_t> q_q1,
-                   float q_scale, const KvBlock& block, float attn_scale,
-                   const Sas& sas, std::vector<std::uint8_t>& code_buf,
-                   std::vector<std::int32_t>& acc,
-                   std::vector<float>& s, std::vector<std::int32_t>& p_q,
-                   std::size_t mask_before) {
-  const std::size_t tokens = block.k.rows;
-  const std::size_t d = block.k.cols;
-  TURBO_DCHECK(q_q1.size() == d);
-
-  // --- S = s_q * s_k * q^q1 K^q1T -----------------------------------------
-  // One unpack pass per tensor (codes stay uint8; no INT8 K/V matrix, no
-  // separate dequantization pass); the second stage is applied in
-  // registers as each code is consumed.
-  acc.assign(tokens, 0);
-  code_buf.resize(tokens * d);
-  unpack_codes(block.k.packed, block.k.bits, tokens * d, code_buf);
-  for (std::size_t c = 0; c < d; ++c) {
-    const std::int32_t qx = q_q1[c];
-    if (qx == 0) continue;
-    const std::uint8_t* codes = code_buf.data() + c * tokens;
-    const std::int32_t sc = block.k.channels[c].s_int;
-    const std::int32_t z = block.k.channels[c].z_int;
-    for (std::size_t t = 0; t < tokens; ++t) {
-      const std::int32_t k_q1 = std::clamp<std::int32_t>(
-          static_cast<std::int32_t>(codes[t]) * sc + z, -127, 127);
-      acc[t] += qx * k_q1;
-    }
-  }
-  const float s_scale = q_scale * block.k.fp_scale * attn_scale;
-  s.resize(tokens);
-  for (std::size_t t = 0; t < tokens; ++t) {
-    s[t] = t < mask_before ? kNegInf
-                           : static_cast<float>(acc[t]) * s_scale;
-  }
-
-  float o_scale = 1.0f;
-  softmax_update(state, s, sas, p_q, o_scale, block.v.fp_scale);
-
-  // --- O += o_scale * P~ V^q1 ---------------------------------------------
-  unpack_codes(block.v.packed, block.v.bits, tokens * d, code_buf);
-  for (std::size_t c = 0; c < d; ++c) {
-    const std::uint8_t* codes = code_buf.data() + c * tokens;
-    const std::int32_t sc = block.v.channels[c].s_int;
-    const std::int32_t z = block.v.channels[c].z_int;
-    float out = state.o[c];
-    for (std::size_t t = 0; t < tokens; ++t) {
-      const std::int32_t pv = p_q[t];
-      if (pv == 0) continue;
-      const std::int32_t v_q1 = std::clamp<std::int32_t>(
-          static_cast<std::int32_t>(codes[t]) * sc + z, -127, 127);
-      out += static_cast<float>(pv * v_q1) * o_scale;
-    }
-    state.o[c] = out;
-  }
-}
-
-// Buffered tail: INT8 rows under the universal scales (row-major already).
-void absorb_buffer(State& state, std::span<const std::int8_t> q_q1,
-                   float q_scale, const DecodeBuffer& kb,
-                   const DecodeBuffer& vb, float attn_scale, const Sas& sas,
-                   std::vector<float>& s, std::vector<std::int32_t>& p_q,
-                   std::size_t mask_before) {
-  const std::size_t tokens = kb.size();
-  const std::size_t d = kb.dim();
-  s.resize(tokens);
-  const float s_scale = q_scale * kb.scale() * attn_scale;
-  for (std::size_t t = 0; t < tokens; ++t) {
-    if (t < mask_before) {
-      s[t] = kNegInf;
-      continue;
-    }
-    auto kr = kb.tokens().row(t);
-    std::int32_t acc = 0;
-    for (std::size_t x = 0; x < d; ++x) {
-      acc += static_cast<std::int32_t>(q_q1[x]) *
-             static_cast<std::int32_t>(kr[x]);
-    }
-    s[t] = static_cast<float>(acc) * s_scale;
-  }
-  float o_scale = 1.0f;
-  softmax_update(state, s, sas, p_q, o_scale, vb.scale());
-  for (std::size_t t = 0; t < tokens; ++t) {
-    const std::int32_t pv = p_q[t];
-    if (pv == 0) continue;
-    auto vr = vb.tokens().row(t);
-    for (std::size_t x = 0; x < d; ++x) {
-      state.o[x] += static_cast<float>(
-                        pv * static_cast<std::int32_t>(vr[x])) *
-                    o_scale;
-    }
-  }
-}
-
-}  // namespace
+}  // namespace detail
 
 std::vector<float> fused_turbo_decode(
     std::span<const float> q, std::span<const KvBlock* const> blocks,
     const DecodeBuffer& key_buffer, const DecodeBuffer& value_buffer,
     const AttentionConfig& cfg, const Sas& sas) {
-  const std::size_t d = key_buffer.dim();
-  TURBO_CHECK(q.size() == d);
-  TURBO_CHECK_MSG(!blocks.empty() || !key_buffer.empty(),
-                  "decode against an empty cache");
-  const float attn_scale = cfg.effective_scale(d);
-
-  const float q_scale = symmetric_scale_int8(q);
-  std::vector<std::int8_t> q_q1(d);
-  quantize_symmetric_int8(q, q_scale, q_q1);
-
-  State state(d);
-  std::vector<std::uint8_t> code_buf;
-  std::vector<std::int32_t> acc;
-  std::vector<float> s;
-  std::vector<std::int32_t> p_q;
-
-  // Sliding window: skip blocks fully outside, mask the boundary block.
-  std::size_t total = key_buffer.size();
-  for (const KvBlock* block : blocks) total += block->tokens();
-  const std::size_t win_start =
-      cfg.window > 0 && total > cfg.window ? total - cfg.window : 0;
-
-  std::size_t pos = 0;
-  for (const KvBlock* block : blocks) {
-    const std::size_t end = pos + block->tokens();
-    if (end <= win_start) {
-      pos = end;
-      continue;
+  static const detail::FusedDecodeFn kKernel = [] {
+    detail::FusedDecodeFn fn = nullptr;
+    for (const detail::FusedDecodeEntry& e : detail::fused_decode_entries()) {
+      if (e.supported) fn = e.fn;
     }
-    const std::size_t mask = win_start > pos ? win_start - pos : 0;
-    absorb_packed(state, q_q1, q_scale, *block, attn_scale, sas, code_buf,
-                  acc, s, p_q, mask);
-    pos = end;
-  }
-  if (!key_buffer.empty()) {
-    const std::size_t mask = win_start > pos ? win_start - pos : 0;
-    absorb_buffer(state, q_q1, q_scale, key_buffer, value_buffer, attn_scale,
-                  sas, s, p_q, mask);
-  }
-
-  TURBO_CHECK_MSG(state.l > 0.0f, "decode query attended no keys");
-  const float inv = 1.0f / state.l;
-  for (float& v : state.o) v *= inv;
-  return std::move(state.o);
+    return fn;
+  }();
+  return kKernel(q, blocks, key_buffer, value_buffer, cfg, sas);
 }
 
 std::vector<float> fused_turbo_decode(std::span<const float> q,

@@ -1,18 +1,24 @@
 // Fused TurboAttention decode kernel.
 //
 // The reference decode path (attention/turbo_decode.cpp) materializes each
-// block's INT8 K/V before the integer matmuls — clear, but it spends its
-// time writing and re-reading a scratch matrix. The GPU kernel never does
-// that: codes are unpacked in registers and consumed immediately. This is
-// the CPU analogue: one pass per block that
+// block's INT8 K/V through progressive_decompress_int8 before the integer
+// matmuls — clear, but slow. This kernel is what TurboKvAttention runs:
+// per block it
 //
-//   * unpacks INT4/2 codes channel by channel,
-//   * applies the integer second stage (q2 * s_int + z_int) in registers,
-//   * accumulates the q.K dot products and the P~.V products directly,
+//   * unpacks the INT4/2 codes and reverses the integer second stage
+//     (q2 * s_int + z_int) through a 16-entry table per channel, the CPU
+//     analogue of expanding INT -> INT8 in registers (Algorithm 2);
+//   * computes q.K as exact int32 dot products and P~ with the batch SAS
+//     (Sas::apply);
+//   * accumulates P~V channel-parallel, each channel in token order.
 //
-// producing bit-identical results to the reference path (same arithmetic,
-// same order) at a fraction of the memory traffic. bench_kernels measures
-// the speedup; the equivalence test pins the exactness.
+// Its output is bit-identical to the reference (same arithmetic, same
+// per-channel order); fused_decode_test pins that for every compiled entry.
+//
+// Dispatch: one kernel body (kernels/fused_decode_body.h) is compiled for
+// the baseline ISA and, on x86-64, for AVX2 + F16C (without FMA, so no
+// multiply-add contracts). The first call picks the widest entry this CPU
+// supports, from CPUID; nothing else selects it.
 #pragma once
 
 #include <span>
@@ -36,5 +42,25 @@ std::vector<float> fused_turbo_decode(std::span<const float> q,
                                       const QuantizedKvCache& cache,
                                       const AttentionConfig& cfg,
                                       const Sas& sas);
+
+namespace detail {
+
+using FusedDecodeFn = std::vector<float> (*)(
+    std::span<const float> q, std::span<const KvBlock* const> blocks,
+    const DecodeBuffer& key_buffer, const DecodeBuffer& value_buffer,
+    const AttentionConfig& cfg, const Sas& sas);
+
+// One compiled build of the kernel body.
+struct FusedDecodeEntry {
+  const char* name;  // "baseline" or "avx2"
+  FusedDecodeFn fn;
+  bool supported;    // this CPU can run it
+};
+
+// Every compiled entry, baseline first; fused_turbo_decode runs the last
+// supported one. Exposed so tests can run each entry on any host.
+std::span<const FusedDecodeEntry> fused_decode_entries();
+
+}  // namespace detail
 
 }  // namespace turbo

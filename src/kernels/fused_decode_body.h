@@ -1,0 +1,477 @@
+// Body of the fused TurboAttention decode kernel, compiled once per
+// instruction set.
+//
+// kernels/fused_decode.cpp includes this file twice, so it has no include
+// guard: once in namespace detail::baseline_isa with kSimd = false, and
+// once in namespace detail::avx2_isa with kSimd = true under
+// `#pragma GCC target("avx2,f16c")`. That file includes every header this
+// body uses before the pragma, so no standard-library code is compiled for
+// the wider instruction set. Helpers that use intrinsics take only
+// pointers and scalars, so the baseline copy never emits them.
+//
+// The result is bit-identical to turbo_attention_decode, the reference in
+// attention/turbo_decode.cpp. Both builds run the reference's arithmetic:
+//
+//   * the second stage is reversed through a per-channel table of
+//     clamp(code * s_int + z_int, -127, 127), the values
+//     progressive_decompress_int8 produces (the AVX2 build expands 32
+//     codes per shuffle);
+//   * q.k is an exact int32 dot product, so its order is free: K is read
+//     channel by channel, the buffered tail row by row;
+//   * V tiles become token-major INT8 rows like the reference's matrix
+//     (the AVX2 build transposes 16x32 tiles in registers);
+//   * the scores, SAS (Sas::apply, bit-identical to exp_neg), the running
+//     sum and the P~ quantization follow the reference token by token;
+//   * each output channel adds float(p_q * v) * o_scale over the tokens
+//     with p_q != 0 in token order; SIMD lanes are channels, never tokens,
+//     and float(p_q) * float(v) is that integer product exactly.
+//
+// The enclosing namespace provides `constexpr bool kSimd`.
+
+constexpr float kNegInf = -std::numeric_limits<float>::infinity();
+
+// Codes one table shuffle expands, and the token granularity of a tile's
+// expanded rows.
+constexpr std::size_t kChunk = 32;
+// Entries per channel table (codes are at most 4 bits).
+constexpr std::size_t kTable = 16;
+
+struct DecodeState {
+  float m = kNegInf;
+  float l = 0.0f;
+  std::vector<float> o;  // unnormalized output
+};
+
+// Buffers reused by every chunk of one call.
+struct Scratch {
+  std::vector<std::uint8_t> codes;   // one tile's codes, channel-major
+  std::vector<std::int8_t> tables;   // [channel][kTable] code -> INT8
+  std::vector<std::int8_t> v_rows;   // expanded V tile, token-major
+  std::vector<std::int32_t> dots;    // q.k per token
+  std::vector<float> p;              // scores, then P~
+  std::vector<std::uint32_t> live;   // tokens whose quantized P~ is not 0
+  std::vector<std::int32_t> p_q;     // their quantized P~
+  std::size_t n_live = 0;
+};
+
+#if defined(__x86_64__)
+
+// Token order of the transposed registers: after four interleave rounds
+// register r holds token kBitReverse[r] (bits of r reversed).
+constexpr std::array<std::size_t, 16> kBitReverse = {
+    0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15};
+
+// Expand 16 channels x 32 tokens: channel j's codes start at
+// codes + j * code_stride, its table at tables + j * kTable. Token t's 16
+// values go to rows + t * row_stride.
+inline void expand_transpose_avx2(const std::uint8_t* codes,
+                                  std::size_t code_stride,
+                                  const std::int8_t* tables,
+                                  std::int8_t* rows, std::size_t row_stride) {
+  __m256i a[16] = {};
+  __m256i b[16] = {};
+  for (std::size_t j = 0; j < 16; ++j) {
+    const __m256i table = _mm256_broadcastsi128_si256(_mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(tables + j * kTable)));
+    const __m256i idx = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(codes + j * code_stride));
+    a[j] = _mm256_shuffle_epi8(table, idx);
+  }
+  // Each 128-bit lane holds a 16x16 byte matrix (channels x tokens 0-15,
+  // tokens 16-31 in the upper lane); four interleave rounds transpose it.
+  for (std::size_t j = 0; j < 8; ++j) {
+    b[j] = _mm256_unpacklo_epi8(a[2 * j], a[2 * j + 1]);
+    b[j + 8] = _mm256_unpackhi_epi8(a[2 * j], a[2 * j + 1]);
+  }
+  for (std::size_t j = 0; j < 8; ++j) {
+    a[j] = _mm256_unpacklo_epi16(b[2 * j], b[2 * j + 1]);
+    a[j + 8] = _mm256_unpackhi_epi16(b[2 * j], b[2 * j + 1]);
+  }
+  for (std::size_t j = 0; j < 8; ++j) {
+    b[j] = _mm256_unpacklo_epi32(a[2 * j], a[2 * j + 1]);
+    b[j + 8] = _mm256_unpackhi_epi32(a[2 * j], a[2 * j + 1]);
+  }
+  for (std::size_t j = 0; j < 8; ++j) {
+    a[j] = _mm256_unpacklo_epi64(b[2 * j], b[2 * j + 1]);
+    a[j + 8] = _mm256_unpackhi_epi64(b[2 * j], b[2 * j + 1]);
+  }
+  for (std::size_t r = 0; r < 16; ++r) {
+    const std::size_t t = kBitReverse[r];
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(rows + t * row_stride),
+                     _mm256_castsi256_si128(a[r]));
+    _mm_storeu_si128(
+        reinterpret_cast<__m128i*>(rows + (t + 16) * row_stride),
+        _mm256_extracti128_si256(a[r], 1));
+  }
+}
+
+// tables[c * kTable + i] = clamp(i * s_int + z_int, -127, 127) for every
+// channel: exact in int16 (|i * s + z| <= 2048), then saturated to int8
+// and raised to -127.
+inline void tables_avx2(const ChannelParams* channels, std::size_t d,
+                        std::int8_t* tables) {
+  const __m128i lo = _mm_setr_epi16(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m128i hi = _mm_setr_epi16(8, 9, 10, 11, 12, 13, 14, 15);
+  const __m128i floor = _mm_set1_epi8(-127);
+  for (std::size_t c = 0; c < d; ++c) {
+    const __m128i s = _mm_set1_epi16(channels[c].s_int);
+    const __m128i z = _mm_set1_epi16(channels[c].z_int);
+    const __m128i v =
+        _mm_packs_epi16(_mm_add_epi16(_mm_mullo_epi16(lo, s), z),
+                        _mm_add_epi16(_mm_mullo_epi16(hi, s), z));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(tables + c * kTable),
+                     _mm_max_epi8(v, floor));
+  }
+}
+
+// dots[t] = q . K[t] for t < padded (a multiple of 32), K read channel
+// by channel: 32 codes through the channel's table, their int8 values
+// split into even and odd tokens' int16, and multiplied by q (q_pairs
+// holds q in the low, then the high, half of a 32-bit lane). Accumulator
+// r, lane i collects token 4i + r of the chunk.
+inline void tile_dots_avx2(const std::int32_t* q_pairs,
+                           const std::uint8_t* codes, std::size_t stride,
+                           std::size_t d, const std::int8_t* tables,
+                           std::int32_t* dots, std::size_t padded) {
+  alignas(32) std::int32_t lanes[4][8] = {};
+  for (std::size_t t0 = 0; t0 < padded; t0 += kChunk) {
+    __m256i acc[4] = {};
+    for (std::size_t c = 0; c < d; ++c) {
+      const __m256i table = _mm256_broadcastsi128_si256(_mm_loadu_si128(
+          reinterpret_cast<const __m128i*>(tables + c * kTable)));
+      const __m256i k8 = _mm256_shuffle_epi8(
+          table, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+                     codes + c * stride + t0)));
+      const __m256i even = _mm256_srai_epi16(_mm256_slli_epi16(k8, 8), 8);
+      const __m256i odd = _mm256_srai_epi16(k8, 8);
+      const __m256i q_lo = _mm256_set1_epi32(q_pairs[2 * c]);
+      const __m256i q_hi = _mm256_set1_epi32(q_pairs[2 * c + 1]);
+      acc[0] = _mm256_add_epi32(acc[0], _mm256_madd_epi16(even, q_lo));
+      acc[1] = _mm256_add_epi32(acc[1], _mm256_madd_epi16(odd, q_lo));
+      acc[2] = _mm256_add_epi32(acc[2], _mm256_madd_epi16(even, q_hi));
+      acc[3] = _mm256_add_epi32(acc[3], _mm256_madd_epi16(odd, q_hi));
+    }
+    for (std::size_t r = 0; r < 4; ++r) {
+      _mm256_store_si256(reinterpret_cast<__m256i*>(lanes[r]), acc[r]);
+    }
+    for (std::size_t i = 0; i < 8; ++i) {
+      for (std::size_t r = 0; r < 4; ++r) dots[t0 + 4 * i + r] = lanes[r][i];
+    }
+  }
+}
+
+// dots[t] = q . rows[t] over columns [0, cols), cols a multiple of 32.
+// |k| times q with k's sign keeps every byte product in range (k may be
+// -128, q never is) and every pair sum below 2^15.
+inline void dots_avx2(const std::int8_t* q, const std::int8_t* rows,
+                      std::size_t stride, std::size_t cols,
+                      std::size_t tokens, std::int32_t* dots) {
+  const __m256i ones = _mm256_set1_epi16(1);
+  for (std::size_t t = 0; t < tokens; ++t) {
+    const std::int8_t* row = rows + t * stride;
+    __m256i acc = _mm256_setzero_si256();
+    for (std::size_t c = 0; c < cols; c += 32) {
+      const __m256i k =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + c));
+      const __m256i qv =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + c));
+      const __m256i pairs =
+          _mm256_maddubs_epi16(_mm256_abs_epi8(k), _mm256_sign_epi8(qv, k));
+      acc = _mm256_add_epi32(acc, _mm256_madd_epi16(pairs, ones));
+    }
+    __m128i s = _mm_add_epi32(_mm256_castsi256_si128(acc),
+                              _mm256_extracti128_si256(acc, 1));
+    s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0x4E));
+    s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0xB1));
+    dots[t] = _mm_cvtsi128_si32(s);
+  }
+}
+
+// o[c] += float(p_q * rows[t][c]) * o_scale over the live tokens, in
+// token order, for columns [0, cols), cols a multiple of 8. Four column
+// groups run side by side so their add chains overlap.
+inline void pv_avx2(float* o, const std::int8_t* rows, std::size_t stride,
+                    std::size_t cols, const std::uint32_t* live,
+                    const std::int32_t* p_q, std::size_t n_live,
+                    float o_scale) {
+  const __m256 os = _mm256_set1_ps(o_scale);
+  std::size_t c = 0;
+  for (; c + 32 <= cols; c += 32) {
+    __m256 acc[4] = {};
+    for (std::size_t g = 0; g < 4; ++g) acc[g] = _mm256_loadu_ps(o + c + 8 * g);
+    for (std::size_t i = 0; i < n_live; ++i) {
+      const std::int8_t* v = rows + live[i] * stride + c;
+      const __m256 pv = _mm256_set1_ps(static_cast<float>(p_q[i]));
+      for (std::size_t g = 0; g < 4; ++g) {
+        const __m256 vf = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(
+            _mm_loadl_epi64(reinterpret_cast<const __m128i*>(v + 8 * g))));
+        acc[g] = _mm256_add_ps(acc[g],
+                               _mm256_mul_ps(_mm256_mul_ps(vf, pv), os));
+      }
+    }
+    for (std::size_t g = 0; g < 4; ++g) _mm256_storeu_ps(o + c + 8 * g, acc[g]);
+  }
+  for (; c < cols; c += 8) {
+    __m256 acc = _mm256_loadu_ps(o + c);
+    for (std::size_t i = 0; i < n_live; ++i) {
+      const __m256 vf = _mm256_cvtepi32_ps(
+          _mm256_cvtepi8_epi32(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(
+              rows + live[i] * stride + c))));
+      const __m256 pv = _mm256_set1_ps(static_cast<float>(p_q[i]));
+      acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_mul_ps(vf, pv), os));
+    }
+    _mm256_storeu_ps(o + c, acc);
+  }
+}
+
+#endif  // __x86_64__
+
+// Unpack one tile's codes (channel-major) and build each channel's table
+// of second-stage values, clamp(code * s_int + z_int, -127, 127): the
+// values progressive_decompress_int8 produces.
+inline void load_tile(const ProgressiveBlock& block, Scratch& w) {
+  const std::size_t n = block.rows * block.cols;
+  // One chunk of slack: the last channel's final shuffle reads past it.
+  w.codes.resize(n + kChunk);
+  unpack_codes(block.packed, block.bits, n, w.codes);
+  w.tables.resize(block.cols * kTable);
+  std::size_t c0 = 0;
+#if defined(__x86_64__)
+  if constexpr (kSimd) {
+    c0 = block.cols;
+    tables_avx2(block.channels.data(), block.cols, w.tables.data());
+  }
+#endif
+  for (std::size_t c = c0; c < block.cols; ++c) {
+    const std::int32_t s = block.channels[c].s_int;
+    const std::int32_t z = block.channels[c].z_int;
+    for (std::size_t i = 0; i < kTable; ++i) {
+      w.tables[c * kTable + i] =
+          clamp_to_i8(static_cast<std::int32_t>(i) * s + z);
+    }
+  }
+}
+
+// w.dots[t] = q . K[t] for the tile load_tile loaded, read channel by
+// channel.
+inline void tile_dots(std::span<const std::int8_t> q_q1,
+                      std::span<const std::int32_t> q_pairs,
+                      std::size_t tokens, std::size_t d, Scratch& w) {
+  w.dots.assign((tokens + kChunk - 1) / kChunk * kChunk, 0);
+#if defined(__x86_64__)
+  if constexpr (kSimd) {
+    tile_dots_avx2(q_pairs.data(), w.codes.data(), tokens, d,
+                   w.tables.data(), w.dots.data(), w.dots.size());
+    return;
+  }
+#endif
+  for (std::size_t c = 0; c < d; ++c) {
+    const std::int32_t qx = q_q1[c];
+    if (qx == 0) continue;
+    const std::int8_t* table = w.tables.data() + c * kTable;
+    const std::uint8_t* codes = w.codes.data() + c * tokens;
+    for (std::size_t t = 0; t < tokens; ++t) {
+      w.dots[t] += qx * static_cast<std::int32_t>(table[codes[t]]);
+    }
+  }
+}
+
+// w.dots[t] = q . rows[t] for token-major INT8 rows.
+inline void row_dots(std::span<const std::int8_t> q_q1,
+                     const std::int8_t* rows, std::size_t tokens,
+                     std::size_t d, Scratch& w) {
+  w.dots.assign(tokens, 0);
+  std::size_t c0 = 0;
+#if defined(__x86_64__)
+  if constexpr (kSimd) {
+    c0 = d - d % 32;
+    dots_avx2(q_q1.data(), rows, d, c0, tokens, w.dots.data());
+  }
+#endif
+  for (std::size_t t = 0; t < tokens; ++t) {
+    const std::int8_t* row = rows + t * d;
+    for (std::size_t c = c0; c < d; ++c) {
+      w.dots[t] += static_cast<std::int32_t>(q_q1[c]) *
+                   static_cast<std::int32_t>(row[c]);
+    }
+  }
+}
+
+// Expand the tile load_tile loaded into token-major INT8 rows,
+// rows[t * d + c] (progressive_decompress_int8's matrix). The AVX2 build
+// leaves junk in rows past `tokens`; nothing reads them.
+inline void tile_rows(std::size_t tokens, std::size_t d, Scratch& w,
+                      std::vector<std::int8_t>& rows) {
+  const std::size_t padded = (tokens + kChunk - 1) / kChunk * kChunk;
+  rows.resize(padded * d);
+  std::size_t c0 = 0;
+#if defined(__x86_64__)
+  if constexpr (kSimd) {
+    for (; c0 + 16 <= d; c0 += 16) {
+      for (std::size_t t0 = 0; t0 < tokens; t0 += kChunk) {
+        expand_transpose_avx2(w.codes.data() + c0 * tokens + t0, tokens,
+                              w.tables.data() + c0 * kTable,
+                              rows.data() + t0 * d + c0, d);
+      }
+    }
+  }
+#endif
+  for (std::size_t c = c0; c < d; ++c) {
+    const std::int8_t* table = w.tables.data() + c * kTable;
+    const std::uint8_t* codes = w.codes.data() + c * tokens;
+    for (std::size_t t = 0; t < tokens; ++t) {
+      rows[t * d + c] = table[codes[t]];
+    }
+  }
+}
+
+// V rows of one chunk: INT8 rows ready to read, or a packed tile that is
+// expanded only when some quantized P~ of the chunk is nonzero.
+struct VSource {
+  const std::int8_t* rows = nullptr;
+  const ProgressiveBlock* packed = nullptr;
+  float scale = 1.0f;
+};
+
+// One chunk of Algorithm 2's loop, its q.k already in w.dots: scores, SAS,
+// the online-softmax update and P~V. The first `mask_before` tokens lie
+// outside the sliding window.
+inline void absorb_chunk(DecodeState& st, float q_scale, float k_scale,
+                         const VSource& vs, std::size_t tokens, std::size_t d,
+                         float attn_scale, const Sas& sas,
+                         std::size_t mask_before, Scratch& w) {
+  const float s_scale = q_scale * k_scale * attn_scale;
+  w.p.resize(tokens);
+  for (std::size_t t = 0; t < tokens; ++t) {
+    w.p[t] = t < mask_before ? kNegInf
+                             : static_cast<float>(w.dots[t]) * s_scale;
+  }
+
+  // Online-softmax update with SAS.
+  float block_max = kNegInf;
+  for (const float v : w.p) block_max = std::max(block_max, v);
+  const float m_new = std::max(st.m, block_max);
+  const float alpha = st.m == kNegInf ? 0.0f : sas.exp_neg(st.m - m_new);
+  for (float& v : w.p) v -= m_new;
+  sas.apply(w.p);
+  float p_max = 0.0f;
+  float row_sum = 0.0f;
+  for (const float v : w.p) {
+    row_sum += v;
+    p_max = std::max(p_max, v);
+  }
+  if (alpha != 1.0f) {
+    for (float& v : st.o) v *= alpha;
+  }
+  st.l = st.l * alpha + row_sum;
+  st.m = m_new;
+
+  // Quantize P~ to INT8; only its nonzero tokens reach P~V.
+  const float p_scale = p_max > 0.0f ? p_max / kSymmetricHeadroom : 1.0f;
+  const float inv_p = 1.0f / p_scale;
+  const float o_scale = p_scale * vs.scale;
+  w.live.resize(tokens);
+  w.p_q.resize(tokens);
+  w.n_live = 0;
+  for (std::size_t t = 0; t < tokens; ++t) {
+    const float scaled = std::nearbyint(w.p[t] * inv_p);
+    const auto pq =
+        static_cast<std::int32_t>(std::clamp(scaled, 0.0f, 127.0f));
+    // Compact without a branch: always write, keep only nonzero P~.
+    w.live[w.n_live] = static_cast<std::uint32_t>(t);
+    w.p_q[w.n_live] = pq;
+    w.n_live += static_cast<std::size_t>(pq != 0);
+  }
+  if (w.n_live == 0) return;
+
+  // O += o_scale * P~ V.
+  const std::int8_t* v = vs.rows;
+  if (vs.packed != nullptr) {
+    load_tile(*vs.packed, w);
+    tile_rows(tokens, d, w, w.v_rows);
+    v = w.v_rows.data();
+  }
+  float* o = st.o.data();
+  std::size_t c0 = 0;
+#if defined(__x86_64__)
+  if constexpr (kSimd) {
+    c0 = d - d % 8;
+    pv_avx2(o, v, d, c0, w.live.data(), w.p_q.data(), w.n_live, o_scale);
+  }
+#endif
+  for (std::size_t i = 0; i < w.n_live; ++i) {
+    const std::int32_t pv = w.p_q[i];
+    const std::int8_t* row = v + w.live[i] * d;
+    for (std::size_t c = c0; c < d; ++c) {
+      o[c] += static_cast<float>(pv * static_cast<std::int32_t>(row[c])) *
+              o_scale;
+    }
+  }
+}
+
+std::vector<float> fused_decode(std::span<const float> q,
+                                std::span<const KvBlock* const> blocks,
+                                const DecodeBuffer& key_buffer,
+                                const DecodeBuffer& value_buffer,
+                                const AttentionConfig& cfg, const Sas& sas) {
+  const std::size_t d = key_buffer.dim();
+  TURBO_CHECK(q.size() == d);
+  TURBO_CHECK_MSG(!blocks.empty() || !key_buffer.empty(),
+                  "decode against an empty cache");
+  const float attn_scale = cfg.effective_scale(d);
+
+  const float q_scale = symmetric_scale_int8(q);
+  std::vector<std::int8_t> q_q1(d);
+  quantize_symmetric_int8(q, q_scale, q_q1);
+  // Per channel, q in the low (then the high) 16 bits of a 32-bit lane:
+  // multiplier pairs that pick even (odd) tokens' int16 values.
+  std::vector<std::int32_t> q_pairs(2 * d);
+  for (std::size_t c = 0; c < d; ++c) {
+    q_pairs[2 * c] = static_cast<std::uint16_t>(q_q1[c]);
+    q_pairs[2 * c + 1] = static_cast<std::int32_t>(q_q1[c]) * 65536;
+  }
+
+  DecodeState st;
+  st.o.assign(d, 0.0f);
+  Scratch w;
+
+  // Sliding window: skip blocks fully outside, mask the boundary block.
+  std::size_t total = key_buffer.size();
+  for (const KvBlock* block : blocks) total += block->tokens();
+  const std::size_t win_start =
+      cfg.window > 0 && total > cfg.window ? total - cfg.window : 0;
+
+  std::size_t pos = 0;
+  for (const KvBlock* block : blocks) {
+    const std::size_t end = pos + block->tokens();
+    if (end <= win_start) {
+      pos = end;
+      continue;
+    }
+    TURBO_CHECK(block->k.cols == d && block->v.cols == d &&
+                block->v.rows == block->k.rows);
+    const std::size_t mask = win_start > pos ? win_start - pos : 0;
+    load_tile(block->k, w);
+    tile_dots(q_q1, q_pairs, block->tokens(), d, w);
+    absorb_chunk(st, q_scale, block->k.fp_scale,
+                 VSource{nullptr, &block->v, block->v.fp_scale},
+                 block->tokens(), d, attn_scale, sas, mask, w);
+    pos = end;
+  }
+
+  // Buffered tail: INT8 rows under the universal scales, token-major
+  // already.
+  if (!key_buffer.empty()) {
+    const std::size_t mask = win_start > pos ? win_start - pos : 0;
+    row_dots(q_q1, key_buffer.tokens().data(), key_buffer.size(), d, w);
+    absorb_chunk(st, q_scale, key_buffer.scale(),
+                 VSource{value_buffer.tokens().data(), nullptr,
+                         value_buffer.scale()},
+                 key_buffer.size(), d, attn_scale, sas, mask, w);
+  }
+
+  TURBO_CHECK_MSG(st.l > 0.0f, "decode query attended no keys");
+  const float inv = 1.0f / st.l;
+  for (float& v : st.o) v *= inv;
+  return std::move(st.o);
+}

@@ -1,6 +1,9 @@
 // turbo-lint: integer-kernel
 #include "quant/packing.h"
 
+#include <bit>
+#include <cstring>
+
 #include "common/check.h"
 #include "common/numeric.h"
 
@@ -37,8 +40,34 @@ void unpack_codes(std::span<const std::uint8_t> packed, BitWidth bits,
   TURBO_CHECK(packed.size() >= packed_byte_count(count, bits));
   const int b = bit_count(bits);
   const std::uint8_t mask = trunc_to_u8((1u << static_cast<unsigned>(b)) - 1u);
-  std::size_t bitpos = 0;
-  for (std::size_t i = 0; i < count; ++i) {
+  // INT4 and INT2 codes never straddle a byte: expand whole bytes (two or
+  // four codes each) in a loop the compiler vectorizes, and leave only a
+  // final partial byte to the general bit loop below.
+  std::size_t i = 0;
+  const std::uint8_t* in = packed.data();
+  std::uint8_t* dst = out.data();
+  if (bits == BitWidth::kInt4) {
+    const std::size_t bytes = count / 2;
+    for (std::size_t j = 0; j < bytes; ++j) {
+      dst[2 * j] = trunc_to_u8(in[j] & 0x0Fu);
+      dst[2 * j + 1] = trunc_to_u8(in[j] >> 4);
+    }
+    i = bytes * 2;
+  } else if (bits == BitWidth::kInt2 &&
+             std::endian::native == std::endian::little) {
+    // Spread the byte's four 2-bit fields into the four bytes of a 32-bit
+    // word (code k lands in byte k), then store the word.
+    const std::size_t bytes = count / 4;
+    for (std::size_t j = 0; j < bytes; ++j) {
+      std::uint32_t x = in[j];
+      x = (x | (x << 12)) & 0x000F000Fu;
+      x = (x | (x << 6)) & 0x03030303u;
+      std::memcpy(dst + 4 * j, &x, sizeof(x));
+    }
+    i = bytes * 4;
+  }
+  std::size_t bitpos = i * static_cast<std::size_t>(b);
+  for (; i < count; ++i) {
     const std::size_t byte = bitpos >> 3;
     const unsigned shift = bitpos & 7u;
     unsigned v = static_cast<unsigned>(packed[byte]) >> shift;

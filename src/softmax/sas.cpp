@@ -1,8 +1,14 @@
 #include "softmax/sas.h"
 
+#include <array>
 #include <cmath>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 #include "common/check.h"
+#include "common/cpu.h"
 #include "common/fp16.h"
 
 namespace turbo {
@@ -13,6 +19,65 @@ constexpr float kC3 = -0.1025f;
 constexpr float kC2 = 0.4626f;
 constexpr float kC1 = -0.9922f;
 constexpr float kC0 = 0.9996f;
+
+#if defined(__x86_64__)
+
+// Round eight floats through binary16 the way round_to_fp16 does: F16C
+// converts with round-to-nearest-even, gradual underflow and overflow to
+// infinity, so the two agree on every non-NaN float.
+__attribute__((target("avx2,f16c"))) __m256 round_fp16(__m256 v) {
+  return _mm256_cvtph_ps(
+      _mm256_cvtps_ph(v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC));
+}
+
+// exp_neg on eight lanes per step for the configuration the kernels run:
+// binary16 arithmetic and a LUT of at most 8 entries (threshold >= -6),
+// held in one register. Same operations in the same order (no FMA: the
+// target leaves it out, so nothing contracts). Lanes exp_neg maps to 0
+// (below the threshold) read LUT entry 0, and NaN lanes pass their input
+// through, so the LUT read never leaves the table. Returns how many
+// leading values it handled.
+__attribute__((target("avx2,f16c"))) std::size_t apply_avx2(
+    const SasConfig& config, std::span<const float> lut,
+    std::span<float> values) {
+  const std::size_t n = values.size() - values.size() % 8;
+  const __m256 c3 = _mm256_set1_ps(round_to_fp16(kC3));
+  const __m256 c2 = _mm256_set1_ps(round_to_fp16(kC2));
+  const __m256 c1 = _mm256_set1_ps(round_to_fp16(kC1));
+  const __m256 c0 = _mm256_set1_ps(round_to_fp16(kC0));
+  const __m256 zero = _mm256_setzero_ps();
+  const __m256 sign = _mm256_set1_ps(-0.0f);
+  const __m256 threshold =
+      _mm256_set1_ps(static_cast<float>(config.threshold));
+  std::array<float, 8> lut8{};
+  for (std::size_t i = 0; i < lut.size(); ++i) lut8[i] = lut[i];
+  const __m256 table = _mm256_loadu_ps(lut8.data());
+  for (std::size_t i = 0; i < n; i += 8) {
+    const __m256 in = _mm256_loadu_ps(values.data() + i);
+    const __m256 nan = _mm256_cmp_ps(in, in, _CMP_UNORD_Q);
+    const __m256 x =
+        _mm256_blendv_ps(in, zero, _mm256_cmp_ps(in, zero, _CMP_GT_OQ));
+    const __m256 keep = _mm256_cmp_ps(x, threshold, _CMP_GE_OQ);
+    const __m256 y = _mm256_and_ps(_mm256_xor_ps(x, sign), keep);
+    const __m256i y_int = _mm256_cvttps_epi32(y);
+    const __m256 y_dec = _mm256_sub_ps(y, _mm256_cvtepi32_ps(y_int));
+    const __m256 lut_v = _mm256_permutevar8x32_ps(table, y_int);
+    const __m256 t = round_fp16(y_dec);
+    __m256 acc = round_fp16(_mm256_mul_ps(c3, t));
+    acc = round_fp16(_mm256_add_ps(acc, c2));
+    acc = round_fp16(_mm256_mul_ps(acc, t));
+    acc = round_fp16(_mm256_add_ps(acc, c1));
+    acc = round_fp16(_mm256_mul_ps(acc, t));
+    acc = round_fp16(_mm256_add_ps(acc, c0));
+    const __m256 prod = round_fp16(_mm256_mul_ps(lut_v, acc));
+    const __m256 out = _mm256_blendv_ps(_mm256_and_ps(prod, keep), in, nan);
+    _mm256_storeu_ps(values.data() + i, out);
+  }
+  return n;
+}
+
+#endif  // __x86_64__
+
 }  // namespace
 
 Sas::Sas(SasConfig config) : config_(config) {
@@ -54,6 +119,7 @@ float Sas::poly_fp16(float t) {
 float Sas::exp_neg(float x) const {
   if (x > 0.0f) x = 0.0f;  // FP16 rounding noise can push shifted scores > 0
   if (config_.exact_exp) return std::exp(x);
+  if (std::isnan(x)) return x;  // the int cast below is undefined for NaN
   if (x < static_cast<float>(config_.threshold)) return 0.0f;
 
   const float y = -x;  // y in (0, |threshold|]
@@ -68,7 +134,17 @@ float Sas::exp_neg(float x) const {
 }
 
 void Sas::apply(std::span<float> values) const {
-  for (float& v : values) v = exp_neg(v);
+  std::size_t done = 0;
+#if defined(__x86_64__)
+  static const bool kSimd = cpu_has_avx2_f16c();
+  // Other configurations (exact exp, FP32 arithmetic, thresholds below -6)
+  // take the scalar loop.
+  if (kSimd && config_.fp16_arithmetic && !config_.exact_exp &&
+      lut_.size() <= 8) {
+    done = apply_avx2(config_, lut_, values);
+  }
+#endif
+  for (float& v : values.subspan(done)) v = exp_neg(v);
 }
 
 MatrixF Sas::softmax(const MatrixF& scores) const {

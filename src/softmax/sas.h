@@ -54,10 +54,15 @@ class Sas {
 
   // Approximate e^x for x <= 0. Values below the threshold return 0.
   // (Inputs slightly above 0 can occur from FP16 rounding of the shifted
-  // scores; they are clamped to 0.)
+  // scores; they are clamped to 0.) NaN returns NaN.
   float exp_neg(float x) const;
 
-  // Apply exp_neg element-wise in place.
+  // Apply exp_neg element-wise in place, bit for bit. On a CPU with AVX2
+  // and F16C (checked once, from CPUID), the default configuration
+  // (binary16 arithmetic, threshold >= -6, no exact exp) runs eight values
+  // per step, with the binary16 rounding done by the F16C conversions;
+  // other configurations, and the oracle that path is tested against, are
+  // exp_neg.
   void apply(std::span<float> values) const;
 
   // Full Algorithm 3: row-shift by max, sparsify, LUT x POLY, renormalize.

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+
 #include "attention/turbo.h"
+#include "attention/turbo_method.h"
 #include "common/check.h"
 #include "kvcache/paged_cache.h"
+#include "quant/progressive.h"
 #include "tests/test_util.h"
 
 namespace turbo {
@@ -90,6 +95,181 @@ TEST(FusedDecodeTest, WorksOnPagedCache) {
       q, paged.blocks(seq), paged.key_buffer(seq), paged.value_buffer(seq),
       cfg, sas);
   EXPECT_EQ(reference, fused);
+}
+
+// --- Every compiled entry against the reference, bit for bit -------------
+//
+// fused_turbo_decode runs one entry (the widest this CPU supports); the
+// detail seam reaches every entry, so an AVX2 host checks the baseline
+// build too.
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// Blocks built straight from INT8 tiles, so a test controls the second
+// stage's inputs, plus a buffered tail.
+struct Blocks {
+  std::vector<std::unique_ptr<KvBlock>> owned;
+  std::vector<const KvBlock*> view;
+  DecodeBuffer keys;
+  DecodeBuffer values;
+
+  Blocks(std::size_t d, std::size_t buffer_capacity)
+      : keys(buffer_capacity, d), values(buffer_capacity, d) {}
+};
+
+MatrixI8 random_i8(std::size_t rows, std::size_t cols, Rng& rng) {
+  MatrixI8 m(rows, cols);
+  for (std::int8_t& x : m.flat()) {
+    x = static_cast<std::int8_t>(static_cast<int>(rng.uniform_index(255)) -
+                                 127);
+  }
+  return m;
+}
+
+// Channel c spans [101, 127]. The gap of 26 gets s_int 9 / 4 / 2 at
+// INT2 / INT3 / INT4, so the top code maps to 128 / 129 / 131 and the
+// second stage clamps it to 127.
+void make_clamping(MatrixI8& m, std::size_t c, Rng& rng) {
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    m(r, c) = static_cast<std::int8_t>(101 + rng.uniform_index(27));
+  }
+  m(0, c) = 101;
+  m(m.rows() - 1, c) = 127;
+}
+
+Blocks make_blocks(std::size_t d, BitWidth bits,
+                   const std::vector<std::size_t>& block_rows,
+                   std::size_t tail, std::uint64_t seed) {
+  Rng rng(seed);
+  Blocks b(d, 64);
+  for (const std::size_t rows : block_rows) {
+    MatrixI8 k = random_i8(rows, d, rng);
+    MatrixI8 v = random_i8(rows, d, rng);
+    make_clamping(k, 1, rng);
+    make_clamping(v, d - 1, rng);
+    auto block = std::make_unique<KvBlock>();
+    block->k = progressive_compress(k, 0.02f, bits);
+    block->v = progressive_compress(v, 0.03f, bits);
+    b.view.push_back(block.get());
+    b.owned.push_back(std::move(block));
+  }
+  for (std::size_t t = 0; t < tail; ++t) {
+    std::vector<float> kt(d);
+    std::vector<float> vt(d);
+    rng.fill_normal(kt, 0.0, 1.0);
+    rng.fill_normal(vt, 0.0, 1.0);
+    b.keys.push(kt);
+    b.values.push(vt);
+  }
+  return b;
+}
+
+void expect_entries_match(const Blocks& b, const AttentionConfig& cfg,
+                          std::uint64_t seed, const std::string& what) {
+  const Sas sas;
+  const std::size_t d = b.keys.dim();
+  Rng rng(seed);
+  for (int trial = 0; trial < 4; ++trial) {
+    std::vector<float> q(d);
+    rng.fill_normal(q, 0.0, 2.0);
+    q[d / 2] = 0.0f;  // a zero INT8 query channel
+    const std::vector<float> ref =
+        turbo_attention_decode(q, b.view, b.keys, b.values, cfg, sas);
+    for (const auto& e : detail::fused_decode_entries()) {
+      if (!e.supported) continue;
+      EXPECT_TRUE(same_bits(ref, e.fn(q, b.view, b.keys, b.values, cfg, sas)))
+          << what << " entry=" << e.name << " trial=" << trial;
+    }
+    EXPECT_TRUE(
+        same_bits(ref, fused_turbo_decode(q, b.view, b.keys, b.values, cfg,
+                                          sas)))
+        << what << " trial=" << trial;
+  }
+}
+
+TEST(FusedDecodeEntries, BaselineIsAlwaysCompiledAndSupported) {
+  const auto entries = detail::fused_decode_entries();
+  ASSERT_FALSE(entries.empty());
+  EXPECT_STREQ(entries[0].name, "baseline");
+  EXPECT_TRUE(entries[0].supported);
+}
+
+class FusedDecodeParity
+    : public ::testing::TestWithParam<std::tuple<std::size_t, BitWidth>> {};
+
+TEST_P(FusedDecodeParity, EveryEntryBitIdenticalToReference) {
+  const auto [d, bits] = GetParam();
+  const std::string what =
+      "d=" + std::to_string(d) + " bits=" + std::to_string(bit_count(bits));
+  // Full blocks, a ragged final block (36 rows: not a multiple of the
+  // 32-token SIMD chunk) and a buffered tail of 13.
+  const Blocks b = make_blocks(d, bits, {64, 64, 36}, 13, 17 + d);
+  expect_entries_match(b, AttentionConfig{}, 5, what + " full");
+
+  // Sliding window starting inside the second block, then inside the
+  // buffered tail.
+  AttentionConfig window;
+  window.window = 100;
+  expect_entries_match(b, window, 6, what + " window in block");
+  window.window = 5;
+  expect_entries_match(b, window, 7, what + " window in tail");
+
+  // Packed blocks only, and the buffered tail only.
+  const Blocks packed_only = make_blocks(d, bits, {64, 40}, 0, 23 + d);
+  expect_entries_match(packed_only, AttentionConfig{}, 8, what + " no tail");
+  const Blocks tail_only = make_blocks(d, bits, {}, 50, 29 + d);
+  expect_entries_match(tail_only, AttentionConfig{}, 9, what + " tail only");
+}
+
+// head_dim 128 (the benchmark's) and 44, which is not a multiple of 8 and
+// so leaves every SIMD loop a scalar tail.
+INSTANTIATE_TEST_SUITE_P(
+    HeadDimsAndWidths, FusedDecodeParity,
+    ::testing::Combine(::testing::Values(std::size_t{128}, std::size_t{44}),
+                       ::testing::Values(BitWidth::kInt2, BitWidth::kInt3,
+                                         BitWidth::kInt4)));
+
+TEST(FusedDecodeParity, BufferedRowsHoldingMinus128) {
+  // Restored buffers take raw INT8 rows, -128 included; the reference
+  // multiplies it like any other value.
+  const std::size_t d = 64;
+  Blocks b = make_blocks(d, BitWidth::kInt4, {64}, 0, 31);
+  b.keys.restore_scale(0.05f);
+  b.values.restore_scale(0.04f);
+  Rng rng(32);
+  for (int t = 0; t < 20; ++t) {
+    MatrixI8 rows = random_i8(2, d, rng);
+    rows(0, static_cast<std::size_t>(t) % d) = -128;
+    rows(1, (static_cast<std::size_t>(t) * 7) % d) = -128;
+    b.keys.push_quantized(rows.row(0));
+    b.values.push_quantized(rows.row(1));
+  }
+  expect_entries_match(b, AttentionConfig{}, 33, "minus128");
+}
+
+TEST(FusedDecodeParity, TurboKvAttentionDecodeMatchesReferenceOnItsCache) {
+  const std::size_t d = 128;
+  TurboMethodConfig config;
+  TurboKvAttention attn(d, config);
+  const MatrixF k = test::random_outlier_matrix(150, d, 41);
+  const MatrixF v = test::random_matrix(150, d, 42);
+  const MatrixF q = test::random_outlier_matrix(150, d, 43);
+  attn.prefill(q.block_rows(0, 100), k.block_rows(0, 100),
+               v.block_rows(0, 100));
+  const Sas sas(config.sas);
+  for (std::size_t t = 100; t < 150; ++t) {
+    const std::vector<float> out = attn.decode(q.row(t), k.row(t), v.row(t));
+    EXPECT_TRUE(same_bits(
+        out, turbo_attention_decode(q.row(t), attn.cache(), config.attention,
+                                    sas)))
+        << "step " << t;
+  }
+  EXPECT_TRUE(same_bits(
+      attn.attend(q.row(0)),
+      turbo_attention_decode(q.row(0), attn.cache(), config.attention, sas)));
 }
 
 TEST(FusedDecodeTest, EmptyCacheThrows) {

@@ -1,12 +1,15 @@
 #include "softmax/sas.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/check.h"
-
+#include "common/fp16.h"
 #include "common/stats.h"
 #include "softmax/softmax.h"
 #include "tests/test_util.h"
@@ -210,6 +213,80 @@ TEST_P(SasThresholdSweep, TighterThresholdLargerError) {
 
 INSTANTIATE_TEST_SUITE_P(Thresholds, SasThresholdSweep,
                          ::testing::Values(-4, -6, -8, -12));
+
+TEST(SasTest, NanPropagatesInsteadOfIndexingTheLut) {
+  // exp_neg(NaN) used to cast -NaN to int (undefined behaviour, reported by
+  // UBSan's float-cast-overflow); it now returns the NaN, as the exact_exp
+  // path and std::exp do.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const bool fp16 : {true, false}) {
+    const Sas sas(SasConfig{.fp16_arithmetic = fp16});
+    EXPECT_TRUE(std::isnan(sas.exp_neg(nan)));
+    EXPECT_TRUE(std::isnan(sas.exp_neg(-nan)));
+  }
+  EXPECT_TRUE(std::isnan(Sas(SasConfig{.exact_exp = true}).exp_neg(nan)));
+}
+
+// --- Sas::apply (the batch path the decode kernel runs) == exp_neg -----
+
+std::vector<float> sas_inputs(int threshold) {
+  std::vector<float> xs;
+  // Every binary16 value in [n_r - 1, 0]: the inputs an FP16 score takes.
+  for (std::uint32_t h = 0; h <= 0xFFFFu; ++h) {
+    const float v = half_bits_to_float(static_cast<std::uint16_t>(h));
+    if (v <= 0.0f && v >= static_cast<float>(threshold - 1)) xs.push_back(v);
+  }
+  // A dense float sweep over [n_r - 1.5, 0].
+  const float span = 1.5f - static_cast<float>(threshold);
+  for (int i = 0; i <= 200000; ++i) {
+    xs.push_back(-span * static_cast<float>(i) / 200000.0f);
+  }
+  // Specials, and positive inputs (clamped to 0).
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const float v :
+       {0.0f, -0.0f, -inf, nan, -nan, inf, 1.0f, 1e-30f, 3.5f,
+        std::numeric_limits<float>::denorm_min(),
+        -std::numeric_limits<float>::denorm_min(),
+        static_cast<float>(threshold),
+        std::nextafter(static_cast<float>(threshold), -inf)}) {
+    xs.push_back(v);
+  }
+  // A length that is not a multiple of the SIMD width, so the tail runs.
+  xs.push_back(-0.5f);
+  return xs;
+}
+
+class SasApplyParity
+    : public ::testing::TestWithParam<std::tuple<int, bool, bool>> {};
+
+TEST_P(SasApplyParity, ApplyEqualsExpNegBitForBit) {
+  const auto [threshold, fp16, exact] = GetParam();
+  const Sas sas(SasConfig{
+      .threshold = threshold, .fp16_arithmetic = fp16, .exact_exp = exact});
+  const std::vector<float> xs = sas_inputs(threshold);
+  std::vector<float> ys = xs;
+  sas.apply(ys);
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const auto want = std::bit_cast<std::uint32_t>(sas.exp_neg(xs[i]));
+    const auto got = std::bit_cast<std::uint32_t>(ys[i]);
+    if (want != got && ++mismatches <= 5) {
+      ADD_FAILURE() << "x=" << xs[i] << " apply=" << ys[i]
+                    << " exp_neg=" << sas.exp_neg(xs[i]);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+// n_r = -9 needs an 11-entry LUT, wider than one 8-lane register; there,
+// and without fp16 arithmetic or with exact_exp, apply runs the scalar
+// loop.
+INSTANTIATE_TEST_SUITE_P(
+    ThresholdsAndModes, SasApplyParity,
+    ::testing::Combine(::testing::Values(-4, -6, -9),
+                       ::testing::Bool(),    // fp16_arithmetic
+                       ::testing::Bool()));  // exact_exp
 
 TEST(SasTest, InvalidThresholdThrows) {
   EXPECT_THROW(Sas(SasConfig{.threshold = 0}), CheckError);
