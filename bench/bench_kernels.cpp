@@ -13,7 +13,9 @@
 #include "attention/flash.h"
 #include "attention/reference.h"
 #include "attention/turbo.h"
+#include "kernels/dispatch.h"
 #include "kernels/fused_decode.h"
+#include "kernels/fused_prefill.h"
 #include "common/fp16.h"
 #include "common/rng.h"
 #include "quant/asymmetric.h"
@@ -209,20 +211,46 @@ void BM_FlashAttentionFp16(benchmark::State& state) {
 }
 BENCHMARK(BM_FlashAttentionFp16)->Arg(256)->Arg(512);
 
-void BM_TurboPrefill(benchmark::State& state) {
+// Prefill benches take {prompt, head_dim}; {1024, 128} is the end-to-end
+// benchmark's prefill_1k shape. Each runs one prefill kernel (same
+// signature as turbo_attention_prefill) without a cache.
+void run_prefill(benchmark::State& state, detail::FusedPrefillFn prefill) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const MatrixF q = random_matrix(n, 64, 9);
-  const MatrixF k = random_matrix(n, 64, 10);
-  const MatrixF v = random_matrix(n, 64, 11);
+  const std::size_t d = static_cast<std::size_t>(state.range(1));
+  const MatrixF q = random_matrix(n, d, 9);
+  const MatrixF k = random_matrix(n, d, 10);
+  const MatrixF v = random_matrix(n, d, 11);
   AttentionConfig cfg;
   const Sas sas;
   for (auto _ : state) {
-    TurboPrefillResult r =
-        turbo_attention_prefill(q, k, v, cfg, sas, nullptr);
+    TurboPrefillResult r = prefill(q, k, v, cfg, sas, nullptr);
     benchmark::DoNotOptimize(r.o.data());
   }
 }
-BENCHMARK(BM_TurboPrefill)->Arg(256)->Arg(512);
+
+void BM_TurboPrefill(benchmark::State& state) {
+  run_prefill(state, &turbo_attention_prefill);
+}
+BENCHMARK(BM_TurboPrefill)
+    ->Args({256, 64})
+    ->Args({512, 64})
+    ->Args({1024, 128});
+
+void BM_TurboPrefillFused(benchmark::State& state) {
+  // The kernel TurboKvAttention runs — bit-identical output.
+  run_prefill(state, &fused_turbo_prefill);
+}
+BENCHMARK(BM_TurboPrefillFused)
+    ->Args({256, 64})
+    ->Args({512, 64})
+    ->Args({1024, 128});
+
+void BM_TurboPrefillFusedBaseline(benchmark::State& state) {
+  // The baseline-ISA entry (the detail seam): on an AVX2 host the gap to
+  // BM_TurboPrefillFused is what the AVX2 entry adds.
+  run_prefill(state, detail::fused_entries().front().prefill);
+}
+BENCHMARK(BM_TurboPrefillFusedBaseline)->Args({1024, 128});
 
 // Decode benches take {context, head_dim}; head_dim 128 is the model
 // profiles' (and the end-to-end benchmark's).
@@ -285,8 +313,7 @@ void BM_TurboDecodeFusedBaseline(benchmark::State& state) {
   for (std::size_t j = 0; j < cache.block_count(); ++j) {
     blocks.push_back(&cache.block(j));
   }
-  const detail::FusedDecodeFn baseline =
-      detail::fused_decode_entries().front().fn;
+  const detail::FusedDecodeFn baseline = detail::fused_entries().front().decode;
   AttentionConfig cfg;
   const Sas sas;
   std::vector<float> q(d, 0.3f);

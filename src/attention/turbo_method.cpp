@@ -6,6 +6,7 @@
 #include "common/check.h"
 #include "common/fp16.h"
 #include "kernels/fused_decode.h"
+#include "kernels/fused_prefill.h"
 
 namespace turbo {
 
@@ -45,7 +46,7 @@ MatrixF TurboKvAttention::prefill(const MatrixF& q, const MatrixF& k,
     return r.o;
   }
   TurboPrefillResult r =
-      turbo_attention_prefill(q, k, v, config_.attention, sas_, &cache_);
+      fused_turbo_prefill(q, k, v, config_.attention, sas_, &cache_);
   return std::move(r.o);
 }
 

@@ -15,10 +15,11 @@
 // Its output is bit-identical to the reference (same arithmetic, same
 // per-channel order); fused_decode_test pins that for every compiled entry.
 //
-// Dispatch: one kernel body (kernels/fused_decode_body.h) is compiled for
-// the baseline ISA and, on x86-64, for AVX2 + F16C (without FMA, so no
-// multiply-add contracts). The first call picks the widest entry this CPU
-// supports, from CPUID; nothing else selects it.
+// Dispatch (kernels/dispatch.h): the kernel body
+// (kernels/fused_decode_body.h) is compiled for the baseline ISA and, on
+// x86-64, for AVX2 + F16C (without FMA, so no multiply-add contracts). The
+// first call picks the widest entry this CPU supports, from CPUID; nothing
+// else selects it.
 #pragma once
 
 #include <span>
@@ -42,25 +43,5 @@ std::vector<float> fused_turbo_decode(std::span<const float> q,
                                       const QuantizedKvCache& cache,
                                       const AttentionConfig& cfg,
                                       const Sas& sas);
-
-namespace detail {
-
-using FusedDecodeFn = std::vector<float> (*)(
-    std::span<const float> q, std::span<const KvBlock* const> blocks,
-    const DecodeBuffer& key_buffer, const DecodeBuffer& value_buffer,
-    const AttentionConfig& cfg, const Sas& sas);
-
-// One compiled build of the kernel body.
-struct FusedDecodeEntry {
-  const char* name;  // "baseline" or "avx2"
-  FusedDecodeFn fn;
-  bool supported;    // this CPU can run it
-};
-
-// Every compiled entry, baseline first; fused_turbo_decode runs the last
-// supported one. Exposed so tests can run each entry on any host.
-std::span<const FusedDecodeEntry> fused_decode_entries();
-
-}  // namespace detail
 
 }  // namespace turbo

@@ -1,9 +1,9 @@
 // Body of the fused TurboAttention decode kernel, compiled once per
 // instruction set.
 //
-// kernels/fused_decode.cpp includes this file twice, so it has no include
-// guard: once in namespace detail::baseline_isa with kSimd = false, and
-// once in namespace detail::avx2_isa with kSimd = true under
+// kernels/fused_kernels.cpp includes this file twice, so it has no
+// include guard: once in namespace detail::baseline_isa with kSimd = false,
+// and once in namespace detail::avx2_isa with kSimd = true under
 // `#pragma GCC target("avx2,f16c")`. That file includes every header this
 // body uses before the pragma, so no standard-library code is compiled for
 // the wider instruction set. Helpers that use intrinsics take only
@@ -25,6 +25,9 @@
 //   * each output channel adds float(p_q * v) * o_scale over the tokens
 //     with p_q != 0 in token order; SIMD lanes are channels, never tokens,
 //     and float(p_q) * float(v) is that integer product exactly.
+//
+// The stage-1 quantizer (stage1), row_dots and pv_avx2 also serve the
+// prefill body (kernels/fused_prefill_body.h), included after this one.
 //
 // The enclosing namespace provides `constexpr bool kSimd`.
 
@@ -187,6 +190,93 @@ inline void dots_avx2(const std::int8_t* q, const std::int8_t* rows,
   }
 }
 
+// dots_avx2 for four rows at a time: the four accumulators share one
+// horizontal reduction.
+inline void dots4_avx2(const std::int8_t* q, const std::int8_t* rows,
+                       std::size_t stride, std::size_t cols,
+                       std::size_t tokens, std::int32_t* dots) {
+  const __m256i ones = _mm256_set1_epi16(1);
+  std::size_t t = 0;
+  for (; t + 4 <= tokens; t += 4) {
+    __m256i acc[4] = {};
+    for (std::size_t c = 0; c < cols; c += 32) {
+      const __m256i qv =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + c));
+      for (std::size_t r = 0; r < 4; ++r) {
+        const __m256i k = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i*>(rows + (t + r) * stride + c));
+        const __m256i pairs = _mm256_maddubs_epi16(_mm256_abs_epi8(k),
+                                                   _mm256_sign_epi8(qv, k));
+        acc[r] = _mm256_add_epi32(acc[r], _mm256_madd_epi16(pairs, ones));
+      }
+    }
+    // Lane i of each 128-bit half ends up holding part of row t + i.
+    const __m256i h = _mm256_hadd_epi32(_mm256_hadd_epi32(acc[0], acc[1]),
+                                        _mm256_hadd_epi32(acc[2], acc[3]));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dots + t),
+                     _mm_add_epi32(_mm256_castsi256_si128(h),
+                                   _mm256_extracti128_si256(h, 1)));
+  }
+  dots_avx2(q, rows + t * stride, stride, cols, tokens - t, dots + t);
+}
+
+// std::max(init, x[i]) over i < n (of |x[i]| when `abs`), n a multiple
+// of 8. _mm256_max_ps returns its second operand when either is NaN, so a
+// NaN x[i] leaves the running max alone, as std::max(m, NaN) does.
+inline float max_avx2(const float* x, std::size_t n, float init, bool abs) {
+  const __m256 keep =
+      _mm256_castsi256_ps(_mm256_set1_epi32(abs ? 0x7FFFFFFF : -1));
+  __m256 acc = _mm256_set1_ps(init);
+  for (std::size_t i = 0; i < n; i += 8) {
+    acc = _mm256_max_ps(_mm256_and_ps(_mm256_loadu_ps(x + i), keep), acc);
+  }
+  alignas(32) float lanes[8] = {};
+  _mm256_store_ps(lanes, acc);
+  float m = init;
+  for (const float v : lanes) m = std::max(m, v);
+  return m;
+}
+
+// out[i] = clamp(round(x[i] * inv), lo, hi) for i < n, n a multiple of 8,
+// as int32: the value clamp_to_i8(x[i] * inv, lo, hi) returns. Rounding
+// follows the current direction, like std::nearbyint. NaN lanes become 0
+// before the clamp, since _mm256_max_ps would return the bound for them.
+inline void round_clamp_avx2(const float* x, std::size_t n, float inv,
+                             float lo, float hi, std::int32_t* out) {
+  const __m256 vinv = _mm256_set1_ps(inv);
+  const __m256 vlo = _mm256_set1_ps(lo);
+  const __m256 vhi = _mm256_set1_ps(hi);
+  for (std::size_t i = 0; i < n; i += 8) {
+    const __m256 y = _mm256_mul_ps(_mm256_loadu_ps(x + i), vinv);
+    const __m256 r = _mm256_and_ps(
+        _mm256_round_ps(y, _MM_FROUND_CUR_DIRECTION | _MM_FROUND_NO_EXC),
+        _mm256_cmp_ps(y, y, _CMP_ORD_Q));
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(out + i),
+        _mm256_cvtps_epi32(_mm256_min_ps(_mm256_max_ps(r, vlo), vhi)));
+  }
+}
+
+// Stage-1 codes, clamp_to_i8(x[i] * inv) for i < n (n a multiple of 32),
+// 32 per step: four rounded int32 vectors packed to bytes.
+inline void stage1_codes_avx2(const float* x, std::size_t n, float inv,
+                              std::int8_t* out) {
+  alignas(32) std::int32_t c[32] = {};
+  const __m256i order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+  for (std::size_t i = 0; i < n; i += 32) {
+    round_clamp_avx2(x + i, 32, inv, -127.0f, 127.0f, c);
+    __m256i g[4] = {};
+    for (std::size_t j = 0; j < 4; ++j) {
+      g[j] = _mm256_load_si256(reinterpret_cast<const __m256i*>(c + 8 * j));
+    }
+    // packs works within 128-bit halves; the permute restores the order.
+    const __m256i bytes = _mm256_packs_epi16(_mm256_packs_epi32(g[0], g[1]),
+                                             _mm256_packs_epi32(g[2], g[3]));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
+                        _mm256_permutevar8x32_epi32(bytes, order));
+  }
+}
+
 // o[c] += float(p_q * rows[t][c]) * o_scale over the live tokens, in
 // token order, for columns [0, cols), cols a multiple of 8. Four column
 // groups run side by side so their add chains overlap.
@@ -225,6 +315,36 @@ inline void pv_avx2(float* o, const std::int8_t* rows, std::size_t stride,
 }
 
 #endif  // __x86_64__
+
+// Stage-1 symmetric INT8 quantization of x into out, returning the scale:
+// the scale and codes symmetric_scale_int8 + quantize_symmetric_int8
+// produce (quantize_tile_int8 on a whole tile), bit for bit. The max is
+// order-free (every |x| is +0 or more, and NaN is skipped either way).
+inline float stage1(std::span<const float> x, std::span<std::int8_t> out) {
+  const std::size_t n = x.size();
+  float amax = 0.0f;
+  std::size_t i0 = 0;
+#if defined(__x86_64__)
+  if constexpr (kSimd) {
+    i0 = n - n % 8;
+    amax = max_avx2(x.data(), i0, 0.0f, true);
+  }
+#endif
+  for (std::size_t i = i0; i < n; ++i) amax = std::max(amax, std::abs(x[i]));
+  TURBO_CHECK_FINITE(amax);
+  const float scale = amax == 0.0f ? 1.0f : amax / kSymmetricHeadroom;
+  TURBO_CHECK(scale > 0.0f);
+  const float inv = 1.0f / scale;
+  i0 = 0;
+#if defined(__x86_64__)
+  if constexpr (kSimd) {
+    i0 = n - n % 32;
+    stage1_codes_avx2(x.data(), i0, inv, out.data());
+  }
+#endif
+  for (std::size_t i = i0; i < n; ++i) out[i] = clamp_to_i8(x[i] * inv);
+  return scale;
+}
 
 // Unpack one tile's codes (channel-major) and build each channel's table
 // of second-stage values, clamp(code * s_int + z_int, -127, 127): the
@@ -276,23 +396,22 @@ inline void tile_dots(std::span<const std::int8_t> q_q1,
   }
 }
 
-// w.dots[t] = q . rows[t] for token-major INT8 rows.
-inline void row_dots(std::span<const std::int8_t> q_q1,
-                     const std::int8_t* rows, std::size_t tokens,
-                     std::size_t d, Scratch& w) {
-  w.dots.assign(tokens, 0);
+// dots[t] = q . rows[t] for token-major INT8 rows of d.
+inline void row_dots(const std::int8_t* q, const std::int8_t* rows,
+                     std::size_t tokens, std::size_t d, std::int32_t* dots) {
   std::size_t c0 = 0;
 #if defined(__x86_64__)
   if constexpr (kSimd) {
     c0 = d - d % 32;
-    dots_avx2(q_q1.data(), rows, d, c0, tokens, w.dots.data());
+    dots4_avx2(q, rows, d, c0, tokens, dots);
   }
 #endif
+  if (c0 == 0) std::fill_n(dots, tokens, 0);
   for (std::size_t t = 0; t < tokens; ++t) {
     const std::int8_t* row = rows + t * d;
     for (std::size_t c = c0; c < d; ++c) {
-      w.dots[t] += static_cast<std::int32_t>(q_q1[c]) *
-                   static_cast<std::int32_t>(row[c]);
+      dots[t] += static_cast<std::int32_t>(q[c]) *
+                 static_cast<std::int32_t>(row[c]);
     }
   }
 }
@@ -420,9 +539,8 @@ std::vector<float> fused_decode(std::span<const float> q,
                   "decode against an empty cache");
   const float attn_scale = cfg.effective_scale(d);
 
-  const float q_scale = symmetric_scale_int8(q);
   std::vector<std::int8_t> q_q1(d);
-  quantize_symmetric_int8(q, q_scale, q_q1);
+  const float q_scale = stage1(q, q_q1);
   // Per channel, q in the low (then the high) 16 bits of a 32-bit lane:
   // multiplier pairs that pick even (odd) tokens' int16 values.
   std::vector<std::int32_t> q_pairs(2 * d);
@@ -463,7 +581,9 @@ std::vector<float> fused_decode(std::span<const float> q,
   // already.
   if (!key_buffer.empty()) {
     const std::size_t mask = win_start > pos ? win_start - pos : 0;
-    row_dots(q_q1, key_buffer.tokens().data(), key_buffer.size(), d, w);
+    w.dots.resize(key_buffer.size());
+    row_dots(q_q1.data(), key_buffer.tokens().data(), key_buffer.size(), d,
+             w.dots.data());
     absorb_chunk(st, q_scale, key_buffer.scale(),
                  VSource{value_buffer.tokens().data(), nullptr,
                          value_buffer.scale()},

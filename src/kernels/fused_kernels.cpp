@@ -1,5 +1,3 @@
-#include "kernels/fused_decode.h"
-
 #include <algorithm>
 #include <array>
 #include <cmath>
@@ -15,6 +13,9 @@
 #include "common/check.h"
 #include "common/cpu.h"
 #include "common/numeric.h"
+#include "kernels/dispatch.h"
+#include "kernels/fused_decode.h"
+#include "kernels/fused_prefill.h"
 #include "quant/packing.h"
 #include "quant/progressive.h"
 #include "quant/symmetric.h"
@@ -22,11 +23,12 @@
 namespace turbo {
 namespace detail {
 
-// The kernel body, once per instruction set (see fused_decode_body.h).
-// Every header it needs is included above, before the target pragma.
+// The kernel bodies, once per instruction set (see fused_decode_body.h).
+// Every header they need is included above, before the target pragma.
 namespace baseline_isa {
 constexpr bool kSimd = false;
 #include "kernels/fused_decode_body.h"
+#include "kernels/fused_prefill_body.h"
 }  // namespace baseline_isa
 
 // The AVX2 build rests on GCC's target pragma; other compilers build the
@@ -37,18 +39,32 @@ constexpr bool kSimd = false;
 namespace avx2_isa {
 constexpr bool kSimd = true;
 #include "kernels/fused_decode_body.h"
+#include "kernels/fused_prefill_body.h"
 }  // namespace avx2_isa
 #pragma GCC pop_options
 #endif
 
-std::span<const FusedDecodeEntry> fused_decode_entries() {
-  static const std::vector<FusedDecodeEntry> kEntries = {
-      {"baseline", &baseline_isa::fused_decode, true},
+std::span<const FusedEntry> fused_entries() {
+  static const std::array kEntries = {
+      FusedEntry{"baseline", &baseline_isa::fused_decode,
+                 &baseline_isa::fused_prefill, true},
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-      {"avx2", &avx2_isa::fused_decode, cpu_has_avx2_f16c()},
+      FusedEntry{"avx2", &avx2_isa::fused_decode, &avx2_isa::fused_prefill,
+                 cpu_has_avx2_f16c()},
 #endif
   };
   return kEntries;
+}
+
+const FusedEntry& fused_entry() {
+  static const FusedEntry* const kPicked = [] {
+    const FusedEntry* picked = nullptr;
+    for (const FusedEntry& e : fused_entries()) {
+      if (e.supported) picked = &e;
+    }
+    return picked;
+  }();
+  return *kPicked;
 }
 
 }  // namespace detail
@@ -57,14 +73,8 @@ std::vector<float> fused_turbo_decode(
     std::span<const float> q, std::span<const KvBlock* const> blocks,
     const DecodeBuffer& key_buffer, const DecodeBuffer& value_buffer,
     const AttentionConfig& cfg, const Sas& sas) {
-  static const detail::FusedDecodeFn kKernel = [] {
-    detail::FusedDecodeFn fn = nullptr;
-    for (const detail::FusedDecodeEntry& e : detail::fused_decode_entries()) {
-      if (e.supported) fn = e.fn;
-    }
-    return fn;
-  }();
-  return kKernel(q, blocks, key_buffer, value_buffer, cfg, sas);
+  return detail::fused_entry().decode(q, blocks, key_buffer, value_buffer,
+                                      cfg, sas);
 }
 
 std::vector<float> fused_turbo_decode(std::span<const float> q,
@@ -79,6 +89,14 @@ std::vector<float> fused_turbo_decode(std::span<const float> q,
   }
   return fused_turbo_decode(q, blocks, cache.key_buffer(),
                             cache.value_buffer(), cfg, sas);
+}
+
+TurboPrefillResult fused_turbo_prefill(const MatrixF& q, const MatrixF& k,
+                                       const MatrixF& v,
+                                       const AttentionConfig& cfg,
+                                       const Sas& sas,
+                                       QuantizedKvCache* cache) {
+  return detail::fused_entry().prefill(q, k, v, cfg, sas, cache);
 }
 
 }  // namespace turbo

@@ -1,0 +1,37 @@
+// Fused TurboAttention prefill kernel (Algorithm 1).
+//
+// turbo_attention_prefill (attention/turbo_prefill.cpp) is the scalar
+// oracle: it copies every tile, runs QK^T and P~V as per-element loops and
+// calls Sas::exp_neg once per score. This kernel is what TurboKvAttention
+// runs. For each (Q tile, KV tile) it
+//
+//   * quantizes the Q/K/V tiles straight from the input rows (stage 1,
+//     vectorized abs-max scale and rounding);
+//   * computes each row's scores over its visible keys as exact int32
+//     dot products, skipping KV tiles no row of the Q tile can see;
+//   * shifts each row by its new maximum and sends the tile's scores and
+//     rescale factors through one Sas::apply call;
+//   * quantizes P~ and accumulates P~V over the nonzero codes only, with
+//     output channels as SIMD lanes.
+//
+// Its output (o, lse and the cache) is bit-identical to the oracle's;
+// fused_prefill_test pins that for every compiled entry. Dispatch is the
+// decode kernel's (kernels/dispatch.h).
+#pragma once
+
+#include "attention/config.h"
+#include "attention/turbo.h"
+#include "common/matrix.h"
+#include "kvcache/quantized_kv_cache.h"
+#include "softmax/sas.h"
+
+namespace turbo {
+
+// Drop-in equivalent of turbo_attention_prefill.
+TurboPrefillResult fused_turbo_prefill(const MatrixF& q, const MatrixF& k,
+                                       const MatrixF& v,
+                                       const AttentionConfig& cfg,
+                                       const Sas& sas,
+                                       QuantizedKvCache* cache);
+
+}  // namespace turbo

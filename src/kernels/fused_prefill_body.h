@@ -1,0 +1,292 @@
+// Body of the fused TurboAttention prefill kernel, compiled once per
+// instruction set.
+//
+// kernels/fused_kernels.cpp includes this file right after
+// fused_decode_body.h, in both ISA namespaces, so it has no include guard
+// and reuses that body's helpers: stage1 (stage-1 quantization), row_dots
+// (exact int32 q.k, four keys per reduction), max_avx2, round_clamp_avx2
+// and pv_avx2.
+//
+// The result (o, lse and the cache) is bit-identical to
+// turbo_attention_prefill, the oracle in attention/turbo_prefill.cpp.
+// Both builds run the oracle's arithmetic:
+//
+//   * stage 1 gives the oracle's scales and codes, read straight from the
+//     input rows instead of from tile copies;
+//   * QK^T is exact int32, so its order is free. Keys outside a row's
+//     visible range are not computed: in the oracle their -inf scores give
+//     P~ = 0, which adds +0 to the row sum and leaves it unchanged. A KV
+//     tile no row of the Q tile sees changes nothing and is skipped whole;
+//   * a row's block max is order-free. NaN is skipped either way, and the
+//     only tie it can break is -0 against +0, a sign no exponential, sum
+//     or lse value can see;
+//   * the shifted scores s - m_new and the rescale arguments m - m_new go
+//     through Sas::apply, which is exp_neg bit for bit;
+//   * each row's sum and its l update run in key order, scalar; SIMD
+//     lanes are rows' elements only where the operation is element-wise;
+//   * P~ codes are clamp_to_i8(p * inv_p, 0, 127), and each output
+//     channel adds float(p_q * v) * o_scale over the nonzero codes in key
+//     order, after that row's alpha rescale.
+//
+// The enclosing namespace provides `constexpr bool kSimd`.
+
+// Buffers reused by every tile of one call; each holds at most one tile.
+struct PrefillScratch {
+  std::vector<std::int8_t> q8;      // the Q tile's stage-1 codes
+  std::vector<float> m;             // per row: running max
+  std::vector<float> l;             // per row: running sum
+  std::vector<float> m_new;         // per row: max after this KV tile
+  std::vector<std::size_t> lo;      // per row: first visible key of the tile
+  std::vector<std::size_t> len;     // per row: keys it takes from the tile
+  // Sas::apply's input, then output: each row's m - m_new, then the
+  // shifted scores of every row with len > 0, back to back in row order.
+  std::vector<float> x;
+  std::vector<std::int32_t> dots;   // one row's q.k
+  std::vector<std::uint32_t> live;  // keys whose P~ code is not 0
+  std::vector<std::int32_t> p_q;    // their codes
+};
+
+// Quantize one row's P~ with the tile's inv_p and keep the nonzero codes,
+// with their key index (first + t), in w.live / w.p_q. Returns the count.
+inline std::size_t live_codes(const float* p, std::size_t n, float inv_p,
+                              std::size_t first, PrefillScratch& w) {
+  std::size_t t0 = 0;
+#if defined(__x86_64__)
+  if constexpr (kSimd) {
+    t0 = n - n % 8;
+    round_clamp_avx2(p, t0, inv_p, 0.0f, 127.0f, w.p_q.data());
+  }
+#endif
+  for (std::size_t t = t0; t < n; ++t) {
+    w.p_q[t] = clamp_to_i8(p[t] * inv_p, 0, 127);
+  }
+  // Compact in place without a branch: always write, keep only nonzero
+  // codes (n_live <= t, so code t is read before anything overwrites it).
+  std::size_t n_live = 0;
+  for (std::size_t t = 0; t < n; ++t) {
+    const std::int32_t code = w.p_q[t];
+    w.live[n_live] = static_cast<std::uint32_t>(first + t);
+    w.p_q[n_live] = code;
+    n_live += static_cast<std::size_t>(code != 0);
+  }
+  return n_live;
+}
+
+// One (Q tile, KV tile) step of Algorithm 1 for the rows whose visible
+// range w.lo / w.len the caller set: scores, SAS, the online-softmax
+// update and P~V into o (rows of the Q tile, stride d).
+inline void absorb_kv_tile(const Int8Tile& k_tile, const Int8Tile& v_tile,
+                           std::size_t q_rows, std::size_t d, float q_scale,
+                           float attn_scale, const Sas& sas, float* o,
+                           PrefillScratch& w) {
+  const float s_scale = q_scale * k_tile.scale * attn_scale;
+
+  // Scores over each row's visible keys, shifted by the row's new max.
+  std::size_t n_x = q_rows;  // the rescale arguments come first
+  for (std::size_t r = 0; r < q_rows; ++r) {
+    const std::size_t n = w.len[r];
+    if (n == 0) continue;
+    float* s = w.x.data() + n_x;
+    row_dots(w.q8.data() + r * d, k_tile.q.data() + w.lo[r] * d, n, d,
+             w.dots.data());
+    for (std::size_t t = 0; t < n; ++t) {
+      s[t] = static_cast<float>(w.dots[t]) * s_scale;
+    }
+    float block_max = kNegInf;
+    std::size_t t0 = 0;
+#if defined(__x86_64__)
+    if constexpr (kSimd) {
+      t0 = n - n % 8;
+      block_max = max_avx2(s, t0, kNegInf, false);
+    }
+#endif
+    for (std::size_t t = t0; t < n; ++t) block_max = std::max(block_max, s[t]);
+    if (block_max == kNegInf) {
+      // Every visible score is -inf or NaN: the oracle's row contributes
+      // nothing from this tile.
+      w.len[r] = 0;
+      continue;
+    }
+    const float m_new = std::max(w.m[r], block_max);
+    for (std::size_t t = 0; t < n; ++t) s[t] -= m_new;
+    w.x[r] = w.m[r] - m_new;
+    w.m_new[r] = m_new;
+    n_x += n;
+  }
+  if (n_x == q_rows) return;  // no row saw a key
+  sas.apply(std::span<float>(w.x.data(), n_x));
+
+  // Online-softmax update, each row's sum in key order.
+  const float* p = w.x.data() + q_rows;
+  for (std::size_t r = 0; r < q_rows; ++r) {
+    const std::size_t n = w.len[r];
+    if (n == 0) continue;
+    const float alpha = w.m[r] == kNegInf ? 0.0f : w.x[r];
+    float row_sum = 0.0f;
+    for (std::size_t t = 0; t < n; ++t) row_sum += p[t];
+    w.l[r] = w.l[r] * alpha + row_sum;
+    w.m[r] = w.m_new[r];
+    if (alpha != 1.0f) {
+      float* orow = o + r * d;
+      for (std::size_t c = 0; c < d; ++c) orow[c] *= alpha;
+    }
+    p += n;
+  }
+  float p_max = 0.0f;
+  std::size_t i0 = q_rows;
+#if defined(__x86_64__)
+  if constexpr (kSimd) {
+    i0 = n_x - (n_x - q_rows) % 8;
+    p_max = max_avx2(w.x.data() + q_rows, i0 - q_rows, 0.0f, false);
+  }
+#endif
+  for (std::size_t i = i0; i < n_x; ++i) p_max = std::max(p_max, w.x[i]);
+
+  // Quantize P~ with one per-tile scale; O += o_scale * P~ V over the
+  // nonzero codes.
+  const float p_scale = p_max > 0.0f ? p_max / kSymmetricHeadroom : 1.0f;
+  const float inv_p = 1.0f / p_scale;
+  const float o_scale = p_scale * v_tile.scale;
+  const std::int8_t* v = v_tile.q.data();
+  p = w.x.data() + q_rows;
+  for (std::size_t r = 0; r < q_rows; ++r) {
+    const std::size_t n = w.len[r];
+    if (n == 0) continue;
+    const std::size_t n_live = live_codes(p, n, inv_p, w.lo[r], w);
+    p += n;
+    if (n_live == 0) continue;
+    float* orow = o + r * d;
+    std::size_t c0 = 0;
+#if defined(__x86_64__)
+    if constexpr (kSimd) {
+      c0 = d - d % 8;
+      pv_avx2(orow, v, d, c0, w.live.data(), w.p_q.data(), n_live, o_scale);
+    }
+#endif
+    for (std::size_t i = 0; i < n_live; ++i) {
+      const std::int32_t pv = w.p_q[i];
+      const std::int8_t* row = v + w.live[i] * d;
+      for (std::size_t c = c0; c < d; ++c) {
+        orow[c] +=
+            static_cast<float>(pv * static_cast<std::int32_t>(row[c])) *
+            o_scale;
+      }
+    }
+  }
+}
+
+// Stage-1 quantization of rows [begin, begin + rows) of m.
+inline Int8Tile stage1_tile(const MatrixF& m, std::size_t begin,
+                            std::size_t rows) {
+  Int8Tile tile;
+  tile.q = MatrixI8(rows, m.cols());
+  tile.scale = stage1(
+      std::span<const float>(m.data() + begin * m.cols(), rows * m.cols()),
+      tile.q.flat());
+  return tile;
+}
+
+TurboPrefillResult fused_prefill(const MatrixF& q, const MatrixF& k,
+                                 const MatrixF& v, const AttentionConfig& cfg,
+                                 const Sas& sas, QuantizedKvCache* cache) {
+  TURBO_CHECK(q.cols() == k.cols());
+  TURBO_CHECK(k.rows() == v.rows());
+  TURBO_CHECK(k.cols() == v.cols());
+  TURBO_CHECK(!cfg.causal || q.rows() <= k.rows());
+  TURBO_CHECK(cfg.block_rows > 0 && cfg.block_cols > 0);
+  if (cache != nullptr) {
+    TURBO_CHECK_MSG(cache->block_tokens() == cfg.block_cols,
+                    "cache block size must match Bc");
+    TURBO_CHECK(cache->head_dim() == k.cols());
+  }
+
+  const std::size_t n_q = q.rows();
+  const std::size_t n_k = k.rows();
+  const std::size_t d = q.cols();
+  const float attn_scale = cfg.effective_scale(d);
+  const std::size_t q_offset = n_k - (cfg.causal ? n_q : n_k);
+  const std::size_t br = cfg.block_rows;
+  const std::size_t bc = cfg.block_cols;
+
+  // Stage 1 of every K/V tile, once: every Q tile reads them, and the
+  // cache's second stage takes them at the end.
+  const std::size_t n_kv_tiles = (n_k + bc - 1) / bc;
+  std::vector<Int8Tile> k_tiles(n_kv_tiles);
+  std::vector<Int8Tile> v_tiles(n_kv_tiles);
+  for (std::size_t j = 0; j < n_kv_tiles; ++j) {
+    const std::size_t kb = j * bc;
+    const std::size_t rows = std::min(bc, n_k - kb);
+    k_tiles[j] = stage1_tile(k, kb, rows);
+    v_tiles[j] = stage1_tile(v, kb, rows);
+  }
+
+  TurboPrefillResult result;
+  result.o = MatrixF(n_q, d, 0.0f);
+  result.lse.assign(n_q, 0.0f);
+
+  const std::size_t tile_rows = std::min(br, n_q);
+  const std::size_t tile_cols = std::min(bc, n_k);
+  PrefillScratch w;
+  w.q8.resize(tile_rows * d);
+  w.m.resize(tile_rows);
+  w.l.resize(tile_rows);
+  w.m_new.resize(tile_rows);
+  w.lo.resize(tile_rows);
+  w.len.resize(tile_rows);
+  w.x.resize(tile_rows + tile_rows * tile_cols);
+  w.dots.resize(tile_cols);
+  w.live.resize(tile_cols);
+  w.p_q.resize(tile_cols);
+
+  for (std::size_t qb = 0; qb < n_q; qb += br) {
+    const std::size_t q_rows = std::min(br, n_q - qb);
+    const float q_scale =
+        stage1(std::span<const float>(q.data() + qb * d, q_rows * d),
+               std::span<std::int8_t>(w.q8.data(), q_rows * d));
+    std::fill_n(w.m.begin(), q_rows, kNegInf);
+    std::fill_n(w.l.begin(), q_rows, 0.0f);
+    float* o = result.o.data() + qb * d;
+
+    for (std::size_t j = 0; j < n_kv_tiles; ++j) {
+      const std::size_t kb = j * bc;
+      const std::size_t k_rows = std::min(bc, n_k - kb);
+      if (cfg.causal) {
+        const std::size_t last_visible = q_offset + qb + q_rows - 1;
+        if (kb > last_visible) break;
+      }
+      // Each row's visible keys of this tile: [lo, lo + len).
+      bool seen = false;
+      for (std::size_t r = 0; r < q_rows; ++r) {
+        const std::size_t visible = cfg.causal ? q_offset + qb + r + 1 : n_k;
+        const std::size_t win_start =
+            cfg.window > 0 && visible > cfg.window ? visible - cfg.window
+                                                   : 0;
+        const std::size_t lo = std::clamp(win_start, kb, kb + k_rows) - kb;
+        const std::size_t hi = std::clamp(visible, kb, kb + k_rows) - kb;
+        w.lo[r] = lo;
+        w.len[r] = hi > lo ? hi - lo : 0;
+        seen = seen || w.len[r] > 0;
+      }
+      if (!seen) continue;
+      absorb_kv_tile(k_tiles[j], v_tiles[j], q_rows, d, q_scale, attn_scale,
+                     sas, o, w);
+    }
+
+    for (std::size_t r = 0; r < q_rows; ++r) {
+      TURBO_CHECK_MSG(w.l[r] > 0.0f,
+                      "query row " << qb + r << " attended no keys");
+      const float inv = 1.0f / w.l[r];
+      auto orow = result.o.row(qb + r);
+      for (std::size_t c = 0; c < d; ++c) orow[c] *= inv;
+      result.lse[qb + r] = w.m[r] + std::log(w.l[r]);
+    }
+  }
+
+  // Second-stage compression of the K/V tiles into the cache.
+  if (cache != nullptr) {
+    for (std::size_t j = 0; j < n_kv_tiles; ++j) {
+      cache->append_prefill_block(k_tiles[j], v_tiles[j]);
+    }
+  }
+  return result;
+}

@@ -8,6 +8,7 @@
 #include "attention/turbo.h"
 #include "attention/turbo_method.h"
 #include "common/check.h"
+#include "kernels/dispatch.h"
 #include "kvcache/paged_cache.h"
 #include "quant/progressive.h"
 #include "tests/test_util.h"
@@ -178,9 +179,10 @@ void expect_entries_match(const Blocks& b, const AttentionConfig& cfg,
     q[d / 2] = 0.0f;  // a zero INT8 query channel
     const std::vector<float> ref =
         turbo_attention_decode(q, b.view, b.keys, b.values, cfg, sas);
-    for (const auto& e : detail::fused_decode_entries()) {
+    for (const auto& e : detail::fused_entries()) {
       if (!e.supported) continue;
-      EXPECT_TRUE(same_bits(ref, e.fn(q, b.view, b.keys, b.values, cfg, sas)))
+      EXPECT_TRUE(
+          same_bits(ref, e.decode(q, b.view, b.keys, b.values, cfg, sas)))
           << what << " entry=" << e.name << " trial=" << trial;
     }
     EXPECT_TRUE(
@@ -191,10 +193,17 @@ void expect_entries_match(const Blocks& b, const AttentionConfig& cfg,
 }
 
 TEST(FusedDecodeEntries, BaselineIsAlwaysCompiledAndSupported) {
-  const auto entries = detail::fused_decode_entries();
+  const auto entries = detail::fused_entries();
   ASSERT_FALSE(entries.empty());
   EXPECT_STREQ(entries[0].name, "baseline");
   EXPECT_TRUE(entries[0].supported);
+  // Both kernels run the last supported entry.
+  EXPECT_TRUE(detail::fused_entry().supported);
+  for (const detail::FusedEntry& e : entries) {
+    if (e.supported) {
+      EXPECT_LE(&e, &detail::fused_entry());
+    }
+  }
 }
 
 class FusedDecodeParity

@@ -1,0 +1,254 @@
+#include "kernels/fused_prefill.h"
+
+#include <gtest/gtest.h>
+
+#include <cstring>
+#include <limits>
+#include <string>
+
+#include "attention/turbo.h"
+#include "attention/turbo_method.h"
+#include "common/check.h"
+#include "kernels/dispatch.h"
+#include "tests/test_util.h"
+
+namespace turbo {
+namespace {
+
+// fused_turbo_prefill runs one entry (the widest this CPU supports); the
+// detail seam reaches every entry, so an AVX2 host checks the baseline
+// build too. Each entry must return the oracle's o, lse and cache bit for
+// bit.
+
+bool same_bits(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+}
+
+bool same_bits(float a, float b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+void expect_same_block(const ProgressiveBlock& a, const ProgressiveBlock& b,
+                       const std::string& what) {
+  EXPECT_EQ(a.rows, b.rows) << what;
+  EXPECT_EQ(a.cols, b.cols) << what;
+  EXPECT_EQ(a.bits, b.bits) << what;
+  EXPECT_EQ(a.packed, b.packed) << what;
+  ASSERT_EQ(a.channels.size(), b.channels.size()) << what;
+  for (std::size_t c = 0; c < a.channels.size(); ++c) {
+    EXPECT_EQ(a.channels[c].s_int, b.channels[c].s_int) << what << " c=" << c;
+    EXPECT_EQ(a.channels[c].z_int, b.channels[c].z_int) << what << " c=" << c;
+  }
+  EXPECT_TRUE(same_bits(a.fp_scale, b.fp_scale)) << what;
+}
+
+void expect_same_cache(const QuantizedKvCache& a, const QuantizedKvCache& b,
+                       const std::string& what) {
+  ASSERT_EQ(a.block_count(), b.block_count()) << what;
+  for (std::size_t j = 0; j < a.block_count(); ++j) {
+    const std::string block = what + " block " + std::to_string(j);
+    expect_same_block(a.block(j).k, b.block(j).k, block + " k");
+    expect_same_block(a.block(j).v, b.block(j).v, block + " v");
+  }
+  EXPECT_TRUE(same_bits(a.key_buffer().scale(), b.key_buffer().scale()))
+      << what;
+  EXPECT_TRUE(same_bits(a.value_buffer().scale(), b.value_buffer().scale()))
+      << what;
+}
+
+void expect_same_result(const TurboPrefillResult& ref,
+                        const TurboPrefillResult& got,
+                        const std::string& what) {
+  EXPECT_TRUE(same_bits(ref.o.flat(), got.o.flat())) << what << " o";
+  EXPECT_TRUE(same_bits(ref.lse, got.lse)) << what << " lse";
+}
+
+// Every compiled entry, and the dispatched kernel, against the oracle.
+void expect_entries_match(const MatrixF& q, const MatrixF& k,
+                          const MatrixF& v, const AttentionConfig& cfg,
+                          const SasConfig& sas_config,
+                          const std::string& what) {
+  const Sas sas(sas_config);
+  const std::size_t d = q.cols();
+  QuantizedKvCache ref_cache(d, BitWidth::kInt4, cfg.block_cols, 64);
+  const TurboPrefillResult ref =
+      turbo_attention_prefill(q, k, v, cfg, sas, &ref_cache);
+  for (const detail::FusedEntry& e : detail::fused_entries()) {
+    if (!e.supported) continue;
+    QuantizedKvCache cache(d, BitWidth::kInt4, cfg.block_cols, 64);
+    const std::string entry = what + " entry=" + e.name;
+    expect_same_result(ref, e.prefill(q, k, v, cfg, sas, &cache), entry);
+    expect_same_cache(ref_cache, cache, entry);
+    // No cache: the same o and lse.
+    expect_same_result(ref, e.prefill(q, k, v, cfg, sas, nullptr),
+                       entry + " no cache");
+  }
+  QuantizedKvCache cache(d, BitWidth::kInt4, cfg.block_cols, 64);
+  expect_same_result(ref, fused_turbo_prefill(q, k, v, cfg, sas, &cache),
+                     what + " dispatched");
+  expect_same_cache(ref_cache, cache, what + " dispatched");
+}
+
+struct Inputs {
+  MatrixF q;
+  MatrixF k;
+  MatrixF v;
+};
+
+// Outlier channels in Q and K, as in the model profiles.
+Inputs make_inputs(std::size_t n_q, std::size_t n_k, std::size_t d,
+                   std::uint64_t seed) {
+  return {test::random_outlier_matrix(n_q, d, seed, 6.0),
+          test::random_outlier_matrix(n_k, d, seed + 1, 6.0),
+          test::random_matrix(n_k, d, seed + 2)};
+}
+
+AttentionConfig tiles(std::size_t br, std::size_t bc, bool causal = true,
+                      std::size_t window = 0) {
+  AttentionConfig cfg;
+  cfg.block_rows = br;
+  cfg.block_cols = bc;
+  cfg.causal = causal;
+  cfg.window = window;
+  return cfg;
+}
+
+// head_dim 128 (the benchmark's) and 44, which is not a multiple of 8 or
+// 32 and so leaves every SIMD loop a scalar tail.
+class FusedPrefillParity : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(FusedPrefillParity, PromptLengths) {
+  const std::size_t d = GetParam();
+  for (const std::size_t n : {std::size_t{1}, std::size_t{37},
+                              std::size_t{1000}}) {
+    const Inputs in = make_inputs(n, n, d, 100 + n);
+    expect_entries_match(in.q, in.k, in.v, tiles(64, 64), SasConfig{},
+                         "causal n=" + std::to_string(n));
+  }
+  const Inputs in = make_inputs(37, 37, d, 7);
+  expect_entries_match(in.q, in.k, in.v, tiles(64, 64, false), SasConfig{},
+                       "non-causal n=37");
+}
+
+TEST_P(FusedPrefillParity, FewerQueriesThanKeys) {
+  const std::size_t d = GetParam();
+  const Inputs in = make_inputs(50, 170, d, 11);
+  expect_entries_match(in.q, in.k, in.v, tiles(64, 64), SasConfig{},
+                       "causal 50x170");
+  expect_entries_match(in.q, in.k, in.v, tiles(32, 64, false), SasConfig{},
+                       "non-causal 50x170");
+}
+
+TEST_P(FusedPrefillParity, TileSizes) {
+  const std::size_t d = GetParam();
+  const Inputs in = make_inputs(200, 200, d, 13);
+  for (const auto& [br, bc] :
+       {std::pair<std::size_t, std::size_t>{32, 32}, {64, 64}, {128, 128},
+        {32, 128}, {128, 32}, {64, 32}}) {
+    const std::string what =
+        "Br=" + std::to_string(br) + " Bc=" + std::to_string(bc);
+    expect_entries_match(in.q, in.k, in.v, tiles(br, bc), SasConfig{},
+                         what + " causal");
+    expect_entries_match(in.q, in.k, in.v, tiles(br, bc, false), SasConfig{},
+                         what + " non-causal");
+  }
+}
+
+TEST_P(FusedPrefillParity, SlidingWindowStartingInsideATile) {
+  const std::size_t d = GetParam();
+  const Inputs in = make_inputs(300, 300, d, 17);
+  // Windows of 70 and 5 keys start inside a 64-key tile, and leave whole
+  // KV tiles that no row of a Q tile sees.
+  expect_entries_match(in.q, in.k, in.v, tiles(64, 64, true, 70),
+                       SasConfig{}, "window 70");
+  expect_entries_match(in.q, in.k, in.v, tiles(32, 64, true, 5), SasConfig{},
+                       "window 5");
+  expect_entries_match(in.q, in.k, in.v, tiles(64, 64, false, 100),
+                       SasConfig{}, "non-causal window 100");
+}
+
+TEST_P(FusedPrefillParity, SasConfigurationsOnTheScalarFallback) {
+  const std::size_t d = GetParam();
+  const Inputs in = make_inputs(150, 150, d, 19);
+  SasConfig exact;
+  exact.exact_exp = true;
+  SasConfig deep;
+  deep.threshold = -9;
+  SasConfig fp32;
+  fp32.fp16_arithmetic = false;
+  expect_entries_match(in.q, in.k, in.v, tiles(64, 64), exact, "exact exp");
+  expect_entries_match(in.q, in.k, in.v, tiles(64, 64), deep,
+                       "threshold -9");
+  expect_entries_match(in.q, in.k, in.v, tiles(64, 64), fp32,
+                       "fp32 arithmetic");
+}
+
+TEST_P(FusedPrefillParity, NanInEachInput) {
+  // Stage 1 leaves NaN out of the tile max and quantizes it to 0.
+  const std::size_t d = GetParam();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Inputs in = make_inputs(150, 150, d, 23);
+  in.q(40, 3) = nan;
+  in.k(70, d - 1) = nan;
+  in.v(100, d / 2) = nan;
+  expect_entries_match(in.q, in.k, in.v, tiles(64, 64), SasConfig{},
+                       "one NaN in each of Q, K and V");
+}
+
+TEST_P(FusedPrefillParity, AllZeroKeyTile) {
+  // The zero tile's scale is 1 and every score in it is 0.
+  const std::size_t d = GetParam();
+  Inputs in = make_inputs(200, 200, d, 29);
+  for (std::size_t r = 64; r < 128; ++r) {
+    for (float& x : in.k.row(r)) x = 0.0f;
+  }
+  expect_entries_match(in.q, in.k, in.v, tiles(64, 64), SasConfig{},
+                       "zero K tile");
+  expect_entries_match(in.q, in.k, in.v, tiles(64, 64, false), SasConfig{},
+                       "zero K tile non-causal");
+}
+
+TEST_P(FusedPrefillParity, InfiniteInputThrowsLikeTheOracle) {
+  const std::size_t d = GetParam();
+  Inputs in = make_inputs(40, 40, d, 31);
+  in.k(5, 1) = std::numeric_limits<float>::infinity();
+  const Sas sas;
+  EXPECT_THROW(
+      turbo_attention_prefill(in.q, in.k, in.v, AttentionConfig{}, sas,
+                              nullptr),
+      CheckError);
+  for (const detail::FusedEntry& e : detail::fused_entries()) {
+    if (!e.supported) continue;
+    EXPECT_THROW(e.prefill(in.q, in.k, in.v, AttentionConfig{}, sas, nullptr),
+                 CheckError)
+        << e.name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(HeadDims, FusedPrefillParity,
+                         ::testing::Values(std::size_t{128}, std::size_t{44}));
+
+TEST(FusedPrefillParity, TurboKvAttentionPrefillMatchesOracleOnItsCache) {
+  const std::size_t d = 128;
+  const Inputs in = make_inputs(200, 200, d, 37);
+  for (const bool use_sas : {true, false}) {
+    TurboMethodConfig config;
+    config.use_sas = use_sas;
+    TurboKvAttention attn(d, config);
+    const MatrixF o = attn.prefill(in.q, in.k, in.v);
+
+    SasConfig sas_config = config.sas;
+    sas_config.exact_exp = !use_sas;
+    QuantizedKvCache ref_cache(d, config.kv_bits,
+                               config.attention.block_cols,
+                               config.buffer_capacity);
+    const TurboPrefillResult ref =
+        turbo_attention_prefill(in.q, in.k, in.v, config.attention,
+                                Sas(sas_config), &ref_cache);
+    const std::string what = use_sas ? "sas" : "exact exp";
+    EXPECT_TRUE(same_bits(ref.o.flat(), o.flat())) << what;
+    expect_same_cache(ref_cache, attn.cache(), what);
+  }
+}
+
+}  // namespace
+}  // namespace turbo
