@@ -22,6 +22,9 @@
 #include "quant/packing.h"
 #include "quant/progressive.h"
 #include "quant/symmetric.h"
+#include "serving/engine.h"
+#include "serving/trace.h"
+#include "sim/device.h"
 #include "softmax/sas.h"
 #include "softmax/softmax.h"
 
@@ -336,5 +339,39 @@ void BM_GroupedQuantChannelwise(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * m.size());
 }
 BENCHMARK(BM_GroupedQuantChannelwise);
+
+// Simulator cost against trace length: run_engine on one trace shaped like
+// the end-to-end benchmark's sim_overload (one A100-80GB engine,
+// Phi3-medium, Turbo at 3 bits; 20 req/s, class mix 0.3/0.5/0.2, TTFT
+// deadlines 2 s / 10 s / none) lasting range(0) seconds. The engine runs
+// at about twice its capacity, so the waiting backlog grows with the
+// trace: a step whose cost tracks the backlog fits worse than O(N).
+void BM_EngineOverload(benchmark::State& state) {
+  serving::EngineConfig cfg;
+  cfg.device = sim::a100_sxm_80gb();
+  cfg.geometry = sim::phi3_medium_geometry();
+  cfg.method = sim::AttnMethod::kTurbo;
+  cfg.attention.kv_bits = 3.0;
+  serving::TraceConfig t;
+  t.arrival_rate = 20.0;
+  t.duration_s = static_cast<double>(state.range(0));
+  t.class_mix = {0.3, 0.5, 0.2};
+  t.ttft_deadline_s = {2.0, 10.0, 0.0};
+  const std::vector<serving::Request> trace = serving::generate_trace(t);
+  for (auto _ : state) {
+    const serving::EngineResult r = serving::run_engine(cfg, trace);
+    benchmark::DoNotOptimize(r.makespan_s);
+  }
+  const auto n = static_cast<std::int64_t>(trace.size());
+  state.SetItemsProcessed(state.iterations() * n);
+  state.SetComplexityN(n);
+}
+BENCHMARK(BM_EngineOverload)
+    ->Arg(450)
+    ->Arg(900)
+    ->Arg(1800)
+    ->Arg(3600)
+    ->Complexity(benchmark::oN)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace

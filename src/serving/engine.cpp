@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <functional>
 #include <limits>
 #include <map>
 #include <optional>
+#include <queue>
 #include <span>
+#include <utility>
 
 #include "common/check.h"
 #include "common/matrix.h"
@@ -201,13 +204,13 @@ class EngineImpl {
   }
 
   void submit(const Request& r) {
-    TURBO_CHECK_MSG(
-        pending_.empty() ||
-            result_.requests[pending_.back()].arrival_s <= r.arrival_s,
-        "submit() requires non-decreasing arrival order");
+    TURBO_CHECK_MSG(r.arrival_s >= last_arrival_s_,
+                    "submit() requires non-decreasing arrival order");
+    last_arrival_s_ = r.arrival_s;
     const std::size_t idx = result_.requests.size();
     result_.requests.push_back(r);
     drained_.push_back(0);
+    queued_.push_back(0);
     ++live_total_;
     Request& q = result_.requests.back();
     // Reject requests that could never fit even with the machine to
@@ -229,6 +232,7 @@ class EngineImpl {
     const std::size_t idx = result_.requests.size();
     result_.requests.push_back(m.request);
     drained_.push_back(0);
+    queued_.push_back(0);
     ++live_total_;
     Request& r = result_.requests.back();
     TURBO_CHECK_MSG(r.outcome == Outcome::kPending,
@@ -237,7 +241,7 @@ class EngineImpl {
       // Nothing was cached at drain: a plain re-route. The request joins
       // the destination's waiting queue and admits class-aware like any
       // fresh arrival.
-      waiting_[class_of(idx)].push_back(idx);
+      enqueue(idx);
       return;
     }
     Paused p{idx,        m.context, m.remaining, m.prompt_left,
@@ -275,24 +279,23 @@ class EngineImpl {
            result_.requests[pending_.front()].arrival_s <= now_) {
       const std::size_t idx = pending_.front();
       pending_.pop_front();
-      if (result_.requests[idx].outcome == Outcome::kPending) {
-        waiting_[class_of(idx)].push_back(idx);
-      }
+      if (result_.requests[idx].outcome == Outcome::kPending) enqueue(idx);
     }
 
     // --- Deadline enforcement: waiting, paused, then running ------------
+    // Waiting requests come off the expiry index (empty unless deadlines
+    // are enforced), soonest first, so the cost is the number that
+    // expired, not the backlog. A waiting timeout only stamps now_ and
+    // bumps counters, so this order leaves every output as a queue walk
+    // would.
+    while (!expiry_.empty() && now_ > expiry_.top().first + kDeadlineSlack) {
+      const std::size_t idx = expiry_.top().second;
+      expiry_.pop();
+      if (queued_[idx] == 0) continue;  // admitted, shed or drained since
+      dequeue(idx);
+      time_out(result_.requests[idx]);
+    }
     if (config_.enforce_deadlines) {
-      for (auto& queue : waiting_) {
-        for (std::size_t qi = 0; qi < queue.size();) {
-          Request& r = result_.requests[queue[qi]];
-          if (deadline_expired(r)) {
-            time_out(r);
-            queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(qi));
-          } else {
-            ++qi;
-          }
-        }
-      }
       for (std::size_t pi = 0; pi < paused_.size();) {
         Request& r = result_.requests[paused_[pi].trace_index];
         if (deadline_expired(r)) {
@@ -305,19 +308,16 @@ class EngineImpl {
           ++pi;
         }
       }
-      {
-        std::vector<char> dead(running_.size(), 0);
-        bool any = false;
-        for (std::size_t i = 0; i < running_.size(); ++i) {
-          Request& r = result_.requests[running_[i].trace_index];
-          if (!deadline_expired(r)) continue;
-          time_out(r);
-          release_all(running_[i].pages);
-          dead[i] = 1;
-          any = true;
-        }
-        if (any) compact_running(dead);
+      // The running scan's release order decides page-id reuse.
+      dead_.assign(running_.size(), 0);
+      for (std::size_t i = 0; i < running_.size(); ++i) {
+        Request& r = result_.requests[running_[i].trace_index];
+        if (!deadline_expired(r)) continue;
+        time_out(r);
+        release_all(running_[i].pages);
+        dead_[i] = 1;
       }
+      compact_running(dead_);
     }
 
     // --- Pressure controller: sample occupancy, walk the ladder ---------
@@ -357,8 +357,9 @@ class EngineImpl {
         std::size_t budget = config_.degrade.max_shed_per_iter;
         for (std::size_t c = kServiceClassCount; c-- > 1 && budget > 0;) {
           while (budget > 0 && !waiting_[c].empty()) {
-            Request& r = result_.requests[waiting_[c].back()];
-            waiting_[c].pop_back();
+            const std::size_t idx = waiting_[c].back();
+            dequeue(idx);
+            Request& r = result_.requests[idx];
             r.finish_s = now_;
             r.outcome = Outcome::kShed;
             ++result_.shed;
@@ -621,7 +622,7 @@ class EngineImpl {
         }
         running_.push_back({idx, matched_tokens, r.max_new_tokens, suffix,
                             std::move(pages), false, admit_bits});
-        waiting_[c].pop_front();
+        dequeue(idx);
         return true;
       };
       if (class_aware_) {
@@ -669,28 +670,20 @@ class EngineImpl {
       for (const Paused& p : paused_) {
         next_event = std::min(next_event, p.eligible_s);
       }
+      // Step just past an expiry instant so the strict comparison in
+      // deadline_expired() fires and the loop makes progress. The index's
+      // first live entry is the soonest waiting expiry.
+      constexpr double kPast = 2.0 * kDeadlineSlack;
+      while (!expiry_.empty() && queued_[expiry_.top().second] == 0) {
+        expiry_.pop();
+      }
+      if (!expiry_.empty()) {
+        next_event = std::min(next_event, expiry_.top().first + kPast);
+      }
       if (config_.enforce_deadlines) {
-        auto expiry_of = [&](const Request& r) {
-          double e = std::numeric_limits<double>::infinity();
-          if (r.ttft_deadline_s > 0.0 && r.first_token_s < 0.0) {
-            e = r.arrival_s + r.ttft_deadline_s;
-          }
-          if (r.e2e_deadline_s > 0.0) {
-            e = std::min(e, r.arrival_s + r.e2e_deadline_s);
-          }
-          // Step just past the expiry instant so the strict comparison
-          // in deadline_expired() fires and the loop makes progress.
-          return e + 2.0 * kDeadlineSlack;
-        };
-        for (const auto& queue : waiting_) {
-          for (const std::size_t idx : queue) {
-            next_event =
-                std::min(next_event, expiry_of(result_.requests[idx]));
-          }
-        }
         for (const Paused& p : paused_) {
-          next_event = std::min(next_event,
-                                expiry_of(result_.requests[p.trace_index]));
+          next_event = std::min(
+              next_event, expiry_of(result_.requests[p.trace_index]) + kPast);
         }
       }
       if (horizon_s > now_ && horizon_s < next_event) {
@@ -725,28 +718,31 @@ class EngineImpl {
     {
       double stall = 0.0;
       bool degraded = false;
-      std::vector<char> dead(running_.size(), 0);
-      std::vector<std::size_t> order(running_.size());
-      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-      if (class_aware_) {
-        std::stable_sort(order.begin(), order.end(),
-                         [&](std::size_t a, std::size_t b) {
-                           return class_of(running_[a].trace_index) <
-                                  class_of(running_[b].trace_index);
-                         });
+      dead_.assign(running_.size(), 0);
+      // Only requests still mid-prefill take a chunk, in batch order, one
+      // tier after another under the class-aware policy.
+      order_.clear();
+      const std::size_t tiers = class_aware_ ? kServiceClassCount : 1;
+      for (std::size_t c = 0; c < tiers; ++c) {
+        for (std::size_t i = 0; i < running_.size(); ++i) {
+          if (running_[i].prompt_left == 0) continue;
+          if (class_aware_ && class_of(running_[i].trace_index) != c) {
+            continue;
+          }
+          order_.push_back(i);
+        }
       }
       std::size_t budget = d_.quantum;
-      for (std::size_t oi = 0; oi < order.size() && budget > 0; ++oi) {
-        const std::size_t i = order[oi];
-        if (dead[i] != 0) continue;
-        if (running_[i].prompt_left == 0) continue;
+      for (std::size_t oi = 0; oi < order_.size() && budget > 0; ++oi) {
+        const std::size_t i = order_[oi];
+        if (dead_[i] != 0) continue;
         const std::size_t chunk =
             std::min(running_[i].prompt_left, budget);
         const bool last = chunk == running_[i].prompt_left;
         // The last chunk also backs the first generated token's slot.
         const std::size_t target =
             running_[i].context + chunk + (last ? 1 : 0);
-        if (!ensure_pages(i, target, dead, stall, degraded)) continue;
+        if (!ensure_pages(i, target, dead_, stall, degraded)) continue;
         Running& ru = running_[i];
         Request& r = result_.requests[ru.trace_index];
         if (r.prefill_start_s < 0.0) r.prefill_start_s = now_;
@@ -785,7 +781,7 @@ class EngineImpl {
           r.outcome = Outcome::kCompleted;
           release_all(ru.pages);
           ++finished_;
-          dead[i] = 1;
+          dead_[i] = 1;
         } else if (config_.role == EngineRole::kPrefillOnly) {
           // Disaggregated handoff: the prompt (and its first token) is
           // done, so this prefill worker lifts the request — KV stream
@@ -811,10 +807,10 @@ class EngineImpl {
           --live_total_;
           ++result_.prefill_handoffs;
           prefilled_.push_back(std::move(m));
-          dead[i] = 1;
+          dead_[i] = 1;
         }
       }
-      compact_running(dead);
+      compact_running(dead_);
       now_ += stall;
       result_.swap_stall_s += stall;
       if (degraded) ++result_.degraded_steps;
@@ -835,13 +831,13 @@ class EngineImpl {
     {
       double stall = 0.0;
       bool degraded = false;
-      std::vector<char> dead(running_.size(), 0);
+      dead_.assign(running_.size(), 0);
       for (std::size_t i = 0; i < running_.size(); ++i) {
-        if (dead[i] != 0) continue;
+        if (dead_[i] != 0) continue;
         if (running_[i].prompt_left > 0) continue;
-        ensure_pages(i, running_[i].context + 1, dead, stall, degraded);
+        ensure_pages(i, running_[i].context + 1, dead_, stall, degraded);
       }
-      compact_running(dead);
+      compact_running(dead_);
       now_ += stall;
       result_.swap_stall_s += stall;
       if (degraded) ++result_.degraded_steps;
@@ -885,12 +881,10 @@ class EngineImpl {
     result_.peak_referenced_pages =
         std::max(result_.peak_referenced_pages, referenced_pages());
 
-    for (std::size_t i = 0; i < running_.size();) {
+    dead_.assign(running_.size(), 0);
+    for (std::size_t i = 0; i < running_.size(); ++i) {
       Running& ru = running_[i];
-      if (ru.prompt_left > 0) {
-        ++i;
-        continue;
-      }
+      if (ru.prompt_left > 0) continue;
       Request& r = result_.requests[ru.trace_index];
       if (ru.remaining > 0) {
         if (r.generated == 0 && r.first_token_s < 0.0) {
@@ -905,13 +899,10 @@ class EngineImpl {
         r.outcome = Outcome::kCompleted;
         release_all(ru.pages);
         ++finished_;
-        // Stable erase: the chunk scheduler above is FIFO over this
-        // vector's order, so removals must not reorder survivors.
-        running_.erase(running_.begin() + static_cast<std::ptrdiff_t>(i));
-      } else {
-        ++i;
+        dead_[i] = 1;
       }
     }
+    compact_running(dead_);
     return true;
   }
 
@@ -960,11 +951,14 @@ class EngineImpl {
     // Waiting and not-yet-arrived requests have no KV: plain re-routes.
     for (auto& queue : waiting_) {
       for (const std::size_t idx : queue) {
+        if (queued_[idx] == 0) continue;  // timed out in place
+        queued_[idx] = 0;
         const Request& r = result_.requests[idx];
         lift(idx, 0, r.max_new_tokens, r.prompt_tokens, 0.0, false, 0.0);
       }
       queue.clear();
     }
+    expiry_ = {};
     for (const std::size_t idx : pending_) {
       const Request& r = result_.requests[idx];
       if (r.outcome != Outcome::kPending) continue;  // rejected: terminal
@@ -1069,6 +1063,7 @@ class EngineImpl {
     }
     for (const auto& queue : waiting_) {
       for (const std::size_t idx : queue) {
+        if (queued_[idx] == 0) continue;  // timed out in place
         const Request& r = result_.requests[idx];
         add(r, 0, r.max_new_tokens, r.prompt_tokens, 0.0, 0.0);
       }
@@ -1195,6 +1190,27 @@ class EngineImpl {
       if (!q.empty()) return false;
     }
     return true;
+  }
+
+  // Append a newly waiting request to its class queue and, when deadlines
+  // are enforced and it has one, to the expiry index.
+  void enqueue(std::size_t idx) {
+    waiting_[class_of(idx)].push_back(idx);
+    queued_[idx] = 1;
+    if (!config_.enforce_deadlines) return;
+    const double e = expiry_of(result_.requests[idx]);
+    if (std::isfinite(e)) expiry_.emplace(e, idx);
+  }
+
+  // `idx` stops waiting. Entries of requests no longer waiting are popped
+  // off both ends of its class queue, so empty(), front() and back() only
+  // ever see live requests; one that stops waiting mid-queue (a timeout)
+  // stays until it reaches an end.
+  void dequeue(std::size_t idx) {
+    queued_[idx] = 0;
+    std::deque<std::size_t>& q = waiting_[class_of(idx)];
+    while (!q.empty() && queued_[q.front()] == 0) q.pop_front();
+    while (!q.empty() && queued_[q.back()] == 0) q.pop_back();
   }
 
   double current_bits() const {
@@ -1524,28 +1540,38 @@ class EngineImpl {
     return true;
   }
 
-  void compact_running(std::vector<char>& dead) {
-    std::vector<Running> alive;
-    alive.reserve(running_.size());
-    for (std::size_t i = 0; i < running_.size(); ++i) {
-      if (dead[i] == 0) alive.push_back(std::move(running_[i]));
+  // Remove the dead[] entries of running_ in place. Stable: the chunk
+  // scheduler is FIFO over this vector's order, so removals must not
+  // reorder survivors.
+  void compact_running(const std::vector<char>& dead) {
+    const auto first = std::find(dead.begin(), dead.end(), char{1});
+    if (first == dead.end()) return;
+    auto kept = static_cast<std::size_t>(first - dead.begin());
+    for (std::size_t i = kept + 1; i < running_.size(); ++i) {
+      if (dead[i] == 0) running_[kept++] = std::move(running_[i]);
     }
-    running_.swap(alive);
+    running_.erase(running_.begin() + static_cast<std::ptrdiff_t>(kept),
+                   running_.end());
   }
 
-  // A request has irrecoverably missed a deadline: its TTFT deadline
-  // passed with no first token, or its e2e deadline passed unfinished.
+  // The instant a request misses a deadline: its TTFT deadline while it
+  // has no first token, or its e2e deadline, whichever comes first
+  // (+infinity with neither).
+  static double expiry_of(const Request& r) {
+    double e = std::numeric_limits<double>::infinity();
+    if (r.ttft_deadline_s > 0.0 && r.first_token_s < 0.0) {
+      e = r.arrival_s + r.ttft_deadline_s;
+    }
+    if (r.e2e_deadline_s > 0.0) {
+      e = std::min(e, r.arrival_s + r.e2e_deadline_s);
+    }
+    return e;
+  }
+  // A request has irrecoverably missed a deadline. Rounding is monotonic,
+  // so comparing against the earlier expiry plus the slack is the same
+  // test as comparing against each deadline plus the slack.
   bool deadline_expired(const Request& r) const {
-    if (!config_.enforce_deadlines) return false;
-    if (r.ttft_deadline_s > 0.0 && r.first_token_s < 0.0 &&
-        now_ > r.arrival_s + r.ttft_deadline_s + kDeadlineSlack) {
-      return true;
-    }
-    if (r.e2e_deadline_s > 0.0 &&
-        now_ > r.arrival_s + r.e2e_deadline_s + kDeadlineSlack) {
-      return true;
-    }
-    return false;
+    return config_.enforce_deadlines && now_ > expiry_of(r) + kDeadlineSlack;
   }
   void time_out(Request& r) {
     r.finish_s = now_;
@@ -1633,12 +1659,26 @@ class EngineImpl {
   // Per-request flags, parallel to result_.requests: 1 = drained to
   // another replica (excluded from finish()).
   std::vector<char> drained_;
+  // Per-request flags, parallel to result_.requests: 1 while the request
+  // is waiting. A request enters waiting_ at most once (adopt() mints a
+  // new index), so this flag is what makes a queue or index entry live.
+  std::vector<char> queued_;
 
   bool class_aware_ = false;
   // Per-class waiting queues (FIFO within a class). Under kFifo the three
-  // queues are drained strictly in global arrival order.
+  // queues are drained strictly in global arrival order. Requests timed
+  // out mid-queue stay as dead entries until dequeue() reaches them.
   std::array<std::deque<std::size_t>, kServiceClassCount> waiting_;
+  // Expiry index over waiting requests with a deadline (enforced only):
+  // a min-heap of (expiry_of(), trace index). Entries of requests that
+  // left waiting_ another way are dropped when they surface.
+  using Expiry = std::pair<double, std::size_t>;
+  std::priority_queue<Expiry, std::vector<Expiry>, std::greater<>> expiry_;
   std::vector<Running> running_;
+  // Per-step buffers reused across steps: dead flags over running_ and the
+  // chunk phase's visiting order.
+  std::vector<char> dead_;
+  std::vector<std::size_t> order_;
   std::vector<Paused> paused_;
   // Finished prefills awaiting router pickup (EngineRole::kPrefillOnly):
   // lifted out of the scheduler — pages released, accounting moved — but
@@ -1648,6 +1688,8 @@ class EngineImpl {
   // already-terminal rejected entries, kept so idle jumps land on the
   // same arrival instants as the monolithic loop).
   std::deque<std::size_t> pending_;
+  // Latest arrival submit() has taken: later submissions may not precede it.
+  double last_arrival_s_ = -std::numeric_limits<double>::infinity();
   std::size_t live_total_ = 0;   // submitted + adopted - drained
   std::size_t finished_ = 0;     // reached a terminal state here
   double now_ = 0.0;

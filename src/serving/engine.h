@@ -4,8 +4,12 @@
 //
 // The simulation loop alternates:
 //   1. Deadline enforcement: requests that can no longer meet their TTFT
-//      or e2e deadline are timed out (pages freed) wherever they are —
-//      waiting, paused or running.
+//      or e2e deadline are timed out (pages freed) wherever they are.
+//      Waiting requests are found through an expiry index (a min-heap of
+//      deadline instants), so only the ones that expired are touched;
+//      paused and running requests are scanned (the running scan's
+//      release order decides page-id reuse, and the paused set is
+//      bounded by the backoff window).
 //   2. Overload control: a pressure controller watches page-pool
 //      occupancy over a sliding window and escalates a degradation
 //      ladder — first *downshift* the KV precision of newly (re)admitted
@@ -31,6 +35,12 @@
 //      per-method decode model at the current batch size and maximum
 //      context. Decode TPOT is therefore bounded by one chunk, not one
 //      prompt.
+//
+// Outside the cost model a step costs O(batch + expired·log n), n the
+// number of indexed waiting requests, with its per-step buffers reused
+// across steps: no phase walks the waiting backlog, so simulator time
+// grows linearly with the number of requests even when that backlog
+// grows all trace long.
 //
 // KV memory is managed as fixed-size pages through a real PageAllocator,
 // so exhaustion (and injected allocation faults) surface exactly where

@@ -12,8 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
-#include <cstdint>
 #include <vector>
 
 #include "common/check.h"
@@ -21,88 +19,18 @@
 #include "serving/metrics.h"
 #include "serving/trace.h"
 #include "sim/attention_model.h"
+#include "tests/serving_fixtures.h"
 
 namespace turbo::serving {
 namespace {
 
-// A mixed-class trace pushed well past what the pressured engine below
-// can sustain: 30% interactive with a tight TTFT SLO, 50% standard with
-// a loose one, 20% batch with none.
-TraceConfig overload_mix_trace() {
-  TraceConfig t;
-  t.arrival_rate = 24.0;
-  t.duration_s = 15.0;
-  t.prompt_log_mean = 5.5;  // median ~245 tokens
-  t.prompt_log_std = 0.5;
-  t.gen_log_mean = 5.0;     // median ~150 tokens
-  t.gen_log_std = 0.5;
-  t.seed = 29;
-  t.class_mix = {0.2, 0.5, 0.3};
-  t.ttft_deadline_s = {2.5, 20.0, 0.0};
-  return t;
-}
-
-// Small KV pool: Phi3-mini on the PCIe card at low headroom, so the
-// overload trace above exhausts pages and the control policies engage.
-// The interactive tier's guaranteed share is provisioned above its offered
-// load (20% of the mix), which is what lets class-aware scheduling honor
-// the interactive SLO while the pool as a whole is oversubscribed.
-EngineConfig pressured_engine() {
-  EngineConfig c;
-  c.device = sim::a100_pcie_40gb();
-  c.geometry = sim::phi3_mini_geometry();
-  c.method = sim::AttnMethod::kTurbo;
-  c.attention.kv_bits = 4.0;
-  c.memory_headroom = 0.35;
-  return c;
-}
-
-// The same machine with the pool squeezed so hard that even the
-// interactive guarantee cannot absorb the burst: decode growth exhausts
-// pages constantly and preemption/eviction churn is guaranteed.
-EngineConfig crushed_engine() {
-  EngineConfig c = pressured_engine();
-  c.memory_headroom = 0.22;
-  return c;
-}
+using test::crushed_engine;
+using test::digest;
+using test::overload_mix_trace;
+using test::pressured_engine;
 
 std::size_t terminal_count(const ServingMetrics& m) {
   return m.completed + m.rejected + m.timed_out + m.shed;
-}
-
-// Order-independent digest over everything the engine computes, so two
-// runs are compared in full, not by a few summary statistics.
-std::uint64_t digest(const EngineResult& r) {
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  auto mixd = [&](double v) { mix(std::bit_cast<std::uint64_t>(v)); };
-  for (const Request& req : r.requests) {
-    mix(req.id);
-    mixd(req.prefill_start_s);
-    mixd(req.first_token_s);
-    mixd(req.finish_s);
-    mixd(req.kv_bits_used);
-    mix(req.generated);
-    mix(req.preemptions);
-    mix(req.recomputed_tokens);
-    mix(static_cast<std::uint64_t>(req.outcome));
-  }
-  mixd(r.makespan_s);
-  mixd(r.busy_s);
-  mixd(r.swap_stall_s);
-  mixd(r.min_kv_bits);
-  mixd(r.degrade_rmse_proxy);
-  mix(r.preemptions);
-  mix(r.timed_out);
-  mix(r.shed);
-  mix(r.ladder_escalations);
-  mix(r.ladder_deescalations);
-  mix(r.degraded_admissions);
-  mix(static_cast<std::uint64_t>(r.hit_time_limit));
-  return h;
 }
 
 // --- Terminal-state accounting ---------------------------------------------
