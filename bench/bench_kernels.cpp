@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <numeric>
 
 #include "attention/flash.h"
 #include "attention/reference.h"
@@ -18,6 +19,8 @@
 #include "kernels/fused_prefill.h"
 #include "common/fp16.h"
 #include "common/rng.h"
+#include "fleet/router.h"
+#include "kvcache/radix_index.h"
 #include "quant/asymmetric.h"
 #include "quant/packing.h"
 #include "quant/progressive.h"
@@ -373,5 +376,83 @@ BENCHMARK(BM_EngineOverload)
     ->Arg(3600)
     ->Complexity(benchmark::oN)
     ->Unit(benchmark::kMillisecond);
+
+// Router::run on a trace shaped like the end-to-end benchmark's
+// fleet_sessions (four A100-80GB replicas, Phi3-medium, Turbo at 3 bits,
+// prefix-affinity routing; 0.8 sessions/s of four turns each, 80% behind
+// a shared 1,024-token system prompt) lasting range(0) seconds. The fleet
+// runs below capacity, so no backlog builds: an arrival costs its radix
+// scoring on every replica, its prefix attach and its engine steps, and
+// the O(N) fit shows how far that stays flat as the trace grows.
+void BM_FleetSessions(benchmark::State& state) {
+  fleet::FleetConfig cfg;
+  cfg.engine.device = sim::a100_sxm_80gb();
+  cfg.engine.geometry = sim::phi3_medium_geometry();
+  cfg.engine.method = sim::AttnMethod::kTurbo;
+  cfg.engine.attention.kv_bits = 3.0;
+  cfg.replicas = 4;
+  cfg.route = fleet::RoutePolicy::kAffinity;
+  serving::TraceConfig t;
+  t.arrival_rate = 0.8;
+  t.duration_s = static_cast<double>(state.range(0));
+  t.class_mix = {0.3, 0.5, 0.2};
+  t.ttft_deadline_s = {2.0, 10.0, 0.0};
+  t.session_turns = 4;
+  t.shared_prefix_tokens = 1024;
+  t.shared_prefix_fraction = 0.8;
+  t.session_gap_s = 5.0;
+  t.agentic_fraction = 0.25;
+  t.seed = 336;
+  const std::vector<serving::Request> trace = serving::generate_trace(t);
+  for (auto _ : state) {
+    const fleet::FleetResult r = fleet::run_fleet(cfg, trace);
+    benchmark::DoNotOptimize(r.makespan_s);
+  }
+  const auto n = static_cast<std::int64_t>(trace.size());
+  state.SetItemsProcessed(state.iterations() * n);
+  state.SetComplexityN(n);
+}
+BENCHMARK(BM_FleetSessions)
+    ->Arg(250)
+    ->Arg(500)
+    ->Arg(1000)
+    ->Arg(2000)
+    ->Complexity(benchmark::oN)
+    ->Unit(benchmark::kMillisecond);
+
+// One admission-time walk of the prefix index: range(0) sessions, each a
+// 1,024-token shared prefix plus 512 tokens of its own, indexed at the
+// serving engine's 64-token pages; each iteration matches every
+// session's prompt (24 pages) once. Items are matched pages.
+void BM_RadixMatch(benchmark::State& state) {
+  constexpr std::size_t kPageTokens = 64;
+  constexpr std::size_t kShared = 1024;
+  constexpr std::size_t kOwn = 512;
+  const auto sessions = static_cast<std::size_t>(state.range(0));
+  RadixIndex index(kPageTokens);
+  std::vector<std::vector<std::int32_t>> prompts;
+  PageId next_page = 0;
+  for (std::size_t s = 0; s < sessions; ++s) {
+    std::vector<std::int32_t> ids(kShared + kOwn);
+    std::iota(ids.begin(), ids.begin() + kShared, 0);
+    std::iota(ids.begin() + kShared, ids.end(),
+              static_cast<std::int32_t>(kShared + s * kOwn));
+    std::vector<PageId> pages(ids.size() / kPageTokens);
+    std::iota(pages.begin(), pages.end(), next_page);
+    next_page += static_cast<PageId>(pages.size());
+    index.insert(ids, pages);
+    prompts.push_back(std::move(ids));
+  }
+  std::size_t matched = 0;
+  for (auto _ : state) {
+    for (const auto& p : prompts) {
+      const std::vector<PageId> m = index.match(p);
+      matched += m.size();
+      benchmark::DoNotOptimize(m.data());
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(matched));
+}
+BENCHMARK(BM_RadixMatch)->Arg(16)->Arg(128)->Arg(1024);
 
 }  // namespace

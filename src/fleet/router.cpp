@@ -508,7 +508,7 @@ FleetResult Router::run(std::vector<serving::Request> trace) {
         // The next fleet event is an arrival: route it before any
         // replica steps past it.
         const std::size_t dst = pick_replica(trace[next], ta);
-        engines_[dst].submit(trace[next]);
+        engines_[dst].submit(std::move(trace[next]));
         ++result_.routed;
         ++next;
         continue;

@@ -203,12 +203,12 @@ class EngineImpl {
     result_.min_kv_bits = d_.bits_normal;
   }
 
-  void submit(const Request& r) {
+  void submit(Request&& r) {
     TURBO_CHECK_MSG(r.arrival_s >= last_arrival_s_,
                     "submit() requires non-decreasing arrival order");
     last_arrival_s_ = r.arrival_s;
     const std::size_t idx = result_.requests.size();
-    result_.requests.push_back(r);
+    result_.requests.push_back(std::move(r));
     drained_.push_back(0);
     queued_.push_back(0);
     ++live_total_;
@@ -414,8 +414,10 @@ class EngineImpl {
       }
       std::size_t needed = pages_needed(p.context + 1, bits);
       needed -= std::min(needed, matched.size());
+      hold_pages(matched);
       std::vector<PageId> pages;
       if (!try_alloc(needed, pages)) {
+        unhold_pages(matched);
         // Page-blocked: spend the wait staging the parked stream up the
         // hierarchy (once per wait), so when pages do free up the
         // swap-in reads at host-link speed instead of disk speed.
@@ -434,10 +436,10 @@ class EngineImpl {
         break;                                         // no overtaking
       }
       Request& r = result_.requests[p.trace_index];
-      // Attach the surviving prefix (refcount bump, no allocation, no
+      // Attach the surviving prefix (held above: no allocation, no
       // prefill) and recompute only what the index lost since eviction.
       const std::size_t matched_tokens = matched.size() * d_.tpp_normal;
-      for (const PageId pg : matched) attach_page(pg);
+      result_.prefix_pages_attached += matched.size();
       pages.insert(pages.begin(), matched.begin(), matched.end());
       if (p.prefix_tokens > matched_tokens) {
         const std::size_t shortfall = p.prefix_tokens - matched_tokens;
@@ -594,7 +596,7 @@ class EngineImpl {
         // request is charged (and reclaims, and reserves) only its novel
         // suffix — a cache-hit prompt is cheap to admit.
         const std::vector<PageId> matched =
-            match_prefix(r, admit_bits, r.prompt_tokens);
+            radix_.match(prefix_span(r, admit_bits));
         const std::size_t matched_tokens = matched.size() * d_.tpp_normal;
         const std::size_t suffix = r.prompt_tokens - matched_tokens;
         const std::size_t first_chunk = std::min(suffix + 1, d_.quantum);
@@ -604,9 +606,15 @@ class EngineImpl {
           reclaim_for_guarantee(c, needed);
         }
         if (!admission_allowed(c, needed)) return false;
+        hold_pages(matched);
         std::vector<PageId> pages;
-        if (!try_alloc(needed, pages)) return false;  // injected failure
-        for (const PageId pg : matched) attach_page(pg);
+        // Fails on an injected fault, or when the only reclaimable pages
+        // admission counted were the matched ones.
+        if (!try_alloc(needed, pages)) {
+          unhold_pages(matched);
+          return false;
+        }
+        result_.prefix_pages_attached += matched.size();
         pages.insert(pages.begin(), matched.begin(), matched.end());
         Request& mut = result_.requests[idx];
         if (admit_bits < d_.bits_normal) {
@@ -1160,7 +1168,7 @@ class EngineImpl {
     return allocator_.used_pages() - retained_.size();
   }
   std::size_t prefix_match_tokens(const Request& r) const {
-    return match_prefix(r, d_.bits_normal, r.prompt_tokens).size() *
+    return radix_.match_pages(prefix_span(r, d_.bits_normal)) *
            d_.tpp_normal;
   }
 
@@ -1319,12 +1327,33 @@ class EngineImpl {
     }
   }
 
-  // Attach an indexed page by refcount bump (the CoW fork path): retained
-  // pages leave the pool, referenced pages gain a reference.
-  void attach_page(PageId page) {
-    if (page_ref_[page] == 0) retained_.erase(page);
-    ++page_ref_[page];
-    ++result_.prefix_pages_attached;
+  // Attach matched prefix pages by refcount bump (the CoW fork path):
+  // retained pages leave the pool, referenced pages gain a reference.
+  // Admission holds them before allocating the novel suffix, so the
+  // exhaustion path in alloc_page cannot reclaim a page that is about to
+  // be attached; held_stamps_ keeps each page's retention stamp
+  // (kNotRetained when it was referenced) for unhold_pages.
+  void hold_pages(const std::vector<PageId>& pages) {
+    held_stamps_.clear();
+    for (const PageId page : pages) {
+      std::size_t stamp = kNotRetained;
+      if (page_ref_[page] == 0) {
+        const auto it = retained_.find(page);
+        stamp = it->second;
+        retained_.erase(it);
+      }
+      held_stamps_.push_back(stamp);
+      ++page_ref_[page];
+    }
+  }
+  // Undo hold_pages after a failed allocation: every page returns to the
+  // state it had, retained ones under their original LRU stamps.
+  void unhold_pages(const std::vector<PageId>& pages) {
+    for (std::size_t i = 0; i < pages.size(); ++i) {
+      if (--page_ref_[pages[i]] == 0) {
+        retained_.emplace(pages[i], held_stamps_[i]);
+      }
+    }
   }
 
   // Allocate `n` pages or none (failed attempts roll back).
@@ -1348,21 +1377,17 @@ class EngineImpl {
     pages.clear();
   }
 
-  // Longest resident whole-page prefix of `r`'s prompt ids, capped so at
-  // least one prompt token is always left to prefill (the last-chunk
-  // path stamps first_token_s) and to `cap_tokens`. Empty for legacy
-  // requests and away from the configured precision (pages pack
-  // tpp_normal tokens; a degraded admission must not adopt them).
-  std::vector<PageId> match_prefix(const Request& r, double bits,
-                                   std::size_t cap_tokens) const {
+  // The prompt ids admission at `bits` may match against the prefix
+  // index, capped so at least one prompt token is always left to prefill
+  // (the last-chunk path stamps first_token_s). Empty for legacy requests
+  // and away from the configured precision (pages pack tpp_normal tokens;
+  // a degraded admission must not adopt them).
+  std::span<const std::int32_t> prefix_span(const Request& r,
+                                            double bits) const {
     if (r.prompt_ids.empty() || bits != d_.bits_normal) return {};
     std::size_t limit = std::min(r.prompt_ids.size(), r.prompt_tokens);
     if (limit > 0) limit -= 1;  // never attach the whole prompt
-    limit = std::min(limit, cap_tokens);
-    std::vector<PageId> matched = radix_.match(
-        std::span<const std::int32_t>(r.prompt_ids.data(), r.prompt_ids.size())
-            .first(limit));
-    return matched;
+    return std::span<const std::int32_t>(r.prompt_ids).first(limit);
   }
 
   // Pages of `ru` referenced by somebody else too — evicting them frees
@@ -1653,6 +1678,9 @@ class EngineImpl {
   // map so reclaim scans deterministically (lint rule 8).
   std::map<PageId, std::size_t> retained_;
   std::size_t retained_touch_ = 0;
+  // hold_pages() scratch: the stamps unhold_pages() restores.
+  static constexpr std::size_t kNotRetained = ~std::size_t{0};
+  std::vector<std::size_t> held_stamps_;
   FaultInjector fault_;
   std::optional<TieredSwapStore> swap_store_;
   EngineResult result_;
@@ -1709,7 +1737,8 @@ Engine::~Engine() = default;
 Engine::Engine(Engine&&) noexcept = default;
 Engine& Engine::operator=(Engine&&) noexcept = default;
 
-void Engine::submit(const Request& r) { impl_->submit(r); }
+void Engine::submit(const Request& r) { impl_->submit(Request(r)); }
+void Engine::submit(Request&& r) { impl_->submit(std::move(r)); }
 void Engine::adopt(const MigratableRequest& m, double eligible_s,
                    bool with_stream) {
   impl_->adopt(m, eligible_s, with_stream);
@@ -1749,7 +1778,7 @@ EngineResult run_engine(const EngineConfig& config,
               return a.arrival_s < b.arrival_s;
             });
   Engine engine(config);
-  for (const Request& r : trace) engine.submit(r);
+  for (Request& r : trace) engine.submit(std::move(r));
   while (!engine.done() && engine.now() < config.max_sim_time_s) {
     if (!engine.step(std::numeric_limits<double>::infinity())) break;
   }

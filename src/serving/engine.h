@@ -367,8 +367,10 @@ class Engine {
   // Hand the engine a request. Must be called in non-decreasing
   // arrival_s order; an arrival in the future sits in the pending queue
   // until the engine's clock reaches it. Requests that could never fit
-  // are rejected immediately (terminal, never scheduled).
+  // are rejected immediately (terminal, never scheduled). The rvalue
+  // overload takes the request's prompt ids without copying them.
   void submit(const Request& r);
+  void submit(Request&& r);
 
   // Adopt a request drained off another replica. `eligible_s` is the
   // earliest re-admission time (drain time + migration transfer);

@@ -115,6 +115,65 @@ TEST(ScheduleGoldenTest, FleetOutage) {
   EXPECT_EQ(h.value(), 0x25617be25ced4046ull);
 }
 
+// Prefix-sharing pins: the digests cover each request's prefix-hit
+// tokens and the prefix counters, so a radix index that matched, kept or
+// erased a different page set fails here even where the schedule does
+// not move.
+
+// Session traffic on a pressured pool: attach, publish and evict paths.
+TEST(ScheduleGoldenTest, SessionPrefixPressured) {
+  EngineConfig cfg = test::prefix_engine();
+  cfg.memory_headroom = 0.25;
+  const EngineResult r = run_engine(cfg, generate_trace(test::session_trace()));
+  ASSERT_GT(r.prefix_pages_attached, 0u);
+  EXPECT_EQ(test::prefix_digest(r), 0x8dfaeb6474d17f13ull);
+}
+
+// Tighter still: admissions reclaim retained prefix pages, so the erase
+// cascade (which pages a reclaimed page takes with it, in what order)
+// decides which pages free.
+TEST(ScheduleGoldenTest, SessionPrefixReclaim) {
+  EngineConfig cfg = test::prefix_engine();
+  cfg.memory_headroom = 0.20;
+  const EngineResult r = run_engine(cfg, generate_trace(test::session_trace()));
+  ASSERT_GT(r.retained_pages_reclaimed, 0u);
+  EXPECT_EQ(test::prefix_digest(r), 0x883b656461374ab9ull);
+}
+
+// The benchmark's fleet_sessions shape, 120 s of it: four affinity-routed
+// replicas, four-turn sessions, 80% behind a shared 1,024-token prompt.
+// Every arrival scores each replica's radix index.
+TEST(ScheduleGoldenTest, FleetSessionsShape) {
+  fleet::FleetConfig cfg;
+  cfg.engine.device = sim::a100_sxm_80gb();
+  cfg.engine.geometry = sim::phi3_medium_geometry();
+  cfg.engine.method = sim::AttnMethod::kTurbo;
+  cfg.engine.attention.kv_bits = 3.0;
+  cfg.replicas = 4;
+  cfg.route = fleet::RoutePolicy::kAffinity;
+  TraceConfig t;
+  t.arrival_rate = 0.8;
+  t.duration_s = 120.0;
+  t.class_mix = {0.3, 0.5, 0.2};
+  t.ttft_deadline_s = {2.0, 10.0, 0.0};
+  t.session_turns = 4;
+  t.shared_prefix_tokens = 1024;
+  t.shared_prefix_fraction = 0.8;
+  t.session_gap_s = 5.0;
+  t.agentic_fraction = 0.25;
+  t.seed = 336;
+  const fleet::FleetResult r = fleet::run_fleet(cfg, generate_trace(t));
+  ASSERT_GT(r.affinity_hits, 0u);
+  test::Fnv h;
+  for (const EngineResult& e : r.replica_results) {
+    h.mix(test::prefix_digest(e));
+  }
+  h.mixd(r.makespan_s);
+  h.mix(r.affinity_hits);
+  h.mix(r.affinity_misses);
+  EXPECT_EQ(h.value(), 0x37cecacc3e333590ull);
+}
+
 // --- Expiry-index edge cases ------------------------------------------------
 
 Request make_request(std::uint64_t id, double arrival_s, ServiceClass c,

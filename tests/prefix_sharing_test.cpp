@@ -1,9 +1,9 @@
 // Prefix-sharing radix KV cache + session workloads (ctest -L prefix).
 //
-// The contracts under test: the radix index matches whole-page prefixes
-// only and cascades erasure through subtrees; create_with_prefix attaches
-// resident pages by refcount bump with zero allocation; the CoW charging
-// identity sum(charged_pages) + shared_pages == used_pages survives
+// The contracts under test (the radix index has its own suite,
+// radix_index_test): create_with_prefix attaches resident pages by
+// refcount bump with zero allocation; the CoW charging identity
+// sum(charged_pages) + shared_pages == used_pages survives
 // fork/attach/release churn and swap adoption; a full tail buffer whose
 // deferred flush hits page exhaustion fails cleanly and the SAME call
 // succeeds on retry (the lazy-flush bugfix); session traces drive the
@@ -14,19 +14,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <numeric>
 #include <vector>
 
 #include "kvcache/paged_cache.h"
-#include "kvcache/radix_index.h"
 #include "kvcache/serialization.h"
 #include "quant/symmetric.h"
 #include "serving/engine.h"
 #include "serving/metrics.h"
 #include "serving/trace.h"
 #include "sim/attention_model.h"
+#include "tests/serving_fixtures.h"
 #include "tests/test_util.h"
 
 namespace turbo {
@@ -38,91 +37,14 @@ using serving::Outcome;
 using serving::Request;
 using serving::ServingMetrics;
 using serving::TraceConfig;
+using test::prefix_digest;
+using test::prefix_engine;
+using test::session_trace;
 
 std::vector<std::int32_t> iota_ids(std::int32_t first, std::size_t count) {
   std::vector<std::int32_t> ids(count);
   std::iota(ids.begin(), ids.end(), first);
   return ids;
-}
-
-// --- Radix index ------------------------------------------------------------
-
-TEST(RadixIndexTest, MatchesWholePagePrefixesOnly) {
-  RadixIndex idx(4);
-  EXPECT_TRUE(idx.match(iota_ids(0, 8)).empty());
-
-  const auto ids = iota_ids(0, 8);
-  const std::vector<PageId> pages = {10, 11};
-  EXPECT_EQ(idx.insert(ids, pages), 2u);
-  EXPECT_EQ(idx.size(), 2u);
-  EXPECT_TRUE(idx.has_page(10));
-  EXPECT_TRUE(idx.has_page(11));
-
-  const auto full = idx.match(ids);
-  ASSERT_EQ(full.size(), 2u);
-  EXPECT_EQ(full[0], 10u);
-  EXPECT_EQ(full[1], 11u);
-
-  // A partial tail chunk never matches: 7 tokens hit only the first page,
-  // 3 tokens hit nothing.
-  EXPECT_EQ(idx.match(std::span(ids.data(), 7)).size(), 1u);
-  EXPECT_TRUE(idx.match(std::span(ids.data(), 3)).empty());
-
-  // Divergence stops the walk at the last agreeing whole page.
-  auto div = ids;
-  div[5] = 99;
-  EXPECT_EQ(idx.match(div).size(), 1u);
-  div = ids;
-  div[0] = 99;
-  EXPECT_TRUE(idx.match(div).empty());
-}
-
-TEST(RadixIndexTest, FirstWriterWinsOnReinsert) {
-  RadixIndex idx(4);
-  const auto ids = iota_ids(0, 4);
-  const std::vector<PageId> first = {5};
-  const std::vector<PageId> second = {7};
-  EXPECT_EQ(idx.insert(ids, first), 1u);
-  // Re-indexing the same chunk keeps the original page: two sequences
-  // that prefilled the same prefix privately must not fight over it.
-  EXPECT_EQ(idx.insert(ids, second), 0u);
-  const auto m = idx.match(ids);
-  ASSERT_EQ(m.size(), 1u);
-  EXPECT_EQ(m[0], 5u);
-  EXPECT_TRUE(idx.has_page(5));
-  EXPECT_FALSE(idx.has_page(7));
-}
-
-TEST(RadixIndexTest, ErasePageCascadesThroughSubtree) {
-  RadixIndex idx(4);
-  const auto trunk = iota_ids(0, 12);  // chunks [0..3][4..7][8..11]
-  const std::vector<PageId> trunk_pages = {1, 2, 3};
-  EXPECT_EQ(idx.insert(trunk, trunk_pages), 3u);
-  // A branch sharing only the first chunk.
-  std::vector<std::int32_t> branch = iota_ids(0, 4);
-  const auto tail = iota_ids(90, 4);
-  branch.insert(branch.end(), tail.begin(), tail.end());
-  const std::vector<PageId> branch_pages = {1, 7};
-  EXPECT_EQ(idx.insert(branch, branch_pages), 1u);
-  EXPECT_EQ(idx.size(), 4u);
-
-  // Erasing a mid-trunk page takes its descendants with it (they would
-  // be unreachable), the erased page first.
-  const auto dead = idx.erase_page(2);
-  ASSERT_EQ(dead.size(), 2u);
-  EXPECT_EQ(dead[0], 2u);
-  EXPECT_EQ(dead[1], 3u);
-  EXPECT_EQ(idx.size(), 2u);
-  EXPECT_EQ(idx.match(trunk).size(), 1u);  // only the root chunk remains
-  EXPECT_EQ(idx.match(branch).size(), 2u);
-
-  // Erasing the root chunk's page empties the whole tree.
-  const auto rest = idx.erase_page(1);
-  ASSERT_EQ(rest.size(), 2u);
-  EXPECT_EQ(rest[0], 1u);
-  EXPECT_EQ(rest[1], 7u);
-  EXPECT_EQ(idx.size(), 0u);
-  EXPECT_TRUE(idx.match(trunk).empty());
 }
 
 // --- Paged cache: prefix attach + CoW charging ------------------------------
@@ -315,23 +237,6 @@ TEST(PrefillRetryTest, FullBufferFlushExhaustionFailsCleanAndRetries) {
 
 // --- Session traces ---------------------------------------------------------
 
-TraceConfig session_trace() {
-  TraceConfig t;
-  t.arrival_rate = 3.0;
-  t.duration_s = 15.0;
-  t.prompt_log_mean = 5.0;
-  t.prompt_log_std = 0.4;
-  t.gen_log_mean = 3.5;
-  t.gen_log_std = 0.4;
-  t.seed = 17;
-  t.shared_prefix_tokens = 512;
-  t.shared_prefix_fraction = 1.0;
-  t.session_turns = 3;
-  t.session_gap_s = 1.0;
-  t.agentic_fraction = 0.4;
-  return t;
-}
-
 TEST(SessionTraceTest, DefaultKnobsCarryNoTokenIds) {
   for (const Request& r : serving::generate_trace(TraceConfig{})) {
     EXPECT_TRUE(r.prompt_ids.empty());
@@ -369,15 +274,6 @@ TEST(SessionTraceTest, SessionModeShapesIdsAndOrdering) {
 }
 
 // --- Engine: prefix attach, counters, determinism ---------------------------
-
-EngineConfig prefix_engine() {
-  EngineConfig c;
-  c.device = sim::a100_pcie_40gb();
-  c.geometry = sim::phi3_mini_geometry();
-  c.method = sim::AttnMethod::kTurbo;
-  c.attention.kv_bits = 4.0;
-  return c;
-}
 
 Request ids_request(std::uint64_t id, double arrival, std::int32_t first,
                     std::size_t count, std::size_t gen) {
@@ -497,41 +393,45 @@ TEST(EnginePrefixTest, ExhaustionReclaimsRetainedPagesLru) {
   EXPECT_FALSE(r.hit_time_limit);
 }
 
-// Order-independent digest over everything a request carries out of a
-// run plus the prefix counters — two runs compare in full. CI runs this
-// test in Release, ASan+UBSan and TSan, so the seeded values it pins are
-// also pinned across lanes.
-std::uint64_t digest(const EngineResult& r) {
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  auto mixd = [&](double v) { mix(std::bit_cast<std::uint64_t>(v)); };
-  std::vector<Request> reqs = r.requests;
-  std::sort(reqs.begin(), reqs.end(),
-            [](const Request& a, const Request& b) { return a.id < b.id; });
-  for (const Request& req : reqs) {
-    mix(req.id);
-    mixd(req.prefill_start_s);
-    mixd(req.first_token_s);
-    mixd(req.finish_s);
-    mix(req.generated);
-    mix(req.prefix_hit_tokens);
-    mix(req.preemptions);
-    mix(req.recomputed_tokens);
-    mix(static_cast<std::uint64_t>(req.outcome));
+// Admission matches a prompt's resident prefix and then allocates its
+// suffix. When the pool is exhausted, that allocation reclaims the
+// least-recently-retained pages, and matched pages sitting in the
+// retained pool must not be among them: reclaiming one would free a page
+// while it is being attached, or hand it back as the same request's own
+// fresh page, and publishing the prompt would hit "page already
+// indexed". This four-turn session run on a tight pool reclaims
+// thousands of retained pages; every request must end completed, once,
+// with consistent prefix accounting.
+TEST(EnginePrefixTest, ExhaustionNeverReclaimsPagesBeingAttached) {
+  EngineConfig cfg = prefix_engine();
+  cfg.memory_headroom = 0.25;
+  TraceConfig t;
+  t.arrival_rate = 4.0;
+  t.duration_s = 60.0;
+  t.seed = 29;
+  t.session_turns = 4;
+  t.shared_prefix_tokens = 512;
+  t.shared_prefix_fraction = 0.9;
+  t.session_gap_s = 1.0;
+  t.agentic_fraction = 0.4;
+  const std::vector<Request> trace = serving::generate_trace(t);
+  const EngineResult r = run_engine(cfg, trace);
+  EXPECT_FALSE(r.hit_time_limit);
+  EXPECT_GT(r.retained_pages_reclaimed, 1000u);
+  ASSERT_EQ(r.requests.size(), trace.size());
+  std::vector<std::uint64_t> ids;
+  std::size_t hit_tokens = 0;
+  for (const Request& q : r.requests) {
+    ids.push_back(q.id);
+    EXPECT_EQ(q.outcome, Outcome::kCompleted) << q.id;
+    EXPECT_EQ(q.generated, q.max_new_tokens) << q.id;
+    hit_tokens += q.prefix_hit_tokens;
   }
-  mixd(r.makespan_s);
-  mixd(r.busy_s);
-  mix(r.prefix_hit_tokens);
-  mix(r.prefix_hit_requests);
-  mix(r.prefix_pages_attached);
-  mix(r.retained_pages_reclaimed);
-  mix(r.prefilled_tokens);
-  mix(r.peak_referenced_pages);
-  mix(static_cast<std::uint64_t>(r.hit_time_limit));
-  return h;
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end());
+  EXPECT_EQ(hit_tokens, r.prefix_hit_tokens);
+  // Re-admitted victims re-attach pages too, beyond the admission hits.
+  EXPECT_GE(r.prefix_pages_attached * cfg.page_tokens, r.prefix_hit_tokens);
 }
 
 TEST(EnginePrefixTest, SeededSessionRunsAreBitIdentical) {
@@ -541,7 +441,7 @@ TEST(EnginePrefixTest, SeededSessionRunsAreBitIdentical) {
   cfg.memory_headroom = 0.25;  // pressure: attach, evict and reclaim paths
   const EngineResult a = run_engine(cfg, trace);
   const EngineResult b = run_engine(cfg, trace);
-  EXPECT_EQ(digest(a), digest(b));
+  EXPECT_EQ(prefix_digest(a), prefix_digest(b));
 }
 
 }  // namespace

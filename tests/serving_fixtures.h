@@ -52,6 +52,36 @@ inline serving::EngineConfig crushed_engine() {
   return c;
 }
 
+// Three-turn sessions, every one behind a 512-token shared system prompt
+// and 40% of them agentic, so follow-ups re-submit their history and the
+// engine's radix path attaches most of every prompt.
+inline serving::TraceConfig session_trace() {
+  serving::TraceConfig t;
+  t.arrival_rate = 3.0;
+  t.duration_s = 15.0;
+  t.prompt_log_mean = 5.0;
+  t.prompt_log_std = 0.4;
+  t.gen_log_mean = 3.5;
+  t.gen_log_std = 0.4;
+  t.seed = 17;
+  t.shared_prefix_tokens = 512;
+  t.shared_prefix_fraction = 1.0;
+  t.session_turns = 3;
+  t.session_gap_s = 1.0;
+  t.agentic_fraction = 0.4;
+  return t;
+}
+
+// Phi3-mini on the PCIe card at the default headroom (page_tokens 64).
+inline serving::EngineConfig prefix_engine() {
+  serving::EngineConfig c;
+  c.device = sim::a100_pcie_40gb();
+  c.geometry = sim::phi3_mini_geometry();
+  c.method = sim::AttnMethod::kTurbo;
+  c.attention.kv_bits = 4.0;
+  return c;
+}
+
 // FNV-1a over a sequence of 64-bit words.
 class Fnv {
  public:
@@ -95,6 +125,23 @@ inline std::uint64_t digest(const serving::EngineResult& r) {
   h.mix(r.ladder_deescalations);
   h.mix(r.degraded_admissions);
   h.mix(static_cast<std::uint64_t>(r.hit_time_limit));
+  return h.value();
+}
+
+// digest() plus everything prefix sharing decides: each request's
+// prefix-hit tokens and the run's prefix counters, so an attach, publish
+// or retained-page reclaim that moves shows even where the schedule
+// happens not to.
+inline std::uint64_t prefix_digest(const serving::EngineResult& r) {
+  Fnv h;
+  h.mix(digest(r));
+  for (const serving::Request& req : r.requests) h.mix(req.prefix_hit_tokens);
+  h.mix(r.prefix_hit_tokens);
+  h.mix(r.prefix_hit_requests);
+  h.mix(r.prefix_pages_attached);
+  h.mix(r.retained_pages_reclaimed);
+  h.mix(r.prefilled_tokens);
+  h.mix(r.peak_referenced_pages);
   return h.value();
 }
 
