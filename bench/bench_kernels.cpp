@@ -217,12 +217,33 @@ void BM_FlashAttentionFp16(benchmark::State& state) {
 }
 BENCHMARK(BM_FlashAttentionFp16)->Arg(256)->Arg(512);
 
-// Prefill benches take {prompt, head_dim}; {1024, 128} is the end-to-end
-// benchmark's prefill_1k shape. Each runs one prefill kernel (same
-// signature as turbo_attention_prefill) without a cache.
-void run_prefill(benchmark::State& state, detail::FusedPrefillFn prefill) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const std::size_t d = static_cast<std::size_t>(state.range(1));
+// Every output names the fused entry the dispatched kernels run.
+const bool kFusedEntryContext = [] {
+  benchmark::AddCustomContext("fused_entry", detail::fused_entry().name);
+  return true;
+}();
+
+// The compiled fused entry a *FusedEntry bench's first argument names, or
+// nullptr (and the bench skipped) when this build or CPU lacks it.
+const detail::FusedEntry* entry_arg(benchmark::State& state) {
+  const auto entries = detail::fused_entries();
+  const auto i = static_cast<std::size_t>(state.range(0));
+  if (i >= entries.size() || !entries[i].supported) {
+    state.SkipWithError("fused entry not compiled or not supported here");
+    return nullptr;
+  }
+  state.SetLabel(entries[i].name);
+  return &entries[i];
+}
+
+// Prefill benches take {prompt, head_dim} from their arguments `arg` and
+// `arg + 1`; {1024, 128} is the end-to-end benchmark's prefill_1k shape.
+// Each runs one prefill kernel (same signature as turbo_attention_prefill)
+// without a cache.
+void run_prefill(benchmark::State& state, detail::FusedPrefillFn prefill,
+                 int arg = 0) {
+  const std::size_t n = static_cast<std::size_t>(state.range(arg));
+  const std::size_t d = static_cast<std::size_t>(state.range(arg + 1));
   const MatrixF q = random_matrix(n, d, 9);
   const MatrixF k = random_matrix(n, d, 10);
   const MatrixF v = random_matrix(n, d, 11);
@@ -251,12 +272,16 @@ BENCHMARK(BM_TurboPrefillFused)
     ->Args({512, 64})
     ->Args({1024, 128});
 
-void BM_TurboPrefillFusedBaseline(benchmark::State& state) {
-  // The baseline-ISA entry (the detail seam): on an AVX2 host the gap to
-  // BM_TurboPrefillFused is what the AVX2 entry adds.
-  run_prefill(state, detail::fused_entries().front().prefill);
+void BM_TurboPrefillFusedEntry(benchmark::State& state) {
+  // {entry, prompt, head_dim}: one compiled entry through the detail seam
+  // (0 baseline, 1 avx2, 2 avx512vnni), so the rows show each ISA side by
+  // side on any host that runs them.
+  if (const detail::FusedEntry* e = entry_arg(state)) {
+    run_prefill(state, e->prefill, 1);
+  }
 }
-BENCHMARK(BM_TurboPrefillFusedBaseline)->Args({1024, 128});
+BENCHMARK(BM_TurboPrefillFusedEntry)
+    ->ArgsProduct({{0, 1, 2}, {1024, 4096}, {128}});
 
 // Decode benches take {context, head_dim}; head_dim 128 is the model
 // profiles' (and the end-to-end benchmark's).
@@ -309,28 +334,30 @@ BENCHMARK(BM_TurboDecodeFused)
     ->Args({1024, 128})
     ->Args({4096, 128});
 
-void BM_TurboDecodeFusedBaseline(benchmark::State& state) {
-  // Same workload through the baseline-ISA entry (the detail seam): on an
-  // AVX2 host the gap to BM_TurboDecodeFused is what the AVX2 entry adds.
-  const std::size_t ctx = static_cast<std::size_t>(state.range(0));
-  const std::size_t d = static_cast<std::size_t>(state.range(1));
+void BM_TurboDecodeFusedEntry(benchmark::State& state) {
+  // {entry, context, head_dim}: BM_TurboDecodeFused's workload through one
+  // compiled entry (0 baseline, 1 avx2, 2 avx512vnni).
+  const detail::FusedEntry* e = entry_arg(state);
+  if (e == nullptr) return;
+  const std::size_t ctx = static_cast<std::size_t>(state.range(1));
+  const std::size_t d = static_cast<std::size_t>(state.range(2));
   const QuantizedKvCache cache = decode_cache(ctx, d);
   std::vector<const KvBlock*> blocks;
   for (std::size_t j = 0; j < cache.block_count(); ++j) {
     blocks.push_back(&cache.block(j));
   }
-  const detail::FusedDecodeFn baseline = detail::fused_entries().front().decode;
   AttentionConfig cfg;
   const Sas sas;
   std::vector<float> q(d, 0.3f);
   for (auto _ : state) {
-    auto o = baseline(q, blocks, cache.key_buffer(), cache.value_buffer(),
-                      cfg, sas);
+    auto o = e->decode(q, blocks, cache.key_buffer(), cache.value_buffer(),
+                       cfg, sas);
     benchmark::DoNotOptimize(o.data());
   }
   state.SetItemsProcessed(state.iterations() * ctx * d);
 }
-BENCHMARK(BM_TurboDecodeFusedBaseline)->Args({1024, 128})->Args({4096, 128});
+BENCHMARK(BM_TurboDecodeFusedEntry)
+    ->ArgsProduct({{0, 1, 2}, {1024, 4096}, {128}});
 
 void BM_GroupedQuantChannelwise(benchmark::State& state) {
   const MatrixF m = random_matrix(512, 64, 15);

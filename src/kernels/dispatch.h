@@ -1,15 +1,18 @@
 // Runtime dispatch of the fused TurboAttention kernels.
 //
-// kernels/fused_kernels.cpp compiles the decode body
-// (kernels/fused_decode_body.h) and the prefill body
-// (kernels/fused_prefill_body.h) for the baseline ISA and, on x86-64 with
-// GCC, for AVX2 + F16C (without FMA, so no multiply-add contracts). Each
-// build is one entry of the table below. The first call of either kernel
-// picks the last entry this CPU supports, from CPUID; both kernels run
-// that entry, and nothing else selects it.
+// The decode body (kernels/fused_decode_body.h) and the prefill body
+// (kernels/fused_prefill_body.h) are compiled three times, each build one
+// entry of the table below: "baseline" for the baseline ISA, and on
+// x86-64 with GCC "avx2" for AVX2 + F16C (kernels/fused_kernels.cpp) and
+// "avx512vnni" for AVX2 + F16C + AVX-512 F/BW/VL/VNNI
+// (kernels/fused_kernels_avx512.cpp). Both files build with
+// -ffp-contract=off, so no multiply-add contracts into an FMA. The first
+// call of either kernel picks the last entry this CPU supports, from
+// CPUID (common/cpu.h); both kernels run that entry, and nothing else
+// selects it.
 //
 // The table is the seam the parity tests and benches use to run every
-// compiled entry, the baseline one included, on any host.
+// compiled entry the host supports, the narrower ones included.
 #pragma once
 
 #include <span>
@@ -37,7 +40,7 @@ using FusedPrefillFn = TurboPrefillResult (*)(const MatrixF& q,
 
 // One compiled build of the kernel bodies.
 struct FusedEntry {
-  const char* name;  // "baseline" or "avx2"
+  const char* name;  // "baseline", "avx2" or "avx512vnni"
   FusedDecodeFn decode;
   FusedPrefillFn prefill;
   bool supported;  // this CPU can run it

@@ -17,9 +17,9 @@
 //
 // Dispatch (kernels/dispatch.h): the kernel body
 // (kernels/fused_decode_body.h) is compiled for the baseline ISA and, on
-// x86-64, for AVX2 + F16C (without FMA, so no multiply-add contracts). The
-// first call picks the widest entry this CPU supports, from CPUID; nothing
-// else selects it.
+// x86-64, for AVX2 + F16C and for AVX-512 with VNNI (vpdpbusd for q.K,
+// sixteen-lane P~V), all without FMA contraction. The first call picks the
+// widest entry this CPU supports, from CPUID; nothing else selects it.
 #pragma once
 
 #include <span>

@@ -1,23 +1,25 @@
 // Body of the fused TurboAttention decode kernel, compiled once per
 // instruction set.
 //
-// kernels/fused_kernels.cpp includes this file twice, so it has no
-// include guard: once in namespace detail::baseline_isa with kSimd = false,
-// and once in namespace detail::avx2_isa with kSimd = true under
-// `#pragma GCC target("avx2,f16c")`. That file includes every header this
-// body uses before the pragma, so no standard-library code is compiled for
-// the wider instruction set. Helpers that use intrinsics take only
-// pointers and scalars, so the baseline copy never emits them.
+// It has no include guard: kernels/fused_kernels.cpp includes it in
+// namespace detail::baseline_isa (kSimd = false, kAvx512 = false) and in
+// detail::avx2_isa (kSimd = true) under `#pragma GCC target("avx2,f16c")`,
+// and kernels/fused_kernels_avx512.cpp in detail::avx512vnni_isa (both
+// true) under the AVX-512 VNNI target. Those files include every header
+// this body uses before the pragma, so no standard-library code is
+// compiled for a wider instruction set. Helpers that use intrinsics take
+// only pointers, scalars and masks, so a narrower copy never emits them.
 //
 // The result is bit-identical to turbo_attention_decode, the reference in
-// attention/turbo_decode.cpp. Both builds run the reference's arithmetic:
+// attention/turbo_decode.cpp. Every build runs the reference's arithmetic:
 //
 //   * the second stage is reversed through a per-channel table of
 //     clamp(code * s_int + z_int, -127, 127), the values
 //     progressive_decompress_int8 produces (the AVX2 build expands 32
 //     codes per shuffle);
 //   * q.k is an exact int32 dot product, so its order is free: K is read
-//     channel by channel, the buffered tail row by row;
+//     channel by channel (four at a time on vpdpbusd), the buffered tail
+//     row by row;
 //   * V tiles become token-major INT8 rows like the reference's matrix
 //     (the AVX2 build transposes 16x32 tiles in registers);
 //   * the scores, SAS (Sas::apply, bit-identical to exp_neg), the running
@@ -26,16 +28,20 @@
 //     with p_q != 0 in token order; SIMD lanes are channels, never tokens,
 //     and float(p_q) * float(v) is that integer product exactly.
 //
-// The stage-1 quantizer (stage1), row_dots and pv_avx2 also serve the
-// prefill body (kernels/fused_prefill_body.h), included after this one.
+// The stage-1 quantizer (stage1), row_dots, live_codes and pv also serve
+// the prefill body (kernels/fused_prefill_body.h), included after this
+// one.
 //
-// The enclosing namespace provides `constexpr bool kSimd`.
+// The enclosing namespace provides `constexpr bool kSimd` and `kAvx512`.
 
 constexpr float kNegInf = -std::numeric_limits<float>::infinity();
 
 // Codes one table shuffle expands, and the token granularity of a tile's
 // expanded rows.
 constexpr std::size_t kChunk = 32;
+// Tokens per step of tile_dots_vnni, whose 64-byte code reads run up to
+// 63 bytes past the last channel: the slack after Scratch::codes.
+constexpr std::size_t kVnniChunk = 64;
 // Entries per channel table (codes are at most 4 bits).
 constexpr std::size_t kTable = 16;
 
@@ -54,8 +60,13 @@ struct Scratch {
   std::vector<float> p;              // scores, then P~
   std::vector<std::uint32_t> live;   // tokens whose quantized P~ is not 0
   std::vector<std::int32_t> p_q;     // their quantized P~
-  std::size_t n_live = 0;
 };
+
+inline std::int32_t q_sum(const std::int8_t* q, std::size_t n) {
+  std::int32_t sum = 0;
+  for (std::size_t c = 0; c < n; ++c) sum += q[c];
+  return sum;
+}
 
 #if defined(__x86_64__)
 
@@ -314,6 +325,190 @@ inline void pv_avx2(float* o, const std::int8_t* rows, std::size_t stride,
   }
 }
 
+// --- AVX-512 VNNI (the kAvx512 build) ----------------------------------
+//
+// vpdpbusd multiplies the unsigned bytes of one operand by the signed
+// bytes of the other and adds each lane's four products into its int32,
+// with no int16 saturation on the way (maddubs has one). K goes in as the
+// unsigned operand, k ^ 0x80 = k + 128 (exact for k = -128 too), q as the
+// signed one; a dot is then sum((k + 128) * q) - 128 * sum(q), exact in
+// int32.
+
+// All ones in the lanes [0, n) of a 16-lane vector.
+inline __mmask16 lane_mask(std::size_t n) {
+  return n >= 16 ? __mmask16{0xFFFF}
+                 : static_cast<__mmask16>((1u << n) - 1u);
+}
+
+// dots[t] = q . K[lo + t] for t < n from a K tile in quad-major layout:
+// quads[c4 * stride + t] holds key t's channels 4 c4 .. 4 c4 + 3, each
+// as k + 128 (see k_quads in the prefill body). One vpdpbusd covers four
+// channels of sixteen keys against q's four bytes there (q4[c4]), so the
+// lanes are keys and nothing needs a horizontal sum. Reads run up to 63
+// keys past lo + n, which stride must hold.
+inline void quad_dots_vnni(const std::int32_t* q4, std::int32_t q_total,
+                           const std::uint32_t* quads, std::size_t stride,
+                           std::size_t d4, std::size_t lo, std::size_t n,
+                           std::int32_t* dots) {
+  const __m512i offset = _mm512_set1_epi32(128 * q_total);
+  for (std::size_t t0 = 0; t0 < n; t0 += 64) {
+    __m512i acc[4] = {};
+    for (std::size_t c4 = 0; c4 < d4; ++c4) {
+      const __m512i qv = _mm512_set1_epi32(q4[c4]);
+      const std::uint32_t* keys = quads + c4 * stride + lo + t0;
+      for (std::size_t j = 0; j < 4; ++j) {
+        acc[j] = _mm512_dpbusd_epi32(acc[j], _mm512_loadu_si512(keys + 16 * j),
+                                     qv);
+      }
+    }
+    for (std::size_t j = 0; j < 4 && t0 + 16 * j < n; ++j) {
+      _mm512_mask_storeu_epi32(dots + t0 + 16 * j, lane_mask(n - t0 - 16 * j),
+                               _mm512_sub_epi32(acc[j], offset));
+    }
+  }
+}
+
+// tile_dots_avx2 with vpdpbusd: dots[t] = q . K[t] for t < padded (a
+// multiple of 64), K read four channels at a time. Each channel's 64
+// codes go through its table and become k + 128; interleaving bytes, then
+// words, leaves one token's four channels in each 32-bit lane, against
+// those channels' q bytes (q_quads holds them, zero past d). Accumulator
+// j, lane (L, i) then holds token 16L + 4j + i, and four 128-bit block
+// shuffles put the tokens in order. A group past d repeats channel d - 1
+// under a zero q byte.
+inline void tile_dots_vnni(const std::int32_t* q_quads, std::int32_t q_total,
+                           const std::uint8_t* codes, std::size_t stride,
+                           std::size_t d, const std::int8_t* tables,
+                           std::int32_t* dots, std::size_t padded) {
+  const __m512i flip = _mm512_set1_epi8(-128);
+  const __m512i offset = _mm512_set1_epi32(128 * q_total);
+  for (std::size_t t0 = 0; t0 < padded; t0 += 64) {
+    __m512i acc[4] = {};
+    for (std::size_t c = 0; c < d; c += 4) {
+      __m512i k[4] = {};
+      for (std::size_t j = 0; j < 4; ++j) {
+        const std::size_t ch = std::min(c + j, d - 1);
+        const __m512i table = _mm512_broadcast_i32x4(_mm_loadu_si128(
+            reinterpret_cast<const __m128i*>(tables + ch * kTable)));
+        k[j] = _mm512_xor_si512(
+            _mm512_shuffle_epi8(table, _mm512_loadu_si512(
+                                           codes + ch * stride + t0)),
+            flip);
+      }
+      const __m512i qv = _mm512_set1_epi32(q_quads[c / 4]);
+      const __m512i lo01 = _mm512_unpacklo_epi8(k[0], k[1]);
+      const __m512i hi01 = _mm512_unpackhi_epi8(k[0], k[1]);
+      const __m512i lo23 = _mm512_unpacklo_epi8(k[2], k[3]);
+      const __m512i hi23 = _mm512_unpackhi_epi8(k[2], k[3]);
+      acc[0] = _mm512_dpbusd_epi32(acc[0], _mm512_unpacklo_epi16(lo01, lo23),
+                                   qv);
+      acc[1] = _mm512_dpbusd_epi32(acc[1], _mm512_unpackhi_epi16(lo01, lo23),
+                                   qv);
+      acc[2] = _mm512_dpbusd_epi32(acc[2], _mm512_unpacklo_epi16(hi01, hi23),
+                                   qv);
+      acc[3] = _mm512_dpbusd_epi32(acc[3], _mm512_unpackhi_epi16(hi01, hi23),
+                                   qv);
+    }
+    const __m512i t01a = _mm512_shuffle_i32x4(acc[0], acc[1], 0x44);
+    const __m512i t01b = _mm512_shuffle_i32x4(acc[0], acc[1], 0xEE);
+    const __m512i t23a = _mm512_shuffle_i32x4(acc[2], acc[3], 0x44);
+    const __m512i t23b = _mm512_shuffle_i32x4(acc[2], acc[3], 0xEE);
+    const __m512i ordered[4] = {_mm512_shuffle_i32x4(t01a, t23a, 0x88),
+                                _mm512_shuffle_i32x4(t01a, t23a, 0xDD),
+                                _mm512_shuffle_i32x4(t01b, t23b, 0x88),
+                                _mm512_shuffle_i32x4(t01b, t23b, 0xDD)};
+    for (std::size_t L = 0; L < 4; ++L) {
+      _mm512_storeu_si512(dots + t0 + 16 * L,
+                          _mm512_sub_epi32(ordered[L], offset));
+    }
+  }
+}
+
+// N vectors of pv_avx512's columns [c, c + 16 N); the last one takes only
+// the lanes in `last`.
+template <std::size_t N>
+inline void pv_vectors_avx512(float* o, const std::int8_t* rows,
+                              std::size_t stride, std::size_t c,
+                              const std::uint32_t* live,
+                              const std::int32_t* p_q, std::size_t n_live,
+                              float o_scale, __mmask16 last) {
+  const __m512 os = _mm512_set1_ps(o_scale);
+  __m512 acc[N] = {};
+  for (std::size_t g = 0; g < N; ++g) {
+    acc[g] = _mm512_maskz_loadu_ps(g + 1 < N ? __mmask16{0xFFFF} : last,
+                                   o + c + 16 * g);
+  }
+  for (std::size_t i = 0; i < n_live; ++i) {
+    const std::int8_t* v = rows + live[i] * stride + c;
+    const __m512 pv = _mm512_set1_ps(static_cast<float>(p_q[i]));
+    for (std::size_t g = 0; g < N; ++g) {
+      const __m512 vf = _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(
+          _mm_maskz_loadu_epi8(g + 1 < N ? __mmask16{0xFFFF} : last,
+                               v + 16 * g)));
+      acc[g] = _mm512_add_ps(acc[g], _mm512_mul_ps(_mm512_mul_ps(vf, pv), os));
+    }
+  }
+  for (std::size_t g = 0; g < N; ++g) {
+    _mm512_mask_storeu_ps(o + c + 16 * g,
+                          g + 1 < N ? __mmask16{0xFFFF} : last, acc[g]);
+  }
+}
+
+// pv_avx2 on sixteen columns per vector, for every column: 128 columns
+// (eight add chains) per pass, then 64, then 16 at a time, the last
+// partial vector masked.
+inline void pv_avx512(float* o, const std::int8_t* rows, std::size_t stride,
+                      std::size_t cols, const std::uint32_t* live,
+                      const std::int32_t* p_q, std::size_t n_live,
+                      float o_scale) {
+  std::size_t c = 0;
+  for (; c + 128 <= cols; c += 128) {
+    pv_vectors_avx512<8>(o, rows, stride, c, live, p_q, n_live, o_scale,
+                         0xFFFF);
+  }
+  for (; c + 64 <= cols; c += 64) {
+    pv_vectors_avx512<4>(o, rows, stride, c, live, p_q, n_live, o_scale,
+                         0xFFFF);
+  }
+  for (; c < cols; c += 16) {
+    pv_vectors_avx512<1>(o, rows, stride, c, live, p_q, n_live, o_scale,
+                         lane_mask(cols - c));
+  }
+}
+
+// live_codes on sixteen keys per step: clamp_to_i8(p * inv_p, 0, 127),
+// then compress the nonzero lanes' key indices and codes (vpcompressd) to
+// the front of live and p_q. The clamp runs before the rounding: its
+// bounds are integers, so the two commute in any rounding direction, and
+// _mm512_max_ps returns its second operand, 0, for a NaN lane. Each step
+// stores a whole vector, so live and p_q hold n + 16 entries.
+inline std::size_t live_codes_avx512(const float* p, std::size_t n,
+                                     float inv_p, std::size_t first,
+                                     std::uint32_t* live,
+                                     std::int32_t* p_q) {
+  const __m512 vinv = _mm512_set1_ps(inv_p);
+  const __m512 hi = _mm512_set1_ps(127.0f);
+  const __m512 zero = _mm512_setzero_ps();
+  __m512i key = _mm512_add_epi32(
+      _mm512_set1_epi32(static_cast<std::int32_t>(first)),
+      _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14,
+                        15));
+  std::size_t n_live = 0;
+  for (std::size_t t = 0; t < n; t += 16) {
+    const __mmask16 lanes = lane_mask(n - t);
+    const __m512 y = _mm512_mul_ps(_mm512_maskz_loadu_ps(lanes, p + t), vinv);
+    const __m512i code =
+        _mm512_cvtps_epi32(_mm512_min_ps(_mm512_max_ps(y, zero), hi));
+    const __mmask16 keep =
+        _mm512_mask_cmpneq_epi32_mask(lanes, code, _mm512_setzero_si512());
+    _mm512_storeu_si512(live + n_live, _mm512_maskz_compress_epi32(keep, key));
+    _mm512_storeu_si512(p_q + n_live, _mm512_maskz_compress_epi32(keep, code));
+    n_live += static_cast<std::size_t>(std::popcount(keep));
+    key = _mm512_add_epi32(key, _mm512_set1_epi32(16));
+  }
+  return n_live;
+}
+
 #endif  // __x86_64__
 
 // Stage-1 symmetric INT8 quantization of x into out, returning the scale:
@@ -351,8 +546,8 @@ inline float stage1(std::span<const float> x, std::span<std::int8_t> out) {
 // values progressive_decompress_int8 produces.
 inline void load_tile(const ProgressiveBlock& block, Scratch& w) {
   const std::size_t n = block.rows * block.cols;
-  // One chunk of slack: the last channel's final shuffle reads past it.
-  w.codes.resize(n + kChunk);
+  // Slack for the last channel's final 64-code read.
+  w.codes.resize(n + kVnniChunk);
   unpack_codes(block.packed, block.bits, n, w.codes);
   w.tables.resize(block.cols * kTable);
   std::size_t c0 = 0;
@@ -373,14 +568,21 @@ inline void load_tile(const ProgressiveBlock& block, Scratch& w) {
 }
 
 // w.dots[t] = q . K[t] for the tile load_tile loaded, read channel by
-// channel.
+// channel. q_lanes holds the SIMD build's broadcast operands (see
+// fused_decode).
 inline void tile_dots(std::span<const std::int8_t> q_q1,
-                      std::span<const std::int32_t> q_pairs,
-                      std::size_t tokens, std::size_t d, Scratch& w) {
-  w.dots.assign((tokens + kChunk - 1) / kChunk * kChunk, 0);
+                      std::span<const std::int32_t> q_lanes,
+                      std::int32_t q_total, std::size_t tokens,
+                      std::size_t d, Scratch& w) {
+  const std::size_t step = kAvx512 ? kVnniChunk : kChunk;
+  w.dots.assign((tokens + step - 1) / step * step, 0);
 #if defined(__x86_64__)
-  if constexpr (kSimd) {
-    tile_dots_avx2(q_pairs.data(), w.codes.data(), tokens, d,
+  if constexpr (kAvx512) {
+    tile_dots_vnni(q_lanes.data(), q_total, w.codes.data(), tokens, d,
+                   w.tables.data(), w.dots.data(), w.dots.size());
+    return;
+  } else if constexpr (kSimd) {
+    tile_dots_avx2(q_lanes.data(), w.codes.data(), tokens, d,
                    w.tables.data(), w.dots.data(), w.dots.size());
     return;
   }
@@ -444,6 +646,61 @@ inline void tile_rows(std::size_t tokens, std::size_t d, Scratch& w,
   }
 }
 
+// Quantize n values of P~ with inv_p and keep the nonzero codes, with
+// their key index (first + t), at the front of live and p_q (n + 16
+// entries each). Returns the count.
+inline std::size_t live_codes(const float* p, std::size_t n, float inv_p,
+                              std::size_t first, std::uint32_t* live,
+                              std::int32_t* p_q) {
+  std::size_t t0 = 0;
+#if defined(__x86_64__)
+  if constexpr (kAvx512) {
+    return live_codes_avx512(p, n, inv_p, first, live, p_q);
+  } else if constexpr (kSimd) {
+    t0 = n - n % 8;
+    round_clamp_avx2(p, t0, inv_p, 0.0f, 127.0f, p_q);
+  }
+#endif
+  for (std::size_t t = t0; t < n; ++t) {
+    p_q[t] = clamp_to_i8(p[t] * inv_p, 0, 127);
+  }
+  // Compact in place without a branch: always write, keep only nonzero
+  // codes (n_live <= t, so code t is read before anything overwrites it).
+  std::size_t n_live = 0;
+  for (std::size_t t = 0; t < n; ++t) {
+    const std::int32_t code = p_q[t];
+    live[n_live] = static_cast<std::uint32_t>(first + t);
+    p_q[n_live] = code;
+    n_live += static_cast<std::size_t>(code != 0);
+  }
+  return n_live;
+}
+
+// o[c] += float(p_q * rows[t][c]) * o_scale over the n_live live tokens,
+// in token order, for every column c < d.
+inline void pv(float* o, const std::int8_t* rows, std::size_t d,
+               const std::uint32_t* live, const std::int32_t* p_q,
+               std::size_t n_live, float o_scale) {
+  std::size_t c0 = 0;
+#if defined(__x86_64__)
+  if constexpr (kAvx512) {
+    pv_avx512(o, rows, d, d, live, p_q, n_live, o_scale);
+    return;
+  } else if constexpr (kSimd) {
+    c0 = d - d % 8;
+    pv_avx2(o, rows, d, c0, live, p_q, n_live, o_scale);
+  }
+#endif
+  for (std::size_t i = 0; i < n_live; ++i) {
+    const std::int32_t pq = p_q[i];
+    const std::int8_t* row = rows + live[i] * d;
+    for (std::size_t c = c0; c < d; ++c) {
+      o[c] += static_cast<float>(pq * static_cast<std::int32_t>(row[c])) *
+              o_scale;
+    }
+  }
+}
+
 // V rows of one chunk: INT8 rows ready to read, or a packed tile that is
 // expanded only when some quantized P~ of the chunk is nonzero.
 struct VSource {
@@ -489,19 +746,11 @@ inline void absorb_chunk(DecodeState& st, float q_scale, float k_scale,
   const float p_scale = p_max > 0.0f ? p_max / kSymmetricHeadroom : 1.0f;
   const float inv_p = 1.0f / p_scale;
   const float o_scale = p_scale * vs.scale;
-  w.live.resize(tokens);
-  w.p_q.resize(tokens);
-  w.n_live = 0;
-  for (std::size_t t = 0; t < tokens; ++t) {
-    const float scaled = std::nearbyint(w.p[t] * inv_p);
-    const auto pq =
-        static_cast<std::int32_t>(std::clamp(scaled, 0.0f, 127.0f));
-    // Compact without a branch: always write, keep only nonzero P~.
-    w.live[w.n_live] = static_cast<std::uint32_t>(t);
-    w.p_q[w.n_live] = pq;
-    w.n_live += static_cast<std::size_t>(pq != 0);
-  }
-  if (w.n_live == 0) return;
+  w.live.resize(tokens + 16);
+  w.p_q.resize(tokens + 16);
+  const std::size_t n_live =
+      live_codes(w.p.data(), tokens, inv_p, 0, w.live.data(), w.p_q.data());
+  if (n_live == 0) return;
 
   // O += o_scale * P~ V.
   const std::int8_t* v = vs.rows;
@@ -510,22 +759,7 @@ inline void absorb_chunk(DecodeState& st, float q_scale, float k_scale,
     tile_rows(tokens, d, w, w.v_rows);
     v = w.v_rows.data();
   }
-  float* o = st.o.data();
-  std::size_t c0 = 0;
-#if defined(__x86_64__)
-  if constexpr (kSimd) {
-    c0 = d - d % 8;
-    pv_avx2(o, v, d, c0, w.live.data(), w.p_q.data(), w.n_live, o_scale);
-  }
-#endif
-  for (std::size_t i = 0; i < w.n_live; ++i) {
-    const std::int32_t pv = w.p_q[i];
-    const std::int8_t* row = v + w.live[i] * d;
-    for (std::size_t c = c0; c < d; ++c) {
-      o[c] += static_cast<float>(pv * static_cast<std::int32_t>(row[c])) *
-              o_scale;
-    }
-  }
+  pv(st.o.data(), v, d, w.live.data(), w.p_q.data(), n_live, o_scale);
 }
 
 std::vector<float> fused_decode(std::span<const float> q,
@@ -541,12 +775,23 @@ std::vector<float> fused_decode(std::span<const float> q,
 
   std::vector<std::int8_t> q_q1(d);
   const float q_scale = stage1(q, q_q1);
-  // Per channel, q in the low (then the high) 16 bits of a 32-bit lane:
-  // multiplier pairs that pick even (odd) tokens' int16 values.
-  std::vector<std::int32_t> q_pairs(2 * d);
-  for (std::size_t c = 0; c < d; ++c) {
-    q_pairs[2 * c] = static_cast<std::uint16_t>(q_q1[c]);
-    q_pairs[2 * c + 1] = static_cast<std::int32_t>(q_q1[c]) * 65536;
+  std::vector<std::int32_t> q_lanes;
+  std::int32_t q_total = 0;
+  if constexpr (kAvx512) {
+    // Per group of four channels, their q bytes in one 32-bit lane (zero
+    // past d), and the sum tile_dots_vnni's +128 offset takes back.
+    // (x86-64 is little-endian: byte j of a lane is channel 4i + j.)
+    q_lanes.assign((d + 3) / 4, 0);
+    std::memcpy(q_lanes.data(), q_q1.data(), d);
+    q_total = q_sum(q_q1.data(), d);
+  } else {
+    // Per channel, q in the low (then the high) 16 bits of a 32-bit lane:
+    // multiplier pairs that pick even (odd) tokens' int16 values.
+    q_lanes.resize(2 * d);
+    for (std::size_t c = 0; c < d; ++c) {
+      q_lanes[2 * c] = static_cast<std::uint16_t>(q_q1[c]);
+      q_lanes[2 * c + 1] = static_cast<std::int32_t>(q_q1[c]) * 65536;
+    }
   }
 
   DecodeState st;
@@ -570,7 +815,7 @@ std::vector<float> fused_decode(std::span<const float> q,
                 block->v.rows == block->k.rows);
     const std::size_t mask = win_start > pos ? win_start - pos : 0;
     load_tile(block->k, w);
-    tile_dots(q_q1, q_pairs, block->tokens(), d, w);
+    tile_dots(q_q1, q_lanes, q_total, block->tokens(), d, w);
     absorb_chunk(st, q_scale, block->k.fp_scale,
                  VSource{nullptr, &block->v, block->v.fp_scale},
                  block->tokens(), d, attn_scale, sas, mask, w);

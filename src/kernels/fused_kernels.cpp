@@ -1,7 +1,9 @@
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <span>
 #include <vector>
@@ -25,23 +27,39 @@ namespace detail {
 
 // The kernel bodies, once per instruction set (see fused_decode_body.h).
 // Every header they need is included above, before the target pragma.
+// kSimd turns on the AVX2 helpers, kAvx512 the AVX-512 VNNI ones in front
+// of them; the kAvx512 build lives in fused_kernels_avx512.cpp.
 namespace baseline_isa {
 constexpr bool kSimd = false;
+constexpr bool kAvx512 = false;
 #include "kernels/fused_decode_body.h"
 #include "kernels/fused_prefill_body.h"
 }  // namespace baseline_isa
 
-// The AVX2 build rests on GCC's target pragma; other compilers build the
+// The wider builds rest on GCC's target pragma; other compilers build the
 // baseline entry only.
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
 #pragma GCC push_options
 #pragma GCC target("avx2,f16c")
 namespace avx2_isa {
 constexpr bool kSimd = true;
+constexpr bool kAvx512 = false;
 #include "kernels/fused_decode_body.h"
 #include "kernels/fused_prefill_body.h"
 }  // namespace avx2_isa
 #pragma GCC pop_options
+
+// The AVX-512 VNNI build, compiled in fused_kernels_avx512.cpp.
+namespace avx512vnni_isa {
+std::vector<float> fused_decode(std::span<const float> q,
+                                std::span<const KvBlock* const> blocks,
+                                const DecodeBuffer& key_buffer,
+                                const DecodeBuffer& value_buffer,
+                                const AttentionConfig& cfg, const Sas& sas);
+TurboPrefillResult fused_prefill(const MatrixF& q, const MatrixF& k,
+                                 const MatrixF& v, const AttentionConfig& cfg,
+                                 const Sas& sas, QuantizedKvCache* cache);
+}  // namespace avx512vnni_isa
 #endif
 
 std::span<const FusedEntry> fused_entries() {
@@ -51,6 +69,8 @@ std::span<const FusedEntry> fused_entries() {
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
       FusedEntry{"avx2", &avx2_isa::fused_decode, &avx2_isa::fused_prefill,
                  cpu_has_avx2_f16c()},
+      FusedEntry{"avx512vnni", &avx512vnni_isa::fused_decode,
+                 &avx512vnni_isa::fused_prefill, cpu_has_avx512vnni()},
 #endif
   };
   return kEntries;

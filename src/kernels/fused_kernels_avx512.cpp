@@ -1,0 +1,61 @@
+// The AVX-512 VNNI entry of the fused kernels (kernels/dispatch.h): the
+// decode and prefill bodies compiled a third time, for AVX2 + F16C +
+// AVX-512 F/BW/VL/VNNI, with kAvx512 turning on their vpdpbusd, 16-lane
+// and vpcompressd helpers. fused_kernels.cpp holds the other two builds
+// and the table.
+//
+// It has its own translation unit so that fused_kernels.cpp stays under
+// GCC's inlining growth limit. Compiled into that file, it made GCC stop
+// inlining the check messages' ostringstream code in the other builds,
+// which dropped one dynamic import (std::__throw_out_of_range_fmt), and
+// with it one PLT slot, moving every linked executable's own code by 16
+// bytes, bench/e2e's host probe included.
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <span>
+#include <vector>
+
+#if defined(__x86_64__)
+// GCC 12's AVX-512 headers trip -Wmaybe-uninitialized inside their own
+// inline functions (_mm512_cvtepi8_epi32, _mm512_cvtps_ph and others). The
+// warning is located in the header, so only a pragma around the include
+// silences it.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#include <immintrin.h>
+#pragma GCC diagnostic pop
+#endif
+
+#include "common/check.h"
+#include "common/cpu.h"
+#include "common/numeric.h"
+#include "kernels/dispatch.h"
+#include "kernels/fused_decode.h"
+#include "kernels/fused_prefill.h"
+#include "quant/packing.h"
+#include "quant/progressive.h"
+#include "quant/symmetric.h"
+
+namespace turbo::detail {
+
+// Every header the bodies need is included above, before the target
+// pragma. The target enables FMA; kernels/CMakeLists.txt compiles this
+// file with -ffp-contract=off so nothing contracts.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#pragma GCC push_options
+#pragma GCC target("avx2,f16c,avx512f,avx512bw,avx512vl,avx512vnni")
+namespace avx512vnni_isa {
+constexpr bool kSimd = true;
+constexpr bool kAvx512 = true;
+#include "kernels/fused_decode_body.h"
+#include "kernels/fused_prefill_body.h"
+}  // namespace avx512vnni_isa
+#pragma GCC pop_options
+#endif
+
+}  // namespace turbo::detail

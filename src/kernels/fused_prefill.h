@@ -16,7 +16,9 @@
 //
 // Its output (o, lse and the cache) is bit-identical to the oracle's;
 // fused_prefill_test pins that for every compiled entry. Dispatch is the
-// decode kernel's (kernels/dispatch.h).
+// decode kernel's (kernels/dispatch.h): baseline, AVX2 + F16C, or AVX-512
+// with VNNI, where QK^T runs on vpdpbusd, P~V on sixteen lanes and the P~
+// codes are compacted with vpcompressd.
 #pragma once
 
 #include "attention/config.h"

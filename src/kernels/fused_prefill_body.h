@@ -2,14 +2,15 @@
 // instruction set.
 //
 // kernels/fused_kernels.cpp includes this file right after
-// fused_decode_body.h, in both ISA namespaces, so it has no include guard
+// fused_decode_body.h, in every ISA namespace, so it has no include guard
 // and reuses that body's helpers: stage1 (stage-1 quantization), row_dots
-// (exact int32 q.k, four keys per reduction), max_avx2, round_clamp_avx2
-// and pv_avx2.
+// (exact int32 q.k, four keys per reduction) or, in the AVX-512 build,
+// quad_dots_vnni over a per-tile copy of K, max_avx2, live_codes (P~ codes
+// and their compaction) and pv (P~V).
 //
 // The result (o, lse and the cache) is bit-identical to
 // turbo_attention_prefill, the oracle in attention/turbo_prefill.cpp.
-// Both builds run the oracle's arithmetic:
+// Every build runs the oracle's arithmetic:
 //
 //   * stage 1 gives the oracle's scales and codes, read straight from the
 //     input rows instead of from tile copies;
@@ -28,7 +29,7 @@
 //     channel adds float(p_q * v) * o_scale over the nonzero codes in key
 //     order, after that row's alpha rescale.
 //
-// The enclosing namespace provides `constexpr bool kSimd`.
+// The enclosing namespace provides `constexpr bool kSimd` and `kAvx512`.
 
 // Buffers reused by every tile of one call; each holds at most one tile.
 struct PrefillScratch {
@@ -44,41 +45,41 @@ struct PrefillScratch {
   std::vector<std::int32_t> dots;   // one row's q.k
   std::vector<std::uint32_t> live;  // keys whose P~ code is not 0
   std::vector<std::int32_t> p_q;    // their codes
+  // The AVX-512 QK^T's operands: every K tile in quad_dots_vnni's layout
+  // (quad_stride keys per row of four channels), and per row of the Q
+  // tile its codes as four-byte quads and their sum.
+  std::vector<std::uint32_t> k_quads;
+  std::size_t quad_stride = 0;
+  std::vector<std::int32_t> q4;
+  std::vector<std::int32_t> q_total;
 };
 
-// Quantize one row's P~ with the tile's inv_p and keep the nonzero codes,
-// with their key index (first + t), in w.live / w.p_q. Returns the count.
-inline std::size_t live_codes(const float* p, std::size_t n, float inv_p,
-                              std::size_t first, PrefillScratch& w) {
-  std::size_t t0 = 0;
-#if defined(__x86_64__)
-  if constexpr (kSimd) {
-    t0 = n - n % 8;
-    round_clamp_avx2(p, t0, inv_p, 0.0f, 127.0f, w.p_q.data());
+// A K tile in quad_dots_vnni's layout: row c4 of d4 = ceil(d / 4) holds,
+// for each key t, its channels 4 c4 .. 4 c4 + 3 in one little-endian
+// dword, each byte k ^ 0x80 = k + 128 (past d, 0x80: q's zero bytes there
+// cancel it).
+inline void k_quads(const MatrixI8& k, std::size_t d4, std::size_t stride,
+                    std::uint32_t* out) {
+  const std::size_t d = k.cols();
+  for (std::size_t t = 0; t < k.rows(); ++t) {
+    const std::int8_t* row = k.data() + t * d;
+    for (std::size_t c4 = 0; c4 < d4; ++c4) {
+      std::uint32_t quad = 0;
+      std::memcpy(&quad, row + 4 * c4, std::min<std::size_t>(4, d - 4 * c4));
+      out[c4 * stride + t] = quad ^ 0x80808080u;
+    }
   }
-#endif
-  for (std::size_t t = t0; t < n; ++t) {
-    w.p_q[t] = clamp_to_i8(p[t] * inv_p, 0, 127);
-  }
-  // Compact in place without a branch: always write, keep only nonzero
-  // codes (n_live <= t, so code t is read before anything overwrites it).
-  std::size_t n_live = 0;
-  for (std::size_t t = 0; t < n; ++t) {
-    const std::int32_t code = w.p_q[t];
-    w.live[n_live] = static_cast<std::uint32_t>(first + t);
-    w.p_q[n_live] = code;
-    n_live += static_cast<std::size_t>(code != 0);
-  }
-  return n_live;
 }
 
 // One (Q tile, KV tile) step of Algorithm 1 for the rows whose visible
 // range w.lo / w.len the caller set: scores, SAS, the online-softmax
-// update and P~V into o (rows of the Q tile, stride d).
-inline void absorb_kv_tile(const Int8Tile& k_tile, const Int8Tile& v_tile,
-                           std::size_t q_rows, std::size_t d, float q_scale,
-                           float attn_scale, const Sas& sas, float* o,
-                           PrefillScratch& w) {
+// update and P~V into o (rows of the Q tile, stride d). The AVX-512 build
+// reads K from quads, the tile's block of w.k_quads.
+inline void absorb_kv_tile(const Int8Tile& k_tile,
+                           const std::uint32_t* quads,
+                           const Int8Tile& v_tile, std::size_t q_rows,
+                           std::size_t d, float q_scale, float attn_scale,
+                           const Sas& sas, float* o, PrefillScratch& w) {
   const float s_scale = q_scale * k_tile.scale * attn_scale;
 
   // Scores over each row's visible keys, shifted by the row's new max.
@@ -87,8 +88,17 @@ inline void absorb_kv_tile(const Int8Tile& k_tile, const Int8Tile& v_tile,
     const std::size_t n = w.len[r];
     if (n == 0) continue;
     float* s = w.x.data() + n_x;
-    row_dots(w.q8.data() + r * d, k_tile.q.data() + w.lo[r] * d, n, d,
-             w.dots.data());
+#if defined(__x86_64__)
+    if constexpr (kAvx512) {
+      const std::size_t d4 = (d + 3) / 4;
+      quad_dots_vnni(w.q4.data() + r * d4, w.q_total[r], quads,
+                     w.quad_stride, d4, w.lo[r], n, w.dots.data());
+    } else
+#endif
+    {
+      row_dots(w.q8.data() + r * d, k_tile.q.data() + w.lo[r] * d, n, d,
+               w.dots.data());
+    }
     for (std::size_t t = 0; t < n; ++t) {
       s[t] = static_cast<float>(w.dots[t]) * s_scale;
     }
@@ -152,25 +162,11 @@ inline void absorb_kv_tile(const Int8Tile& k_tile, const Int8Tile& v_tile,
   for (std::size_t r = 0; r < q_rows; ++r) {
     const std::size_t n = w.len[r];
     if (n == 0) continue;
-    const std::size_t n_live = live_codes(p, n, inv_p, w.lo[r], w);
+    const std::size_t n_live =
+        live_codes(p, n, inv_p, w.lo[r], w.live.data(), w.p_q.data());
     p += n;
-    if (n_live == 0) continue;
-    float* orow = o + r * d;
-    std::size_t c0 = 0;
-#if defined(__x86_64__)
-    if constexpr (kSimd) {
-      c0 = d - d % 8;
-      pv_avx2(orow, v, d, c0, w.live.data(), w.p_q.data(), n_live, o_scale);
-    }
-#endif
-    for (std::size_t i = 0; i < n_live; ++i) {
-      const std::int32_t pv = w.p_q[i];
-      const std::int8_t* row = v + w.live[i] * d;
-      for (std::size_t c = c0; c < d; ++c) {
-        orow[c] +=
-            static_cast<float>(pv * static_cast<std::int32_t>(row[c])) *
-            o_scale;
-      }
+    if (n_live != 0) {
+      pv(o + r * d, v, d, w.live.data(), w.p_q.data(), n_live, o_scale);
     }
   }
 }
@@ -220,13 +216,24 @@ TurboPrefillResult fused_prefill(const MatrixF& q, const MatrixF& k,
     v_tiles[j] = stage1_tile(v, kb, rows);
   }
 
+  PrefillScratch w;
+  const std::size_t d4 = (d + 3) / 4;
+  if constexpr (kAvx512) {
+    // The AVX-512 QK^T's K layout, once per K tile like stage 1.
+    w.quad_stride = bc + 64;
+    w.k_quads.resize(n_kv_tiles * d4 * w.quad_stride);
+    for (std::size_t j = 0; j < n_kv_tiles; ++j) {
+      k_quads(k_tiles[j].q, d4, w.quad_stride,
+              w.k_quads.data() + j * d4 * w.quad_stride);
+    }
+  }
+
   TurboPrefillResult result;
   result.o = MatrixF(n_q, d, 0.0f);
   result.lse.assign(n_q, 0.0f);
 
   const std::size_t tile_rows = std::min(br, n_q);
   const std::size_t tile_cols = std::min(bc, n_k);
-  PrefillScratch w;
   w.q8.resize(tile_rows * d);
   w.m.resize(tile_rows);
   w.l.resize(tile_rows);
@@ -235,14 +242,26 @@ TurboPrefillResult fused_prefill(const MatrixF& q, const MatrixF& k,
   w.len.resize(tile_rows);
   w.x.resize(tile_rows + tile_rows * tile_cols);
   w.dots.resize(tile_cols);
-  w.live.resize(tile_cols);
-  w.p_q.resize(tile_cols);
+  w.live.resize(tile_cols + 16);  // live_codes' whole-vector stores
+  w.p_q.resize(tile_cols + 16);
+  if constexpr (kAvx512) {
+    w.q4.resize(tile_rows * d4);
+    w.q_total.resize(tile_rows);
+  }
 
   for (std::size_t qb = 0; qb < n_q; qb += br) {
     const std::size_t q_rows = std::min(br, n_q - qb);
     const float q_scale =
         stage1(std::span<const float>(q.data() + qb * d, q_rows * d),
                std::span<std::int8_t>(w.q8.data(), q_rows * d));
+    if constexpr (kAvx512) {
+      // Each row's codes as four-byte quads, zero past d.
+      std::fill(w.q4.begin(), w.q4.end(), 0);
+      for (std::size_t r = 0; r < q_rows; ++r) {
+        std::memcpy(w.q4.data() + r * d4, w.q8.data() + r * d, d);
+        w.q_total[r] = q_sum(w.q8.data() + r * d, d);
+      }
+    }
     std::fill_n(w.m.begin(), q_rows, kNegInf);
     std::fill_n(w.l.begin(), q_rows, 0.0f);
     float* o = result.o.data() + qb * d;
@@ -268,8 +287,10 @@ TurboPrefillResult fused_prefill(const MatrixF& q, const MatrixF& k,
         seen = seen || w.len[r] > 0;
       }
       if (!seen) continue;
-      absorb_kv_tile(k_tiles[j], v_tiles[j], q_rows, d, q_scale, attn_scale,
-                     sas, o, w);
+      const std::uint32_t* quads =
+          kAvx512 ? w.k_quads.data() + j * d4 * w.quad_stride : nullptr;
+      absorb_kv_tile(k_tiles[j], quads, v_tiles[j], q_rows, d, q_scale,
+                     attn_scale, sas, o, w);
     }
 
     for (std::size_t r = 0; r < q_rows; ++r) {

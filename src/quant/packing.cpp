@@ -14,13 +14,47 @@ std::size_t packed_byte_count(std::size_t count, BitWidth bits) {
   return (count * b + 7) / 8;
 }
 
+namespace {
+
+// out[j] = codes [j * kPerByte, (j + 1) * kPerByte), little-endian in the
+// byte, for every whole byte; a loop the compiler vectorizes. Returns the
+// codes packed.
+template <std::size_t kPerByte>
+std::size_t pack_whole_bytes(std::span<const std::uint8_t> codes,
+                             std::uint8_t mask, std::span<std::uint8_t> out) {
+  constexpr std::size_t kBits = 8 / kPerByte;
+  const std::size_t bytes = codes.size() / kPerByte;
+  for (std::size_t j = 0; j < bytes; ++j) {
+    unsigned packed = 0;
+    for (std::size_t k = 0; k < kPerByte; ++k) {
+      const std::uint8_t code = codes[j * kPerByte + k];
+      TURBO_DCHECK((code & ~mask) == 0);
+      packed |= static_cast<unsigned>(code & mask) << (k * kBits);
+    }
+    out[j] = trunc_to_u8(packed);
+  }
+  return bytes * kPerByte;
+}
+
+}  // namespace
+
 std::vector<std::uint8_t> pack_codes(std::span<const std::uint8_t> codes,
                                      BitWidth bits) {
   const int b = bit_count(bits);
   const std::uint8_t mask = trunc_to_u8((1u << static_cast<unsigned>(b)) - 1u);
   std::vector<std::uint8_t> out(packed_byte_count(codes.size(), bits), 0);
-  std::size_t bitpos = 0;
-  for (std::uint8_t code : codes) {
+  // INT4 and INT2 codes never straddle a byte: fill whole bytes (two or
+  // four codes each), and leave only a final partial byte to the general
+  // bit loop below.
+  std::size_t i = 0;
+  if (bits == BitWidth::kInt4) {
+    i = pack_whole_bytes<2>(codes, mask, out);
+  } else if (bits == BitWidth::kInt2) {
+    i = pack_whole_bytes<4>(codes, mask, out);
+  }
+  std::size_t bitpos = i * static_cast<std::size_t>(b);
+  for (; i < codes.size(); ++i) {
+    const std::uint8_t code = codes[i];
     TURBO_DCHECK((code & ~mask) == 0);
     const std::size_t byte = bitpos >> 3;
     const unsigned shift = bitpos & 7u;

@@ -56,8 +56,17 @@ struct ProgressiveBlock {
 
 // Compress an INT8 tile (first-stage output) to the packed second-stage
 // representation. Channel-wise: each column gets its own (s_int, z_int).
+// The per-element division by s_int is a multiply by
+// scale_reciprocal(s_int) and a shift; codes pack a whole byte at a time.
 ProgressiveBlock progressive_compress(const MatrixI8& q1, float fp_scale,
                                       BitWidth bits);
+
+// ceil(2^16 / s_int): (n * scale_reciprocal(s)) >> 16 == n / s for every
+// s in [1, 127] and n in [0, 318]. The second stage divides n = q1 - z +
+// s/2 <= 255 + 63 by such an s; progressive_quant_test checks every pair.
+constexpr std::uint32_t scale_reciprocal(int s_int) {
+  return static_cast<std::uint32_t>((65536 + s_int - 1) / s_int);
+}
 
 // Decompress back to INT8 using integer arithmetic only. This is the decode
 // path of Algorithm 2 (Step 2 in Figure 3's decode flow).

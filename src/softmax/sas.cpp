@@ -4,7 +4,13 @@
 #include <cmath>
 
 #if defined(__x86_64__)
+// GCC 12's AVX-512 headers trip -Wmaybe-uninitialized inside their own
+// inline functions (_mm512_cvtps_ph among them). The warning is located in
+// the header, so only a pragma around the include silences it.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
+#pragma GCC diagnostic pop
 #endif
 
 #include "common/check.h"
@@ -76,6 +82,63 @@ __attribute__((target("avx2,f16c"))) std::size_t apply_avx2(
   return n;
 }
 
+// round_fp16 on sixteen lanes. (The all-lanes mask form: unoptimized
+// builds expand _mm512_cvtps_ph to a macro whose implicit -1 mask trips
+// -Wsign-conversion.)
+__attribute__((target("avx2,f16c,avx512f,avx512bw,avx512vl,avx512vnni")))
+__m512 round_fp16_x16(__m512 v) {
+  return _mm512_cvtph_ps(_mm512_maskz_cvtps_ph(
+      __mmask16{0xFFFF}, v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC));
+}
+
+// apply_avx2 on sixteen lanes, for a LUT of at most 16 entries (threshold
+// >= -14) held in one register, with mask registers in place of the
+// blends. The final partial vector runs masked, so this handles every
+// value.
+__attribute__((target("avx2,f16c,avx512f,avx512bw,avx512vl,avx512vnni")))
+void apply_avx512(const SasConfig& config, std::span<const float> lut,
+                  std::span<float> values) {
+  const __m512 c3 = _mm512_set1_ps(round_to_fp16(kC3));
+  const __m512 c2 = _mm512_set1_ps(round_to_fp16(kC2));
+  const __m512 c1 = _mm512_set1_ps(round_to_fp16(kC1));
+  const __m512 c0 = _mm512_set1_ps(round_to_fp16(kC0));
+  const __m512 zero = _mm512_setzero_ps();
+  const __m512i sign = _mm512_castps_si512(_mm512_set1_ps(-0.0f));
+  const __m512 threshold =
+      _mm512_set1_ps(static_cast<float>(config.threshold));
+  std::array<float, 16> lut16{};
+  for (std::size_t i = 0; i < lut.size(); ++i) lut16[i] = lut[i];
+  const __m512 table = _mm512_loadu_ps(lut16.data());
+  const std::size_t n = values.size();
+  for (std::size_t i = 0; i < n; i += 16) {
+    const __mmask16 lanes =
+        n - i >= 16 ? __mmask16{0xFFFF}
+                    : static_cast<__mmask16>((1u << (n - i)) - 1u);
+    const __m512 in = _mm512_maskz_loadu_ps(lanes, values.data() + i);
+    const __mmask16 nan = _mm512_cmp_ps_mask(in, in, _CMP_UNORD_Q);
+    const __m512 x = _mm512_mask_blend_ps(
+        _mm512_cmp_ps_mask(in, zero, _CMP_GT_OQ), in, zero);
+    const __mmask16 keep = _mm512_cmp_ps_mask(x, threshold, _CMP_GE_OQ);
+    const __m512 y = _mm512_maskz_mov_ps(
+        keep, _mm512_castsi512_ps(
+                  _mm512_xor_si512(_mm512_castps_si512(x), sign)));
+    const __m512i y_int = _mm512_cvttps_epi32(y);
+    const __m512 y_dec = _mm512_sub_ps(y, _mm512_cvtepi32_ps(y_int));
+    const __m512 lut_v = _mm512_permutexvar_ps(y_int, table);
+    const __m512 t = round_fp16_x16(y_dec);
+    __m512 acc = round_fp16_x16(_mm512_mul_ps(c3, t));
+    acc = round_fp16_x16(_mm512_add_ps(acc, c2));
+    acc = round_fp16_x16(_mm512_mul_ps(acc, t));
+    acc = round_fp16_x16(_mm512_add_ps(acc, c1));
+    acc = round_fp16_x16(_mm512_mul_ps(acc, t));
+    acc = round_fp16_x16(_mm512_add_ps(acc, c0));
+    const __m512 prod = round_fp16_x16(_mm512_mul_ps(lut_v, acc));
+    const __m512 out =
+        _mm512_mask_blend_ps(nan, _mm512_maskz_mov_ps(keep, prod), in);
+    _mm512_mask_storeu_ps(values.data() + i, lanes, out);
+  }
+}
+
 #endif  // __x86_64__
 
 }  // namespace
@@ -136,12 +199,16 @@ float Sas::exp_neg(float x) const {
 void Sas::apply(std::span<float> values) const {
   std::size_t done = 0;
 #if defined(__x86_64__)
-  static const bool kSimd = cpu_has_avx2_f16c();
-  // Other configurations (exact exp, FP32 arithmetic, thresholds below -6)
-  // take the scalar loop.
-  if (kSimd && config_.fp16_arithmetic && !config_.exact_exp &&
-      lut_.size() <= 8) {
-    done = apply_avx2(config_, lut_, values);
+  static const bool kAvx512 = cpu_has_avx512vnni();
+  static const bool kAvx2 = cpu_has_avx2_f16c();
+  // Other configurations (exact exp, FP32 arithmetic, a LUT wider than
+  // the register) take the scalar loop.
+  if (config_.fp16_arithmetic && !config_.exact_exp) {
+    if (kAvx512 && lut_.size() <= 16) {
+      apply_avx512(config_, lut_, values);
+      return;
+    }
+    if (kAvx2 && lut_.size() <= 8) done = apply_avx2(config_, lut_, values);
   }
 #endif
   for (float& v : values.subspan(done)) v = exp_neg(v);

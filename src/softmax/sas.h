@@ -57,12 +57,13 @@ class Sas {
   // scores; they are clamped to 0.) NaN returns NaN.
   float exp_neg(float x) const;
 
-  // Apply exp_neg element-wise in place, bit for bit. On a CPU with AVX2
-  // and F16C (checked once, from CPUID), the default configuration
-  // (binary16 arithmetic, threshold >= -6, no exact exp) runs eight values
-  // per step, with the binary16 rounding done by the F16C conversions;
-  // other configurations, and the oracle that path is tested against, are
-  // exp_neg.
+  // Apply exp_neg element-wise in place, bit for bit. With binary16
+  // arithmetic and no exact exp, the CPU (checked once, from CPUID; see
+  // common/cpu.h) picks a vector path: sixteen values per step on
+  // AVX-512 with VNNI (threshold >= -14, a masked final vector), else
+  // eight on AVX2 + F16C (threshold >= -6). The F16C conversions do the
+  // binary16 rounding. Other configurations and CPUs, and the oracle the
+  // vector paths are tested against, are exp_neg.
   void apply(std::span<float> values) const;
 
   // Full Algorithm 3: row-shift by max, sparsify, LUT x POLY, renormalize.

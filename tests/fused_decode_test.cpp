@@ -8,6 +8,7 @@
 #include "attention/turbo.h"
 #include "attention/turbo_method.h"
 #include "common/check.h"
+#include "common/cpu.h"
 #include "kernels/dispatch.h"
 #include "kvcache/paged_cache.h"
 #include "quant/progressive.h"
@@ -168,28 +169,43 @@ Blocks make_blocks(std::size_t d, BitWidth bits,
   return b;
 }
 
-void expect_entries_match(const Blocks& b, const AttentionConfig& cfg,
-                          std::uint64_t seed, const std::string& what) {
+void expect_entries_match(std::span<const KvBlock* const> view,
+                          const DecodeBuffer& keys,
+                          const DecodeBuffer& values,
+                          const AttentionConfig& cfg, std::uint64_t seed,
+                          const std::string& what) {
   const Sas sas;
-  const std::size_t d = b.keys.dim();
+  const std::size_t d = keys.dim();
   Rng rng(seed);
   for (int trial = 0; trial < 4; ++trial) {
     std::vector<float> q(d);
     rng.fill_normal(q, 0.0, 2.0);
     q[d / 2] = 0.0f;  // a zero INT8 query channel
     const std::vector<float> ref =
-        turbo_attention_decode(q, b.view, b.keys, b.values, cfg, sas);
+        turbo_attention_decode(q, view, keys, values, cfg, sas);
     for (const auto& e : detail::fused_entries()) {
       if (!e.supported) continue;
-      EXPECT_TRUE(
-          same_bits(ref, e.decode(q, b.view, b.keys, b.values, cfg, sas)))
+      EXPECT_TRUE(same_bits(ref, e.decode(q, view, keys, values, cfg, sas)))
           << what << " entry=" << e.name << " trial=" << trial;
     }
     EXPECT_TRUE(
-        same_bits(ref, fused_turbo_decode(q, b.view, b.keys, b.values, cfg,
-                                          sas)))
+        same_bits(ref, fused_turbo_decode(q, view, keys, values, cfg, sas)))
         << what << " trial=" << trial;
   }
+}
+
+void expect_entries_match(const Blocks& b, const AttentionConfig& cfg,
+                          std::uint64_t seed, const std::string& what) {
+  expect_entries_match(b.view, b.keys, b.values, cfg, seed, what);
+}
+
+TEST(FusedDecodeEntries, PicksAvx512VnniWhenTheCpuHasIt) {
+  if (cpu_has_avx512vnni()) {
+    EXPECT_STREQ(detail::fused_entry().name, "avx512vnni");
+  } else if (cpu_has_avx2_f16c()) {
+    EXPECT_STREQ(detail::fused_entry().name, "avx2");
+  }
+  test::record_fused_entries();
 }
 
 TEST(FusedDecodeEntries, BaselineIsAlwaysCompiledAndSupported) {
@@ -210,6 +226,7 @@ class FusedDecodeParity
     : public ::testing::TestWithParam<std::tuple<std::size_t, BitWidth>> {};
 
 TEST_P(FusedDecodeParity, EveryEntryBitIdenticalToReference) {
+  test::record_fused_entries();
   const auto [d, bits] = GetParam();
   const std::string what =
       "d=" + std::to_string(d) + " bits=" + std::to_string(bit_count(bits));
@@ -217,6 +234,11 @@ TEST_P(FusedDecodeParity, EveryEntryBitIdenticalToReference) {
   // 32-token SIMD chunk) and a buffered tail of 13.
   const Blocks b = make_blocks(d, bits, {64, 64, 36}, 13, 17 + d);
   expect_entries_match(b, AttentionConfig{}, 5, what + " full");
+
+  // Blocks of 1, 33 and 63 tokens: the 64-token VNNI step reads past each
+  // into the code buffer's slack.
+  const Blocks ragged = make_blocks(d, bits, {1, 33, 63}, 3, 19 + d);
+  expect_entries_match(ragged, AttentionConfig{}, 4, what + " ragged");
 
   // Sliding window starting inside the second block, then inside the
   // buffered tail.
@@ -233,17 +255,21 @@ TEST_P(FusedDecodeParity, EveryEntryBitIdenticalToReference) {
   expect_entries_match(tail_only, AttentionConfig{}, 9, what + " tail only");
 }
 
-// head_dim 128 (the benchmark's) and 44, which is not a multiple of 8 and
-// so leaves every SIMD loop a scalar tail.
+// head_dim 128 (the benchmark's); 44, which is not a multiple of 8 and so
+// leaves every SIMD loop a scalar tail and the VNNI q.K a partial group of
+// four channels; and 96 and 64, one 64-column VNNI step with and without
+// a 32-column tail.
 INSTANTIATE_TEST_SUITE_P(
     HeadDimsAndWidths, FusedDecodeParity,
-    ::testing::Combine(::testing::Values(std::size_t{128}, std::size_t{44}),
+    ::testing::Combine(::testing::Values(std::size_t{128}, std::size_t{44},
+                                         std::size_t{96}, std::size_t{64}),
                        ::testing::Values(BitWidth::kInt2, BitWidth::kInt3,
                                          BitWidth::kInt4)));
 
 TEST(FusedDecodeParity, BufferedRowsHoldingMinus128) {
   // Restored buffers take raw INT8 rows, -128 included; the reference
   // multiplies it like any other value.
+  test::record_fused_entries();
   const std::size_t d = 64;
   Blocks b = make_blocks(d, BitWidth::kInt4, {64}, 0, 31);
   b.keys.restore_scale(0.05f);
@@ -260,6 +286,7 @@ TEST(FusedDecodeParity, BufferedRowsHoldingMinus128) {
 }
 
 TEST(FusedDecodeParity, TurboKvAttentionDecodeMatchesReferenceOnItsCache) {
+  test::record_fused_entries();
   const std::size_t d = 128;
   TurboMethodConfig config;
   TurboKvAttention attn(d, config);
@@ -279,6 +306,35 @@ TEST(FusedDecodeParity, TurboKvAttentionDecodeMatchesReferenceOnItsCache) {
   EXPECT_TRUE(same_bits(
       attn.attend(q.row(0)),
       turbo_attention_decode(q.row(0), attn.cache(), config.attention, sas)));
+}
+
+TEST(FusedDecodeParity, ThousandAndOneTokenPrompt) {
+  // A 1,001-token prefill leaves 15 full blocks and a ragged 41-token one;
+  // every entry decodes over it, then over a buffered tail as well.
+  test::record_fused_entries();
+  const std::size_t d = 128;
+  TurboKvAttention attn(d, TurboMethodConfig{});
+  const MatrixF q = test::random_outlier_matrix(1010, d, 51);
+  const MatrixF k = test::random_outlier_matrix(1010, d, 52);
+  const MatrixF v = test::random_matrix(1010, d, 53);
+  attn.prefill(q.block_rows(0, 1001), k.block_rows(0, 1001),
+               v.block_rows(0, 1001));
+  const auto check = [&](std::uint64_t seed, const std::string& what) {
+    const QuantizedKvCache& cache = attn.cache();
+    std::vector<const KvBlock*> view;
+    for (std::size_t j = 0; j < cache.block_count(); ++j) {
+      view.push_back(&cache.block(j));
+    }
+    ASSERT_EQ(view.size(), 16u) << what;
+    EXPECT_EQ(view.back()->tokens(), 41u) << what;
+    expect_entries_match(view, cache.key_buffer(), cache.value_buffer(),
+                         AttentionConfig{}, seed, what);
+  };
+  check(54, "1001 prompt");
+  for (std::size_t t = 1001; t < 1010; ++t) {
+    attn.decode(q.row(t), k.row(t), v.row(t));
+  }
+  check(55, "1001 prompt + 9 buffered");
 }
 
 TEST(FusedDecodeTest, EmptyCacheThrows) {

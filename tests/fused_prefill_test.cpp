@@ -9,6 +9,7 @@
 #include "attention/turbo.h"
 #include "attention/turbo_method.h"
 #include "common/check.h"
+#include "common/cpu.h"
 #include "kernels/dispatch.h"
 #include "tests/test_util.h"
 
@@ -112,14 +113,31 @@ AttentionConfig tiles(std::size_t br, std::size_t bc, bool causal = true,
   return cfg;
 }
 
-// head_dim 128 (the benchmark's) and 44, which is not a multiple of 8 or
-// 32 and so leaves every SIMD loop a scalar tail.
-class FusedPrefillParity : public ::testing::TestWithParam<std::size_t> {};
+TEST(FusedPrefillEntries, PicksAvx512VnniWhenTheCpuHasIt) {
+  if (cpu_has_avx512vnni()) {
+    EXPECT_STREQ(detail::fused_entry().name, "avx512vnni");
+  } else if (cpu_has_avx2_f16c()) {
+    EXPECT_STREQ(detail::fused_entry().name, "avx2");
+  }
+  test::record_fused_entries();
+}
+
+// head_dim 128 (the benchmark's); 44, which is not a multiple of 8 or 32
+// and so leaves every SIMD loop a scalar tail; and 96 and 64, one
+// 64-column VNNI step with and without a 32-column tail. Each test records
+// the entries it runs.
+class FusedPrefillParity : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  void SetUp() override { test::record_fused_entries(); }
+};
 
 TEST_P(FusedPrefillParity, PromptLengths) {
   const std::size_t d = GetParam();
-  for (const std::size_t n : {std::size_t{1}, std::size_t{37},
-                              std::size_t{1000}}) {
+  // 1, 33 and 63 keys leave one ragged KV tile; 1,001 leaves a 41-key one
+  // after 15 full tiles.
+  for (const std::size_t n :
+       {std::size_t{1}, std::size_t{33}, std::size_t{37}, std::size_t{63},
+        std::size_t{1000}, std::size_t{1001}}) {
     const Inputs in = make_inputs(n, n, d, 100 + n);
     expect_entries_match(in.q, in.k, in.v, tiles(64, 64), SasConfig{},
                          "causal n=" + std::to_string(n));
@@ -225,9 +243,11 @@ TEST_P(FusedPrefillParity, InfiniteInputThrowsLikeTheOracle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(HeadDims, FusedPrefillParity,
-                         ::testing::Values(std::size_t{128}, std::size_t{44}));
+                         ::testing::Values(std::size_t{128}, std::size_t{44},
+                                           std::size_t{96}, std::size_t{64}));
 
 TEST(FusedPrefillParity, TurboKvAttentionPrefillMatchesOracleOnItsCache) {
+  test::record_fused_entries();
   const std::size_t d = 128;
   const Inputs in = make_inputs(200, 200, d, 37);
   for (const bool use_sas : {true, false}) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "tests/test_util.h"
 
 namespace turbo {
 namespace {
@@ -46,13 +47,32 @@ TEST_P(PackingRoundTrip, RoundTripsExactly) {
   EXPECT_EQ(back, codes);
 }
 
+TEST_P(PackingRoundTrip, MatchesTheBitwisePack) {
+  // INT4 and INT2 pack whole bytes, then the bit loop takes the rest.
+  const auto [bits, count] = GetParam();
+  Rng rng(static_cast<std::uint64_t>(count) * 37 +
+          static_cast<std::uint64_t>(bit_count(bits)));
+  std::vector<std::uint8_t> codes(count);
+  for (auto& c : codes) {
+    c = static_cast<std::uint8_t>(rng.uniform_index(level_count(bits)));
+  }
+  EXPECT_EQ(pack_codes(codes, bits), test::pack_codes_bitwise(codes, bits));
+}
+
+// Every count from 0 to 70, so the whole-byte loops and the bit loop meet
+// at every remainder, and one long run.
+std::vector<std::size_t> pack_counts() {
+  std::vector<std::size_t> counts;
+  for (std::size_t n = 0; n <= 70; ++n) counts.push_back(n);
+  counts.push_back(1000);
+  return counts;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllWidthsAndSizes, PackingRoundTrip,
     ::testing::Combine(::testing::Values(BitWidth::kInt2, BitWidth::kInt3,
                                          BitWidth::kInt4),
-                       ::testing::Values(std::size_t{1}, std::size_t{7},
-                                         std::size_t{8}, std::size_t{64},
-                                         std::size_t{1000})));
+                       ::testing::ValuesIn(pack_counts())));
 
 TEST(PackingTest, StraddlingByteBoundaries) {
   // 3-bit codes straddle byte boundaries; all-max codes stress the carry.

@@ -1,5 +1,6 @@
 #include "quant/progressive.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -137,6 +138,94 @@ TEST_P(ProgressiveBitsSweep, RoundTripWithinBitDependentBound) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, ProgressiveBitsSweep,
+                         ::testing::Values(BitWidth::kInt2, BitWidth::kInt3,
+                                           BitWidth::kInt4));
+
+// --- Stage 2 against a division per element ------------------------------
+
+TEST(ProgressiveQuantTest, ScaleReciprocalDividesExactly) {
+  for (int s = 1; s <= 127; ++s) {
+    const std::uint32_t recip = scale_reciprocal(s);
+    for (std::uint32_t n = 0; n <= 318; ++n) {
+      ASSERT_EQ((n * recip) >> 16, n / static_cast<std::uint32_t>(s))
+          << "s=" << s << " n=" << n;
+    }
+  }
+}
+
+// The reference second stage: channel extremes column by column, one
+// division per element and the bitwise pack.
+ProgressiveBlock compress_by_division(const MatrixI8& q1, float fp_scale,
+                                      BitWidth bits) {
+  ProgressiveBlock block;
+  block.rows = q1.rows();
+  block.cols = q1.cols();
+  block.bits = bits;
+  block.fp_scale = fp_scale;
+  block.channels.resize(q1.cols());
+  const int codes_hi = max_code(bits);
+  std::vector<std::uint8_t> codes(q1.rows() * q1.cols());
+  for (std::size_t c = 0; c < q1.cols(); ++c) {
+    int lo = 127;
+    int hi = -127;
+    for (std::size_t r = 0; r < q1.rows(); ++r) {
+      lo = std::min<int>(lo, q1(r, c));
+      hi = std::max<int>(hi, q1(r, c));
+    }
+    const int s_int = std::max(1, (2 * (hi - lo) + codes_hi) / (2 * codes_hi));
+    block.channels[c].s_int = static_cast<std::int8_t>(s_int);
+    block.channels[c].z_int = static_cast<std::int8_t>(lo);
+    for (std::size_t r = 0; r < q1.rows(); ++r) {
+      const int num = q1(r, c) - lo;
+      codes[c * q1.rows() + r] = static_cast<std::uint8_t>(
+          std::clamp((num + s_int / 2) / s_int, 0, codes_hi));
+    }
+  }
+  block.packed = test::pack_codes_bitwise(codes, bits);
+  return block;
+}
+
+class ProgressiveOracle : public ::testing::TestWithParam<BitWidth> {};
+
+TEST_P(ProgressiveOracle, MatchesTheDivisionLoop) {
+  const BitWidth bits = GetParam();
+  Rng rng(static_cast<std::uint64_t>(bit_count(bits)) * 977);
+  const auto value = [&](int lo, int hi) {
+    return static_cast<std::int8_t>(
+        lo + static_cast<int>(rng.uniform_index(
+                 static_cast<std::size_t>(hi - lo + 1))));
+  };
+  for (const std::size_t rows : {1, 2, 3, 5, 17, 63, 64, 65}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      const std::size_t cols = 24 + static_cast<std::size_t>(trial % 9);
+      MatrixI8 q1(rows, cols);
+      for (std::size_t c = 0; c < cols; ++c) {
+        // A random range per channel, so every scale turns up.
+        int lo = value(-128, 127);
+        int hi = value(lo, 127);
+        if (c == 0) hi = lo;  // a constant channel
+        if (c == 1) lo = -128;  // the full range
+        if (c == 2) lo = -127;  // the stage-1 lattice
+        if (c == 1 || c == 2) hi = 127;
+        for (std::size_t r = 0; r < rows; ++r) q1(r, c) = value(lo, hi);
+        // Both extremes present, -128 among them when in range.
+        q1(0, c) = static_cast<std::int8_t>(lo);
+        q1(rows - 1, c) = static_cast<std::int8_t>(hi);
+      }
+      const ProgressiveBlock want = compress_by_division(q1, 0.5f, bits);
+      const ProgressiveBlock got = progressive_compress(q1, 0.5f, bits);
+      ASSERT_EQ(got.packed, want.packed)
+          << "rows=" << rows << " trial=" << trial;
+      ASSERT_EQ(got.channels.size(), want.channels.size());
+      for (std::size_t c = 0; c < cols; ++c) {
+        ASSERT_EQ(got.channels[c].s_int, want.channels[c].s_int) << c;
+        ASSERT_EQ(got.channels[c].z_int, want.channels[c].z_int) << c;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, ProgressiveOracle,
                          ::testing::Values(BitWidth::kInt2, BitWidth::kInt3,
                                            BitWidth::kInt4));
 

@@ -279,9 +279,41 @@ TEST_P(SasApplyParity, ApplyEqualsExpNegBitForBit) {
   EXPECT_EQ(mismatches, 0u);
 }
 
-// n_r = -9 needs an 11-entry LUT, wider than one 8-lane register; there,
-// and without fp16 arithmetic or with exact_exp, apply runs the scalar
-// loop.
+TEST_P(SasApplyParity, EveryLengthUpTo40) {
+  // Lengths 1-40 run the 16-lane body zero to two times, then its masked
+  // final vector (or the 8-lane body and the scalar tail), over windows
+  // of the inputs at a few offsets.
+  const auto [threshold, fp16, exact] = GetParam();
+  const Sas sas(SasConfig{
+      .threshold = threshold, .fp16_arithmetic = fp16, .exact_exp = exact});
+  const std::vector<float> xs = sas_inputs(threshold);
+  std::size_t mismatches = 0;
+  for (std::size_t n = 1; n <= 40; ++n) {
+    for (const std::size_t offset :
+         {std::size_t{0}, xs.size() / 3, xs.size() - 40}) {
+      std::vector<float> ys(xs.begin() + static_cast<std::ptrdiff_t>(offset),
+                            xs.begin() +
+                                static_cast<std::ptrdiff_t>(offset + n));
+      sas.apply(ys);
+      for (std::size_t i = 0; i < n; ++i) {
+        const float x = xs[offset + i];
+        if (std::bit_cast<std::uint32_t>(ys[i]) !=
+                std::bit_cast<std::uint32_t>(sas.exp_neg(x)) &&
+            ++mismatches <= 5) {
+          ADD_FAILURE() << "n=" << n << " i=" << i << " x=" << x
+                        << " apply=" << ys[i]
+                        << " exp_neg=" << sas.exp_neg(x);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+// With AVX-512 VNNI, apply takes LUTs of up to 16 entries (n_r >= -14) on
+// 16 lanes; with AVX2 only, up to 8 (n_r >= -6), so n_r = -9 runs the
+// scalar loop there. Without fp16 arithmetic, or with exact_exp, apply is
+// always the scalar loop.
 INSTANTIATE_TEST_SUITE_P(
     ThresholdsAndModes, SasApplyParity,
     ::testing::Combine(::testing::Values(-4, -6, -9),

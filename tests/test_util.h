@@ -1,10 +1,18 @@
 // Shared helpers for the test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <cstdint>
+#include <iostream>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "common/matrix.h"
 #include "common/rng.h"
+#include "kernels/dispatch.h"
+#include "quant/packing.h"
 
 namespace turbo::test {
 
@@ -32,6 +40,41 @@ inline MatrixF random_outlier_matrix(std::size_t rows, std::size_t cols,
     }
   }
   return m;
+}
+
+// pack_codes one code at a time through a bit cursor: the reference for
+// its whole-byte loops.
+inline std::vector<std::uint8_t> pack_codes_bitwise(
+    std::span<const std::uint8_t> codes, BitWidth bits) {
+  const int b = bit_count(bits);
+  const unsigned mask = (1u << b) - 1u;
+  std::vector<std::uint8_t> out(packed_byte_count(codes.size(), bits), 0);
+  std::size_t bitpos = 0;
+  for (const std::uint8_t code : codes) {
+    const std::size_t byte = bitpos >> 3;
+    const unsigned shift = bitpos & 7u;
+    out[byte] |= static_cast<std::uint8_t>(((code & mask) << shift) & 0xFFu);
+    // A code can straddle a byte boundary (3-bit case).
+    if (shift + static_cast<unsigned>(b) > 8) {
+      out[byte + 1] |= static_cast<std::uint8_t>((code & mask) >> (8 - shift));
+    }
+    bitpos += static_cast<std::size_t>(b);
+  }
+  return out;
+}
+
+// Record which fused-kernel entries a parity test runs, the ones this CPU
+// supports, as the test property `fused_entries` and one stdout line, so a
+// CI log shows whether the AVX-512 entry ran.
+inline void record_fused_entries() {
+  std::string names;
+  for (const detail::FusedEntry& e : detail::fused_entries()) {
+    if (!e.supported) continue;
+    if (!names.empty()) names += ' ';
+    names += e.name;
+  }
+  ::testing::Test::RecordProperty("fused_entries", names);
+  std::cout << "[ entries  ] " << names << '\n';
 }
 
 }  // namespace turbo::test
