@@ -2,9 +2,10 @@
 // schedule (Algorithms 1 and 2 of the paper).
 //
 // Prefill quantizes every Q/K/V tile to INT8 symmetrically (per-block scale
-// max|x|/119), runs QK^T and P~V as integer matmuls with FP32 accumulation
-// of the scaled results, computes the exponentials with SAS instead of FP32
-// exp, and writes the K/V tiles through the second (channel-wise, integer)
+// max|x|/119), runs QK^T and P~V as integer matmuls with INT32
+// accumulation (P~V adds each tile's scaled int32 sum to the FP32 output
+// once), computes the exponentials with SAS instead of FP32 exp, and
+// writes the K/V tiles through the second (channel-wise, integer)
 // quantization stage into the packed KV cache. Decode reverses only the
 // second stage (INT4/2 -> INT8, integer arithmetic) and attends the query
 // against the INT8 payloads plus the INT8 decode buffer.

@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "attention/turbo.h"
 #include "common/check.h"
@@ -72,20 +74,28 @@ void absorb_chunk(DecodeState& state, std::span<const std::int8_t> q_q1,
   state.l = state.l * alpha + row_sum;
   state.m = m_new;
 
-  // Quantize P~ to INT8 and accumulate the integer P~V product.
+  // Quantize P~ to INT8 and run the integer P~V product: each channel sums
+  // exactly in int32 over the chunk, and O takes float(acc) * o_scale once,
+  // only when some code is not 0.
   const float p_scale = p_max > 0.0f ? p_max / kSymmetricHeadroom : 1.0f;
   const float inv_p = 1.0f / p_scale;
   const float o_scale = p_scale * v_scale;
+  std::vector<std::int32_t> acc(d, 0);
+  bool live = false;
   for (std::size_t t = 0; t < tokens; ++t) {
     const float scaled = std::nearbyint(p[t] * inv_p);
     const std::int32_t pq =
         static_cast<std::int32_t>(std::clamp(scaled, 0.0f, 127.0f));
     if (pq == 0) continue;
+    live = true;
     auto vr = v_q1.row(t);
     for (std::size_t x = 0; x < d; ++x) {
-      state.o[x] += static_cast<float>(pq * static_cast<std::int32_t>(vr[x])) *
-                    o_scale;
+      acc[x] += pq * static_cast<std::int32_t>(vr[x]);
     }
+  }
+  if (!live) return;
+  for (std::size_t x = 0; x < d; ++x) {
+    state.o[x] += static_cast<float>(acc[x]) * o_scale;
   }
 }
 

@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "attention/turbo.h"
 #include "common/check.h"
@@ -59,6 +61,7 @@ TurboPrefillResult turbo_attention_prefill(const MatrixF& q, const MatrixF& k,
   MatrixF s_tile(br, bc);
   MatrixF p_tile(br, bc);
   MatrixI8 p_q(br, bc);
+  std::vector<std::int32_t> pv_acc(d);
 
   for (std::size_t qb = 0; qb < n_q; qb += br) {
     const std::size_t q_rows = std::min(br, n_q - qb);
@@ -137,7 +140,7 @@ TurboPrefillResult turbo_attention_prefill(const MatrixF& q, const MatrixF& k,
       }
 
       // Quantize P~ (values in [0, 1]) with one per-tile scale and run the
-      // INT8 P~V matmul.
+      // INT8 P~V matmul with INT32 accumulation.
       const float p_scale =
           p_max > 0.0f ? p_max / kSymmetricHeadroom : 1.0f;
       const float inv_p_scale = 1.0f / p_scale;
@@ -146,16 +149,25 @@ TurboPrefillResult turbo_attention_prefill(const MatrixF& q, const MatrixF& k,
           p_q(r, c) = clamp_to_i8(p_tile(r, c) * inv_p_scale, 0, 127);
         }
       }
+      // Each row's products sum exactly in int32 over the tile (|v| <= 127,
+      // so |acc| <= Bc * 127^2, exact as a float up to Bc = 1,040), and O
+      // takes float(acc) * o_scale once. A row whose codes are all 0 adds
+      // nothing, not even +0.
       const float o_scale = p_scale * v_tiles[j].scale;
       for (std::size_t r = 0; r < q_rows; ++r) {
-        auto orow = result.o.row(qb + r);
+        std::fill(pv_acc.begin(), pv_acc.end(), 0);
+        bool live = false;
         for (std::size_t c = 0; c < k_rows; ++c) {
           const std::int32_t pv = p_q(r, c);
           if (pv == 0) continue;
+          live = true;
           auto vr = v_tiles[j].q.row(c);
-          for (std::size_t x = 0; x < d; ++x) {
-            orow[x] += static_cast<float>(pv * vr[x]) * o_scale;
-          }
+          for (std::size_t x = 0; x < d; ++x) pv_acc[x] += pv * vr[x];
+        }
+        if (!live) continue;
+        auto orow = result.o.row(qb + r);
+        for (std::size_t x = 0; x < d; ++x) {
+          orow[x] += static_cast<float>(pv_acc[x]) * o_scale;
         }
       }
     }

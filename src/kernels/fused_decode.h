@@ -10,16 +10,18 @@
 //     analogue of expanding INT -> INT8 in registers (Algorithm 2);
 //   * computes q.K as exact int32 dot products and P~ with the batch SAS
 //     (Sas::apply);
-//   * accumulates P~V channel-parallel, each channel in token order.
+//   * runs P~V as an integer matmul: each channel sums p_q * v exactly in
+//     int32 over the block, then adds float(sum) * o_scale once.
 //
-// Its output is bit-identical to the reference (same arithmetic, same
-// per-channel order); fused_decode_test pins that for every compiled entry.
+// Its output is bit-identical to the reference (same arithmetic; integer
+// sums in any order); fused_decode_test pins that for every compiled entry.
 //
 // Dispatch (kernels/dispatch.h): the kernel body
 // (kernels/fused_decode_body.h) is compiled for the baseline ISA and, on
-// x86-64, for AVX2 + F16C and for AVX-512 with VNNI (vpdpbusd for q.K,
-// sixteen-lane P~V), all without FMA contraction. The first call picks the
-// widest entry this CPU supports, from CPUID; nothing else selects it.
+// x86-64, for AVX2 + F16C and for AVX-512 with VNNI (vpdpbusd for q.K and
+// P~V, INT4 blocks read in place), all without FMA contraction. The first
+// call picks the widest entry this CPU supports, from CPUID; nothing else
+// selects it.
 #pragma once
 
 #include <span>

@@ -15,32 +15,32 @@
 //
 //   * the second stage is reversed through a per-channel table of
 //     clamp(code * s_int + z_int, -127, 127), the values
-//     progressive_decompress_int8 produces (the AVX2 build expands 32
-//     codes per shuffle);
+//     progressive_decompress_int8 produces (the SIMD builds expand 32 or
+//     64 codes per shuffle). The AVX-512 build reads an INT4 block whose
+//     row count is a multiple of 64 in place, two codes per packed byte;
 //   * q.k is an exact int32 dot product, so its order is free: K is read
 //     channel by channel (four at a time on vpdpbusd), the buffered tail
 //     row by row;
-//   * V tiles become token-major INT8 rows like the reference's matrix
-//     (the AVX2 build transposes 16x32 tiles in registers);
 //   * the scores, SAS (Sas::apply, bit-identical to exp_neg), the running
 //     sum and the P~ quantization follow the reference token by token;
-//   * each output channel adds float(p_q * v) * o_scale over the tokens
-//     with p_q != 0 in token order; SIMD lanes are channels, never tokens,
-//     and float(p_q) * float(v) is that integer product exactly.
+//   * P~V is an exact int32 sum too, so its order and lanes are free: each
+//     channel sums p_q * v over the chunk, then adds float(sum) * o_scale
+//     once, when some p_q is not 0. A packed block's V is read channel by
+//     channel (one vpdpbusd per channel and 64 tokens, then a reduction
+//     tree over 16 channels), the buffered tail through a quad-major copy.
 //
-// The stage-1 quantizer (stage1), row_dots, live_codes and pv also serve
-// the prefill body (kernels/fused_prefill_body.h), included after this
-// one.
+// The stage-1 quantizer (stage1), row_dots, p_codes, v_quads and pv_rows
+// also serve the prefill body (kernels/fused_prefill_body.h), included
+// after this one.
 //
 // The enclosing namespace provides `constexpr bool kSimd` and `kAvx512`.
 
 constexpr float kNegInf = -std::numeric_limits<float>::infinity();
 
-// Codes one table shuffle expands, and the token granularity of a tile's
-// expanded rows.
+// Tokens per step of the AVX2 passes over a tile (one table shuffle).
 constexpr std::size_t kChunk = 32;
-// Tokens per step of tile_dots_vnni, whose 64-byte code reads run up to
-// 63 bytes past the last channel: the slack after Scratch::codes.
+// Tokens per step of the AVX-512 passes, whose 64-byte code reads run up
+// to 63 bytes past the last channel: the slack after Scratch::codes.
 constexpr std::size_t kVnniChunk = 64;
 // Entries per channel table (codes are at most 4 bits).
 constexpr std::size_t kTable = 16;
@@ -53,13 +53,26 @@ struct DecodeState {
 
 // Buffers reused by every chunk of one call.
 struct Scratch {
-  std::vector<std::uint8_t> codes;   // one tile's codes, channel-major
-  std::vector<std::int8_t> tables;   // [channel][kTable] code -> INT8
-  std::vector<std::int8_t> v_rows;   // expanded V tile, token-major
-  std::vector<std::int32_t> dots;    // q.k per token
-  std::vector<float> p;              // scores, then P~
-  std::vector<std::uint32_t> live;   // tokens whose quantized P~ is not 0
-  std::vector<std::int32_t> p_q;     // their quantized P~
+  std::vector<std::uint8_t> codes;     // one tile's codes, channel-major
+  std::vector<std::int8_t> tables;     // [channel][kTable] code -> INT8
+  std::vector<std::int32_t> dots;      // q.k per token
+  std::vector<float> p;                // scores, then P~
+  // The chunk's P~ codes, four bytes per dword (the quad P~V reads a
+  // dword at a time), zero past its last token.
+  std::vector<std::uint32_t> p_q;
+  std::vector<std::uint32_t> v_quads;  // the buffered V rows, quad-major
+  std::vector<std::int32_t> sums;      // per channel: the scalar P~V sums
+  std::vector<std::int8_t> values;     // one channel's V (scalar P~V)
+};
+
+// One tile's codes, channel-major: channel c's token t is
+// codes[c * stride + t], or, when `nibbles`, the low (t even) or high
+// (t odd) nibble of codes[(c * stride + t) / 2], an INT4 block's packed
+// bytes read in place.
+struct TileCodes {
+  const std::uint8_t* codes = nullptr;
+  std::size_t stride = 0;
+  bool nibbles = false;
 };
 
 inline std::int32_t q_sum(const std::int8_t* q, std::size_t n) {
@@ -69,55 +82,6 @@ inline std::int32_t q_sum(const std::int8_t* q, std::size_t n) {
 }
 
 #if defined(__x86_64__)
-
-// Token order of the transposed registers: after four interleave rounds
-// register r holds token kBitReverse[r] (bits of r reversed).
-constexpr std::array<std::size_t, 16> kBitReverse = {
-    0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15};
-
-// Expand 16 channels x 32 tokens: channel j's codes start at
-// codes + j * code_stride, its table at tables + j * kTable. Token t's 16
-// values go to rows + t * row_stride.
-inline void expand_transpose_avx2(const std::uint8_t* codes,
-                                  std::size_t code_stride,
-                                  const std::int8_t* tables,
-                                  std::int8_t* rows, std::size_t row_stride) {
-  __m256i a[16] = {};
-  __m256i b[16] = {};
-  for (std::size_t j = 0; j < 16; ++j) {
-    const __m256i table = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(tables + j * kTable)));
-    const __m256i idx = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(codes + j * code_stride));
-    a[j] = _mm256_shuffle_epi8(table, idx);
-  }
-  // Each 128-bit lane holds a 16x16 byte matrix (channels x tokens 0-15,
-  // tokens 16-31 in the upper lane); four interleave rounds transpose it.
-  for (std::size_t j = 0; j < 8; ++j) {
-    b[j] = _mm256_unpacklo_epi8(a[2 * j], a[2 * j + 1]);
-    b[j + 8] = _mm256_unpackhi_epi8(a[2 * j], a[2 * j + 1]);
-  }
-  for (std::size_t j = 0; j < 8; ++j) {
-    a[j] = _mm256_unpacklo_epi16(b[2 * j], b[2 * j + 1]);
-    a[j + 8] = _mm256_unpackhi_epi16(b[2 * j], b[2 * j + 1]);
-  }
-  for (std::size_t j = 0; j < 8; ++j) {
-    b[j] = _mm256_unpacklo_epi32(a[2 * j], a[2 * j + 1]);
-    b[j + 8] = _mm256_unpackhi_epi32(a[2 * j], a[2 * j + 1]);
-  }
-  for (std::size_t j = 0; j < 8; ++j) {
-    a[j] = _mm256_unpacklo_epi64(b[2 * j], b[2 * j + 1]);
-    a[j + 8] = _mm256_unpackhi_epi64(b[2 * j], b[2 * j + 1]);
-  }
-  for (std::size_t r = 0; r < 16; ++r) {
-    const std::size_t t = kBitReverse[r];
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(rows + t * row_stride),
-                     _mm256_castsi256_si128(a[r]));
-    _mm_storeu_si128(
-        reinterpret_cast<__m128i*>(rows + (t + 16) * row_stride),
-        _mm256_extracti128_si256(a[r], 1));
-  }
-}
 
 // tables[c * kTable + i] = clamp(i * s_int + z_int, -127, 127) for every
 // channel: exact in int16 (|i * s + z| <= 2048), then saturated to int8
@@ -268,14 +232,15 @@ inline void round_clamp_avx2(const float* x, std::size_t n, float inv,
   }
 }
 
-// Stage-1 codes, clamp_to_i8(x[i] * inv) for i < n (n a multiple of 32),
-// 32 per step: four rounded int32 vectors packed to bytes.
-inline void stage1_codes_avx2(const float* x, std::size_t n, float inv,
-                              std::int8_t* out) {
+// Codes clamp_to_i8(x[i] * inv, lo, 127) for i < n (n a multiple of 32),
+// 32 per step: four rounded int32 vectors packed to bytes. Stage 1 takes
+// lo = -127, P~ lo = 0.
+inline void codes_avx2(const float* x, std::size_t n, float inv, float lo,
+                       std::int8_t* out) {
   alignas(32) std::int32_t c[32] = {};
   const __m256i order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
   for (std::size_t i = 0; i < n; i += 32) {
-    round_clamp_avx2(x + i, 32, inv, -127.0f, 127.0f, c);
+    round_clamp_avx2(x + i, 32, inv, lo, 127.0f, c);
     __m256i g[4] = {};
     for (std::size_t j = 0; j < 4; ++j) {
       g[j] = _mm256_load_si256(reinterpret_cast<const __m256i*>(c + 8 * j));
@@ -288,40 +253,93 @@ inline void stage1_codes_avx2(const float* x, std::size_t n, float inv,
   }
 }
 
-// o[c] += float(p_q * rows[t][c]) * o_scale over the live tokens, in
-// token order, for columns [0, cols), cols a multiple of 8. Four column
-// groups run side by side so their add chains overlap.
-inline void pv_avx2(float* o, const std::int8_t* rows, std::size_t stride,
-                    std::size_t cols, const std::uint32_t* live,
-                    const std::int32_t* p_q, std::size_t n_live,
-                    float o_scale) {
+// Eight channels' eight-lane int32 sums (a[j] for channel j), reduced
+// into *out in channel order: pairs of channels interleave dwords and
+// add, then qwords, which leaves each 128-bit half with four channels'
+// partial sums; the halves then add across.
+inline void reduce8_avx2(const __m256i* a, __m256i* out) {
+  __m256i b[4] = {};
+  for (std::size_t k = 0; k < 4; ++k) {
+    b[k] = _mm256_add_epi32(_mm256_unpacklo_epi32(a[2 * k], a[2 * k + 1]),
+                            _mm256_unpackhi_epi32(a[2 * k], a[2 * k + 1]));
+  }
+  const __m256i c0 = _mm256_add_epi32(_mm256_unpacklo_epi64(b[0], b[1]),
+                                      _mm256_unpackhi_epi64(b[0], b[1]));
+  const __m256i c1 = _mm256_add_epi32(_mm256_unpacklo_epi64(b[2], b[3]),
+                                      _mm256_unpackhi_epi64(b[2], b[3]));
+  *out = _mm256_add_epi32(_mm256_permute2x128_si256(c0, c1, 0x20),
+                          _mm256_permute2x128_si256(c0, c1, 0x31));
+}
+
+// P~V over a packed tile, channel-major: o[c] += float(sum) * o_scale,
+// sum over tokens t < padded (a multiple of 32) of p_q[t] * V[t][c]. Per
+// channel, 32 codes go through its table and maddubs multiplies them by
+// the 32 P~ codes (unsigned, at most 127, so a pair sum is at most
+// 2 * 127^2 and never saturates); madd by ones widens the pairs to int32.
+inline void tile_pv_avx2(const std::uint8_t* p_q, const TileCodes& tc,
+                         std::size_t d, const std::int8_t* tables,
+                         std::size_t padded, float o_scale, float* o) {
+  const __m256i ones = _mm256_set1_epi16(1);
   const __m256 os = _mm256_set1_ps(o_scale);
-  std::size_t c = 0;
-  for (; c + 32 <= cols; c += 32) {
-    __m256 acc[4] = {};
-    for (std::size_t g = 0; g < 4; ++g) acc[g] = _mm256_loadu_ps(o + c + 8 * g);
-    for (std::size_t i = 0; i < n_live; ++i) {
-      const std::int8_t* v = rows + live[i] * stride + c;
-      const __m256 pv = _mm256_set1_ps(static_cast<float>(p_q[i]));
-      for (std::size_t g = 0; g < 4; ++g) {
-        const __m256 vf = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(
-            _mm_loadl_epi64(reinterpret_cast<const __m128i*>(v + 8 * g))));
-        acc[g] = _mm256_add_ps(acc[g],
-                               _mm256_mul_ps(_mm256_mul_ps(vf, pv), os));
+  for (std::size_t c0 = 0; c0 < d; c0 += 8) {
+    __m256i acc[8] = {};
+    for (std::size_t t0 = 0; t0 < padded; t0 += kChunk) {
+      const __m256i p =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p_q + t0));
+      for (std::size_t j = 0; j < 8; ++j) {
+        // A group past d repeats channel d - 1; its lanes are dropped.
+        const std::size_t ch = std::min(c0 + j, d - 1);
+        const __m256i table = _mm256_broadcastsi128_si256(_mm_loadu_si128(
+            reinterpret_cast<const __m128i*>(tables + ch * kTable)));
+        const __m256i v = _mm256_shuffle_epi8(
+            table, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+                       tc.codes + ch * tc.stride + t0)));
+        acc[j] = _mm256_add_epi32(
+            acc[j], _mm256_madd_epi16(_mm256_maddubs_epi16(p, v), ones));
       }
     }
-    for (std::size_t g = 0; g < 4; ++g) _mm256_storeu_ps(o + c + 8 * g, acc[g]);
-  }
-  for (; c < cols; c += 8) {
-    __m256 acc = _mm256_loadu_ps(o + c);
-    for (std::size_t i = 0; i < n_live; ++i) {
-      const __m256 vf = _mm256_cvtepi32_ps(
-          _mm256_cvtepi8_epi32(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(
-              rows + live[i] * stride + c))));
-      const __m256 pv = _mm256_set1_ps(static_cast<float>(p_q[i]));
-      acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_mul_ps(vf, pv), os));
+    __m256i sum = _mm256_setzero_si256();
+    reduce8_avx2(acc, &sum);
+    const __m256 sums = _mm256_cvtepi32_ps(sum);
+    if (c0 + 8 <= d) {
+      _mm256_storeu_ps(o + c0, _mm256_add_ps(_mm256_loadu_ps(o + c0),
+                                             _mm256_mul_ps(sums, os)));
+    } else {
+      alignas(32) float lanes[8] = {};
+      _mm256_store_ps(lanes, sums);
+      for (std::size_t c = c0; c < d; ++c) o[c] += lanes[c - c0] * o_scale;
     }
-    _mm256_storeu_ps(o + c, acc);
+  }
+}
+
+// N vectors of pv_rows' channels [c, c + 8 N): per quad of P~ codes that
+// is not 0, maddubs against the four V rows of eight channels. A pair sum
+// is at most 2 * 127 * 128 in magnitude (a restored buffer row may hold
+// -128), so the int16 step never saturates.
+template <std::size_t N>
+inline void quad_pv_vectors_avx2(float* o, const std::uint32_t* p4,
+                                 std::size_t q0, std::size_t q1,
+                                 const std::uint32_t* v_quads, std::size_t d,
+                                 std::size_t c, float o_scale) {
+  const __m256i ones = _mm256_set1_epi16(1);
+  __m256i acc[N] = {};
+  for (std::size_t t4 = q0; t4 < q1; ++t4) {
+    if (p4[t4] == 0) continue;
+    const __m256i p = _mm256_set1_epi32(static_cast<std::int32_t>(p4[t4]));
+    const std::uint32_t* v = v_quads + t4 * d + c;
+    for (std::size_t g = 0; g < N; ++g) {
+      const __m256i vq =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + 8 * g));
+      acc[g] = _mm256_add_epi32(
+          acc[g], _mm256_madd_epi16(_mm256_maddubs_epi16(p, vq), ones));
+    }
+  }
+  const __m256 os = _mm256_set1_ps(o_scale);
+  for (std::size_t g = 0; g < N; ++g) {
+    float* out = o + c + 8 * g;
+    _mm256_storeu_ps(out, _mm256_add_ps(_mm256_loadu_ps(out),
+                                        _mm256_mul_ps(
+                                            _mm256_cvtepi32_ps(acc[g]), os)));
   }
 }
 
@@ -329,15 +347,73 @@ inline void pv_avx2(float* o, const std::int8_t* rows, std::size_t stride,
 //
 // vpdpbusd multiplies the unsigned bytes of one operand by the signed
 // bytes of the other and adds each lane's four products into its int32,
-// with no int16 saturation on the way (maddubs has one). K goes in as the
-// unsigned operand, k ^ 0x80 = k + 128 (exact for k = -128 too), q as the
-// signed one; a dot is then sum((k + 128) * q) - 128 * sum(q), exact in
-// int32.
+// with no int16 saturation on the way (maddubs has one). For q.K, K goes
+// in as the unsigned operand, k ^ 0x80 = k + 128 (exact for k = -128
+// too), q as the signed one; a dot is then sum((k + 128) * q) -
+// 128 * sum(q), exact in int32. For P~V the P~ codes (0 .. 127) are the
+// unsigned operand and V the signed one.
 
 // All ones in the lanes [0, n) of a 16-lane vector.
 inline __mmask16 lane_mask(std::size_t n) {
   return n >= 16 ? __mmask16{0xFFFF}
                  : static_cast<__mmask16>((1u << n) - 1u);
+}
+
+// All ones in the bytes [0, n) of a 64-byte vector.
+inline __mmask64 byte_mask(std::size_t n) {
+  return n >= 64 ? ~__mmask64{0} : (__mmask64{1} << n) - 1u;
+}
+
+// The 4 x 16 dword matrix x[0 .. 3] (row j is x[j]), transposed: taken as
+// one 64-dword array, the result holds input row j, column i at dword
+// 4 i + j, so x[k] holds columns 4k .. 4k + 3, four dwords each. Dwords
+// interleave within each 128-bit block, then the blocks transpose across
+// the four registers. The prefill's K copy (k_quads) and the V copies
+// (v_quads) both run on it.
+inline void transpose4x16_epi32(__m512i* x) {
+  const __m512i a0 = _mm512_unpacklo_epi32(x[0], x[1]);
+  const __m512i a1 = _mm512_unpackhi_epi32(x[0], x[1]);
+  const __m512i a2 = _mm512_unpacklo_epi32(x[2], x[3]);
+  const __m512i a3 = _mm512_unpackhi_epi32(x[2], x[3]);
+  // b[m], block L: column 4L + m of the four rows.
+  const __m512i b0 = _mm512_unpacklo_epi64(a0, a2);
+  const __m512i b1 = _mm512_unpackhi_epi64(a0, a2);
+  const __m512i b2 = _mm512_unpacklo_epi64(a1, a3);
+  const __m512i b3 = _mm512_unpackhi_epi64(a1, a3);
+  const __m512i c0 = _mm512_shuffle_i32x4(b0, b1, 0x44);
+  const __m512i c1 = _mm512_shuffle_i32x4(b0, b1, 0xEE);
+  const __m512i c2 = _mm512_shuffle_i32x4(b2, b3, 0x44);
+  const __m512i c3 = _mm512_shuffle_i32x4(b2, b3, 0xEE);
+  x[0] = _mm512_shuffle_i32x4(c0, c2, 0x88);
+  x[1] = _mm512_shuffle_i32x4(c0, c2, 0xDD);
+  x[2] = _mm512_shuffle_i32x4(c1, c3, 0x88);
+  x[3] = _mm512_shuffle_i32x4(c1, c3, 0xDD);
+}
+
+// The quad-major copy of n_rows token-major INT8 rows of d: for each four
+// rows and 64 channels, the 4 x 16 dword transpose leaves each channel
+// quad's 4 x 4 bytes row by row, and one byte shuffle per 128-bit block
+// turns them channel by channel. Rows past n_rows read as zero.
+inline void v_quads_avx512(const std::int8_t* rows, std::size_t n_rows,
+                           std::size_t d, std::uint32_t* out) {
+  const __m512i order = _mm512_broadcast_i32x4(
+      _mm_setr_epi8(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15));
+  for (std::size_t t = 0; t < n_rows; t += 4) {
+    std::uint32_t* dst = out + t / 4 * d;
+    for (std::size_t c0 = 0; c0 < d; c0 += 64) {
+      const __mmask64 cols = byte_mask(d - c0);
+      __m512i x[4] = {};
+      for (std::size_t j = 0; j < 4 && t + j < n_rows; ++j) {
+        x[j] = _mm512_maskz_loadu_epi8(cols, rows + (t + j) * d + c0);
+      }
+      transpose4x16_epi32(x);
+      for (std::size_t k = 0; k < 4 && c0 + 16 * k < d; ++k) {
+        _mm512_mask_storeu_epi32(dst + c0 + 16 * k,
+                                 lane_mask(d - c0 - 16 * k),
+                                 _mm512_shuffle_epi8(x[k], order));
+      }
+    }
+  }
 }
 
 // dots[t] = q . K[lo + t] for t < n from a K tile in quad-major layout:
@@ -368,6 +444,29 @@ inline void quad_dots_vnni(const std::int32_t* q4, std::int32_t q_total,
   }
 }
 
+// *out = channel ch's 64 codes from token t0, in token order. In place
+// (kNibbles), they come from 32 packed bytes: the two 128-bit halves are
+// copied to blocks (0, 1) and (2, 3), the nibbles masked and shifted
+// apart, and bytes of the two interleaved, low then high, which puts
+// token 2i's code before token 2i + 1's; the unpack takes the low eight
+// bytes of blocks 0 and 2 and the high eight of blocks 1 and 3.
+template <bool kNibbles>
+inline void codes64(const TileCodes& tc, std::size_t ch, std::size_t t0,
+                    __m512i* out) {
+  if constexpr (kNibbles) {
+    const __m512i low4 = _mm512_set1_epi8(0x0F);
+    const __m512i half = _mm512_castsi256_si512(_mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(tc.codes + (ch * tc.stride + t0) / 2)));
+    const __m512i x = _mm512_shuffle_i64x2(half, half, 0x50);
+    const __m512i lo = _mm512_and_si512(x, low4);
+    const __m512i hi = _mm512_and_si512(_mm512_srli_epi16(x, 4), low4);
+    *out = _mm512_mask_unpackhi_epi8(_mm512_unpacklo_epi8(lo, hi),
+                                     __mmask64{0xFFFF0000FFFF0000ull}, lo, hi);
+  } else {
+    *out = _mm512_loadu_si512(tc.codes + ch * tc.stride + t0);
+  }
+}
+
 // tile_dots_avx2 with vpdpbusd: dots[t] = q . K[t] for t < padded (a
 // multiple of 64), K read four channels at a time. Each channel's 64
 // codes go through its table and become k + 128; interleaving bytes, then
@@ -376,13 +475,14 @@ inline void quad_dots_vnni(const std::int32_t* q4, std::int32_t q_total,
 // j, lane (L, i) then holds token 16L + 4j + i, and four 128-bit block
 // shuffles put the tokens in order. A group past d repeats channel d - 1
 // under a zero q byte.
+template <bool kNibbles>
 inline void tile_dots_vnni(const std::int32_t* q_quads, std::int32_t q_total,
-                           const std::uint8_t* codes, std::size_t stride,
-                           std::size_t d, const std::int8_t* tables,
-                           std::int32_t* dots, std::size_t padded) {
+                           const TileCodes& tc, std::size_t d,
+                           const std::int8_t* tables, std::int32_t* dots,
+                           std::size_t padded) {
   const __m512i flip = _mm512_set1_epi8(-128);
   const __m512i offset = _mm512_set1_epi32(128 * q_total);
-  for (std::size_t t0 = 0; t0 < padded; t0 += 64) {
+  for (std::size_t t0 = 0; t0 < padded; t0 += kVnniChunk) {
     __m512i acc[4] = {};
     for (std::size_t c = 0; c < d; c += 4) {
       __m512i k[4] = {};
@@ -390,10 +490,9 @@ inline void tile_dots_vnni(const std::int32_t* q_quads, std::int32_t q_total,
         const std::size_t ch = std::min(c + j, d - 1);
         const __m512i table = _mm512_broadcast_i32x4(_mm_loadu_si128(
             reinterpret_cast<const __m128i*>(tables + ch * kTable)));
-        k[j] = _mm512_xor_si512(
-            _mm512_shuffle_epi8(table, _mm512_loadu_si512(
-                                           codes + ch * stride + t0)),
-            flip);
+        __m512i codes = _mm512_setzero_si512();
+        codes64<kNibbles>(tc, ch, t0, &codes);
+        k[j] = _mm512_xor_si512(_mm512_shuffle_epi8(table, codes), flip);
       }
       const __m512i qv = _mm512_set1_epi32(q_quads[c / 4]);
       const __m512i lo01 = _mm512_unpacklo_epi8(k[0], k[1]);
@@ -424,89 +523,118 @@ inline void tile_dots_vnni(const std::int32_t* q_quads, std::int32_t q_total,
   }
 }
 
-// N vectors of pv_avx512's columns [c, c + 16 N); the last one takes only
-// the lanes in `last`.
-template <std::size_t N>
-inline void pv_vectors_avx512(float* o, const std::int8_t* rows,
-                              std::size_t stride, std::size_t c,
-                              const std::uint32_t* live,
-                              const std::int32_t* p_q, std::size_t n_live,
-                              float o_scale, __mmask16 last) {
-  const __m512 os = _mm512_set1_ps(o_scale);
-  __m512 acc[N] = {};
-  for (std::size_t g = 0; g < N; ++g) {
-    acc[g] = _mm512_maskz_loadu_ps(g + 1 < N ? __mmask16{0xFFFF} : last,
-                                   o + c + 16 * g);
+// Sixteen channels' sixteen-lane int32 sums (a[j] for channel j), reduced
+// into *out in channel order. Pairs of channels interleave dwords and
+// add, then qwords: each 128-bit block L of c[m] then holds channels
+// 4m .. 4m + 3's partial sums from block L. Two rounds of 128-bit block
+// shuffles (0x88 takes blocks 0 and 2 of each operand, 0xDD blocks 1 and
+// 3) add the four blocks, leaving channels 4m .. 4m + 3 in block m.
+inline void reduce16_vnni(const __m512i* a, __m512i* out) {
+  __m512i b[8] = {};
+  for (std::size_t k = 0; k < 8; ++k) {
+    b[k] = _mm512_add_epi32(_mm512_unpacklo_epi32(a[2 * k], a[2 * k + 1]),
+                            _mm512_unpackhi_epi32(a[2 * k], a[2 * k + 1]));
   }
-  for (std::size_t i = 0; i < n_live; ++i) {
-    const std::int8_t* v = rows + live[i] * stride + c;
-    const __m512 pv = _mm512_set1_ps(static_cast<float>(p_q[i]));
+  __m512i c[4] = {};
+  for (std::size_t m = 0; m < 4; ++m) {
+    c[m] = _mm512_add_epi32(_mm512_unpacklo_epi64(b[2 * m], b[2 * m + 1]),
+                            _mm512_unpackhi_epi64(b[2 * m], b[2 * m + 1]));
+  }
+  const __m512i e0 = _mm512_add_epi32(_mm512_shuffle_i32x4(c[0], c[1], 0x88),
+                                      _mm512_shuffle_i32x4(c[0], c[1], 0xDD));
+  const __m512i e1 = _mm512_add_epi32(_mm512_shuffle_i32x4(c[2], c[3], 0x88),
+                                      _mm512_shuffle_i32x4(c[2], c[3], 0xDD));
+  *out = _mm512_add_epi32(_mm512_shuffle_i32x4(e0, e1, 0x88),
+                          _mm512_shuffle_i32x4(e0, e1, 0xDD));
+}
+
+// tile_pv_avx2 on vpdpbusd: per channel, its 64 codes through its table,
+// then one vpdpbusd against the 64 P~ codes leaves sixteen partial sums;
+// sixteen channels at a time reduce in one tree. padded is a multiple of
+// 64.
+template <bool kNibbles>
+inline void tile_pv_vnni(const std::uint8_t* p_q, const TileCodes& tc,
+                         std::size_t d, const std::int8_t* tables,
+                         std::size_t padded, float o_scale, float* o) {
+  const __m512 os = _mm512_set1_ps(o_scale);
+  for (std::size_t c0 = 0; c0 < d; c0 += 16) {
+    __m512i acc[16] = {};
+    for (std::size_t t0 = 0; t0 < padded; t0 += kVnniChunk) {
+      const __m512i p = _mm512_loadu_si512(p_q + t0);
+      for (std::size_t j = 0; j < 16; ++j) {
+        // A group past d repeats channel d - 1; its lanes are dropped.
+        const std::size_t ch = std::min(c0 + j, d - 1);
+        const __m512i table = _mm512_broadcast_i32x4(_mm_loadu_si128(
+            reinterpret_cast<const __m128i*>(tables + ch * kTable)));
+        __m512i codes = _mm512_setzero_si512();
+        codes64<kNibbles>(tc, ch, t0, &codes);
+        acc[j] = _mm512_dpbusd_epi32(acc[j], p,
+                                     _mm512_shuffle_epi8(table, codes));
+      }
+    }
+    const __mmask16 lanes = lane_mask(d - c0);
+    __m512i sum = _mm512_setzero_si512();
+    reduce16_vnni(acc, &sum);
+    const __m512 sums = _mm512_cvtepi32_ps(sum);
+    _mm512_mask_storeu_ps(
+        o + c0, lanes,
+        _mm512_add_ps(_mm512_maskz_loadu_ps(lanes, o + c0),
+                      _mm512_mul_ps(sums, os)));
+  }
+}
+
+// N vectors of pv_rows' channels [c, c + 16 N); the last one takes
+// only the lanes in `last`. Per quad of P~ codes that is not 0, one
+// vpdpbusd per vector against the four V rows of sixteen channels.
+template <std::size_t N>
+inline void quad_pv_vectors_vnni(float* o, const std::uint32_t* p4,
+                                 std::size_t q0, std::size_t q1,
+                                 const std::uint32_t* v_quads, std::size_t d,
+                                 std::size_t c, float o_scale,
+                                 __mmask16 last) {
+  __m512i acc[N] = {};
+  for (std::size_t t4 = q0; t4 < q1; ++t4) {
+    if (p4[t4] == 0) continue;
+    const __m512i p = _mm512_set1_epi32(static_cast<std::int32_t>(p4[t4]));
+    const std::uint32_t* v = v_quads + t4 * d + c;
     for (std::size_t g = 0; g < N; ++g) {
-      const __m512 vf = _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(
-          _mm_maskz_loadu_epi8(g + 1 < N ? __mmask16{0xFFFF} : last,
-                               v + 16 * g)));
-      acc[g] = _mm512_add_ps(acc[g], _mm512_mul_ps(_mm512_mul_ps(vf, pv), os));
+      acc[g] = _mm512_dpbusd_epi32(
+          acc[g], p,
+          _mm512_maskz_loadu_epi32(g + 1 < N ? __mmask16{0xFFFF} : last,
+                                   v + 16 * g));
     }
   }
+  const __m512 os = _mm512_set1_ps(o_scale);
   for (std::size_t g = 0; g < N; ++g) {
-    _mm512_mask_storeu_ps(o + c + 16 * g,
-                          g + 1 < N ? __mmask16{0xFFFF} : last, acc[g]);
+    const __mmask16 lanes = g + 1 < N ? __mmask16{0xFFFF} : last;
+    float* out = o + c + 16 * g;
+    _mm512_mask_storeu_ps(
+        out, lanes,
+        _mm512_add_ps(_mm512_maskz_loadu_ps(lanes, out),
+                      _mm512_mul_ps(_mm512_cvtepi32_ps(acc[g]), os)));
   }
 }
 
-// pv_avx2 on sixteen columns per vector, for every column: 128 columns
-// (eight add chains) per pass, then 64, then 16 at a time, the last
-// partial vector masked.
-inline void pv_avx512(float* o, const std::int8_t* rows, std::size_t stride,
-                      std::size_t cols, const std::uint32_t* live,
-                      const std::int32_t* p_q, std::size_t n_live,
-                      float o_scale) {
-  std::size_t c = 0;
-  for (; c + 128 <= cols; c += 128) {
-    pv_vectors_avx512<8>(o, rows, stride, c, live, p_q, n_live, o_scale,
-                         0xFFFF);
-  }
-  for (; c + 64 <= cols; c += 64) {
-    pv_vectors_avx512<4>(o, rows, stride, c, live, p_q, n_live, o_scale,
-                         0xFFFF);
-  }
-  for (; c < cols; c += 16) {
-    pv_vectors_avx512<1>(o, rows, stride, c, live, p_q, n_live, o_scale,
-                         lane_mask(cols - c));
-  }
-}
-
-// live_codes on sixteen keys per step: clamp_to_i8(p * inv_p, 0, 127),
-// then compress the nonzero lanes' key indices and codes (vpcompressd) to
-// the front of live and p_q. The clamp runs before the rounding: its
+// P~ codes on sixteen lanes per step: clamp_to_i8(p * inv_p, 0, 127),
+// stored as bytes (vpmovdb). The clamp runs before the rounding: its
 // bounds are integers, so the two commute in any rounding direction, and
-// _mm512_max_ps returns its second operand, 0, for a NaN lane. Each step
-// stores a whole vector, so live and p_q hold n + 16 entries.
-inline std::size_t live_codes_avx512(const float* p, std::size_t n,
-                                     float inv_p, std::size_t first,
-                                     std::uint32_t* live,
-                                     std::int32_t* p_q) {
+// _mm512_max_ps returns its second operand, 0, for a NaN lane. Returns
+// whether any code is not 0.
+inline bool p_codes_avx512(const float* p, std::size_t n, float inv_p,
+                           std::uint8_t* out) {
   const __m512 vinv = _mm512_set1_ps(inv_p);
   const __m512 hi = _mm512_set1_ps(127.0f);
   const __m512 zero = _mm512_setzero_ps();
-  __m512i key = _mm512_add_epi32(
-      _mm512_set1_epi32(static_cast<std::int32_t>(first)),
-      _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14,
-                        15));
-  std::size_t n_live = 0;
+  __mmask16 live = 0;
   for (std::size_t t = 0; t < n; t += 16) {
     const __mmask16 lanes = lane_mask(n - t);
     const __m512 y = _mm512_mul_ps(_mm512_maskz_loadu_ps(lanes, p + t), vinv);
     const __m512i code =
         _mm512_cvtps_epi32(_mm512_min_ps(_mm512_max_ps(y, zero), hi));
-    const __mmask16 keep =
-        _mm512_mask_cmpneq_epi32_mask(lanes, code, _mm512_setzero_si512());
-    _mm512_storeu_si512(live + n_live, _mm512_maskz_compress_epi32(keep, key));
-    _mm512_storeu_si512(p_q + n_live, _mm512_maskz_compress_epi32(keep, code));
-    n_live += static_cast<std::size_t>(std::popcount(keep));
-    key = _mm512_add_epi32(key, _mm512_set1_epi32(16));
+    _mm512_mask_cvtepi32_storeu_epi8(out + t, lanes, code);
+    live = static_cast<__mmask16>(live | _mm512_test_epi32_mask(code, code));
   }
-  return n_live;
+  return live != 0;
 }
 
 #endif  // __x86_64__
@@ -534,21 +662,20 @@ inline float stage1(std::span<const float> x, std::span<std::int8_t> out) {
 #if defined(__x86_64__)
   if constexpr (kSimd) {
     i0 = n - n % 32;
-    stage1_codes_avx2(x.data(), i0, inv, out.data());
+    codes_avx2(x.data(), i0, inv, -127.0f, out.data());
   }
 #endif
   for (std::size_t i = i0; i < n; ++i) out[i] = clamp_to_i8(x[i] * inv);
   return scale;
 }
 
-// Unpack one tile's codes (channel-major) and build each channel's table
-// of second-stage values, clamp(code * s_int + z_int, -127, 127): the
-// values progressive_decompress_int8 produces.
-inline void load_tile(const ProgressiveBlock& block, Scratch& w) {
-  const std::size_t n = block.rows * block.cols;
-  // Slack for the last channel's final 64-code read.
-  w.codes.resize(n + kVnniChunk);
-  unpack_codes(block.packed, block.bits, n, w.codes);
+// Build each channel's table of second-stage values, clamp(code * s_int +
+// z_int, -127, 127) (the values progressive_decompress_int8 produces),
+// and return the tile's codes: the packed bytes themselves for an INT4
+// block the AVX-512 build reads in place (a multiple of 64 rows, so every
+// 64-token step starts on a byte and ends inside the channel), else the
+// codes unpacked into w.codes.
+inline TileCodes load_tile(const ProgressiveBlock& block, Scratch& w) {
   w.tables.resize(block.cols * kTable);
   std::size_t c0 = 0;
 #if defined(__x86_64__)
@@ -565,12 +692,21 @@ inline void load_tile(const ProgressiveBlock& block, Scratch& w) {
           clamp_to_i8(static_cast<std::int32_t>(i) * s + z);
     }
   }
+  if (kAvx512 && block.bits == BitWidth::kInt4 &&
+      block.rows % kVnniChunk == 0) {
+    return {block.packed.data(), block.rows, true};
+  }
+  const std::size_t n = block.rows * block.cols;
+  // Slack for the last channel's final 64-code read.
+  w.codes.resize(n + kVnniChunk);
+  unpack_codes(block.packed, block.bits, n, w.codes);
+  return {w.codes.data(), block.rows, false};
 }
 
 // w.dots[t] = q . K[t] for the tile load_tile loaded, read channel by
 // channel. q_lanes holds the SIMD build's broadcast operands (see
 // fused_decode).
-inline void tile_dots(std::span<const std::int8_t> q_q1,
+inline void tile_dots(const TileCodes& tc, std::span<const std::int8_t> q_q1,
                       std::span<const std::int32_t> q_lanes,
                       std::int32_t q_total, std::size_t tokens,
                       std::size_t d, Scratch& w) {
@@ -578,12 +714,17 @@ inline void tile_dots(std::span<const std::int8_t> q_q1,
   w.dots.assign((tokens + step - 1) / step * step, 0);
 #if defined(__x86_64__)
   if constexpr (kAvx512) {
-    tile_dots_vnni(q_lanes.data(), q_total, w.codes.data(), tokens, d,
-                   w.tables.data(), w.dots.data(), w.dots.size());
+    if (tc.nibbles) {
+      tile_dots_vnni<true>(q_lanes.data(), q_total, tc, d, w.tables.data(),
+                           w.dots.data(), w.dots.size());
+    } else {
+      tile_dots_vnni<false>(q_lanes.data(), q_total, tc, d, w.tables.data(),
+                            w.dots.data(), w.dots.size());
+    }
     return;
   } else if constexpr (kSimd) {
-    tile_dots_avx2(q_lanes.data(), w.codes.data(), tokens, d,
-                   w.tables.data(), w.dots.data(), w.dots.size());
+    tile_dots_avx2(q_lanes.data(), tc.codes, tc.stride, d, w.tables.data(),
+                   w.dots.data(), w.dots.size());
     return;
   }
 #endif
@@ -591,7 +732,7 @@ inline void tile_dots(std::span<const std::int8_t> q_q1,
     const std::int32_t qx = q_q1[c];
     if (qx == 0) continue;
     const std::int8_t* table = w.tables.data() + c * kTable;
-    const std::uint8_t* codes = w.codes.data() + c * tokens;
+    const std::uint8_t* codes = tc.codes + c * tc.stride;
     for (std::size_t t = 0; t < tokens; ++t) {
       w.dots[t] += qx * static_cast<std::int32_t>(table[codes[t]]);
     }
@@ -618,91 +759,146 @@ inline void row_dots(const std::int8_t* q, const std::int8_t* rows,
   }
 }
 
-// Expand the tile load_tile loaded into token-major INT8 rows,
-// rows[t * d + c] (progressive_decompress_int8's matrix). The AVX2 build
-// leaves junk in rows past `tokens`; nothing reads them.
-inline void tile_rows(std::size_t tokens, std::size_t d, Scratch& w,
-                      std::vector<std::int8_t>& rows) {
-  const std::size_t padded = (tokens + kChunk - 1) / kChunk * kChunk;
-  rows.resize(padded * d);
-  std::size_t c0 = 0;
-#if defined(__x86_64__)
-  if constexpr (kSimd) {
-    for (; c0 + 16 <= d; c0 += 16) {
-      for (std::size_t t0 = 0; t0 < tokens; t0 += kChunk) {
-        expand_transpose_avx2(w.codes.data() + c0 * tokens + t0, tokens,
-                              w.tables.data() + c0 * kTable,
-                              rows.data() + t0 * d + c0, d);
-      }
-    }
-  }
-#endif
-  for (std::size_t c = c0; c < d; ++c) {
-    const std::int8_t* table = w.tables.data() + c * kTable;
-    const std::uint8_t* codes = w.codes.data() + c * tokens;
-    for (std::size_t t = 0; t < tokens; ++t) {
-      rows[t * d + c] = table[codes[t]];
-    }
-  }
-}
-
-// Quantize n values of P~ with inv_p and keep the nonzero codes, with
-// their key index (first + t), at the front of live and p_q (n + 16
-// entries each). Returns the count.
-inline std::size_t live_codes(const float* p, std::size_t n, float inv_p,
-                              std::size_t first, std::uint32_t* live,
-                              std::int32_t* p_q) {
+// P~ codes clamp_to_i8(p[t] * inv_p, 0, 127) for t < n, as bytes.
+// Returns whether any is not 0.
+inline bool p_codes(const float* p, std::size_t n, float inv_p,
+                    std::uint8_t* out) {
   std::size_t t0 = 0;
 #if defined(__x86_64__)
   if constexpr (kAvx512) {
-    return live_codes_avx512(p, n, inv_p, first, live, p_q);
+    return p_codes_avx512(p, n, inv_p, out);
   } else if constexpr (kSimd) {
-    t0 = n - n % 8;
-    round_clamp_avx2(p, t0, inv_p, 0.0f, 127.0f, p_q);
+    t0 = n - n % 32;
+    codes_avx2(p, t0, inv_p, 0.0f, reinterpret_cast<std::int8_t*>(out));
   }
 #endif
   for (std::size_t t = t0; t < n; ++t) {
-    p_q[t] = clamp_to_i8(p[t] * inv_p, 0, 127);
+    out[t] = trunc_to_u8(clamp_to_i8(p[t] * inv_p, 0, 127));
   }
-  // Compact in place without a branch: always write, keep only nonzero
-  // codes (n_live <= t, so code t is read before anything overwrites it).
-  std::size_t n_live = 0;
-  for (std::size_t t = 0; t < n; ++t) {
-    const std::int32_t code = p_q[t];
-    live[n_live] = static_cast<std::uint32_t>(first + t);
-    p_q[n_live] = code;
-    n_live += static_cast<std::size_t>(code != 0);
-  }
-  return n_live;
+  std::uint8_t live = 0;
+  for (std::size_t t = 0; t < n; ++t) live |= out[t];
+  return live != 0;
 }
 
-// o[c] += float(p_q * rows[t][c]) * o_scale over the n_live live tokens,
-// in token order, for every column c < d.
-inline void pv(float* o, const std::int8_t* rows, std::size_t d,
-               const std::uint32_t* live, const std::int32_t* p_q,
-               std::size_t n_live, float o_scale) {
-  std::size_t c0 = 0;
+// The quad-major copy of n_rows token-major INT8 rows of d, the layout
+// the SIMD P~V reads: out[t4 * d + c] holds rows 4 t4 .. 4 t4 + 3 of
+// channel c, one byte each from the low one up, zero past the last row.
+inline void v_quads(const std::int8_t* rows, std::size_t n_rows,
+                    std::size_t d, std::uint32_t* out) {
 #if defined(__x86_64__)
   if constexpr (kAvx512) {
-    pv_avx512(o, rows, d, d, live, p_q, n_live, o_scale);
+    v_quads_avx512(rows, n_rows, d, out);
     return;
-  } else if constexpr (kSimd) {
-    c0 = d - d % 8;
-    pv_avx2(o, rows, d, c0, live, p_q, n_live, o_scale);
   }
 #endif
-  for (std::size_t i = 0; i < n_live; ++i) {
-    const std::int32_t pq = p_q[i];
-    const std::int8_t* row = rows + live[i] * d;
-    for (std::size_t c = c0; c < d; ++c) {
-      o[c] += static_cast<float>(pq * static_cast<std::int32_t>(row[c])) *
-              o_scale;
+  const auto byte = [&](std::size_t t, std::size_t c) {
+    return t < n_rows ? std::uint32_t{trunc_to_u8(rows[t * d + c])} : 0u;
+  };
+  for (std::size_t t = 0; t < n_rows; t += 4) {
+    std::uint32_t* dst = out + t / 4 * d;
+    for (std::size_t c = 0; c < d; ++c) {
+      dst[c] = byte(t, c) | byte(t + 1, c) << 8 | byte(t + 2, c) << 16 |
+               byte(t + 3, c) << 24;
     }
   }
 }
 
-// V rows of one chunk: INT8 rows ready to read, or a packed tile that is
-// expanded only when some quantized P~ of the chunk is nonzero.
+// o[c] += float(sum) * o_scale for every channel c < d, sum the exact
+// int32 sum of p_q[t] * V[t][c] over t in [lo, hi). The SIMD builds read
+// V from its quad-major copy (v_quads), four P~ codes per dword of p4,
+// whose bytes outside [lo, hi) must be 0; the baseline build reads the
+// token-major rows.
+inline void pv_rows(float* o, const std::uint32_t* p4, std::size_t lo,
+                    std::size_t hi, const std::int8_t* rows,
+                    const std::uint32_t* quads, std::size_t d,
+                    float o_scale, std::vector<std::int32_t>& sums) {
+  const std::size_t q0 = lo / 4;
+  const std::size_t q1 = (hi + 3) / 4;
+#if defined(__x86_64__)
+  if constexpr (kAvx512) {
+    std::size_t c = 0;
+    for (; c + 128 <= d; c += 128) {
+      quad_pv_vectors_vnni<8>(o, p4, q0, q1, quads, d, c, o_scale, 0xFFFF);
+    }
+    for (; c + 64 <= d; c += 64) {
+      quad_pv_vectors_vnni<4>(o, p4, q0, q1, quads, d, c, o_scale, 0xFFFF);
+    }
+    for (; c < d; c += 16) {
+      quad_pv_vectors_vnni<1>(o, p4, q0, q1, quads, d, c, o_scale,
+                              lane_mask(d - c));
+    }
+    return;
+  } else if constexpr (kSimd) {
+    std::size_t c = 0;
+    for (; c + 64 <= d; c += 64) {
+      quad_pv_vectors_avx2<8>(o, p4, q0, q1, quads, d, c, o_scale);
+    }
+    for (; c + 8 <= d; c += 8) {
+      quad_pv_vectors_avx2<1>(o, p4, q0, q1, quads, d, c, o_scale);
+    }
+    for (; c < d; ++c) {
+      std::int32_t sum = 0;
+      for (std::size_t t4 = q0; t4 < q1; ++t4) {
+        const std::uint32_t p = p4[t4];
+        const std::uint32_t v = quads[t4 * d + c];
+        // Byte j / 8 of each: P~ unsigned, V signed.
+        for (unsigned j = 0; j < 32; j += 8) {
+          sum += static_cast<std::int32_t>((p >> j) & 0xFFu) *
+                 (static_cast<std::int32_t>(v << (24 - j)) >> 24);
+        }
+      }
+      o[c] += static_cast<float>(sum) * o_scale;
+    }
+    return;
+  }
+#endif
+  const auto* codes = reinterpret_cast<const std::uint8_t*>(p4);
+  sums.assign(d, 0);
+  for (std::size_t t = lo; t < hi; ++t) {
+    const std::int32_t pq = codes[t];
+    if (pq == 0) continue;
+    const std::int8_t* row = rows + t * d;
+    for (std::size_t c = 0; c < d; ++c) sums[c] += pq * row[c];
+  }
+  for (std::size_t c = 0; c < d; ++c) {
+    o[c] += static_cast<float>(sums[c]) * o_scale;
+  }
+}
+
+// o[c] += float(sum) * o_scale for every channel c < d, sum the exact
+// int32 sum of p_q[t] * V[t][c] over the tile load_tile loaded, read
+// channel by channel; p_q holds `padded` codes, zero past the tile.
+inline void tile_pv(const TileCodes& tc, const std::uint8_t* p_q,
+                    std::size_t tokens, std::size_t padded, std::size_t d,
+                    float o_scale, float* o, Scratch& w) {
+#if defined(__x86_64__)
+  if constexpr (kAvx512) {
+    if (tc.nibbles) {
+      tile_pv_vnni<true>(p_q, tc, d, w.tables.data(), padded, o_scale, o);
+    } else {
+      tile_pv_vnni<false>(p_q, tc, d, w.tables.data(), padded, o_scale, o);
+    }
+    return;
+  } else if constexpr (kSimd) {
+    tile_pv_avx2(p_q, tc, d, w.tables.data(), padded, o_scale, o);
+    return;
+  }
+#endif
+  // One channel's values at a time: the lookups, then a dot product the
+  // compiler vectorizes.
+  w.values.resize(tokens);
+  for (std::size_t c = 0; c < d; ++c) {
+    const std::int8_t* table = w.tables.data() + c * kTable;
+    const std::uint8_t* codes = tc.codes + c * tc.stride;
+    for (std::size_t t = 0; t < tokens; ++t) w.values[t] = table[codes[t]];
+    std::int32_t sum = 0;
+    for (std::size_t t = 0; t < tokens; ++t) sum += p_q[t] * w.values[t];
+    o[c] += static_cast<float>(sum) * o_scale;
+  }
+}
+
+// V of one chunk: INT8 rows ready to read, or a packed tile that is read
+// only when some quantized P~ of the chunk is nonzero.
 struct VSource {
   const std::int8_t* rows = nullptr;
   const ProgressiveBlock* packed = nullptr;
@@ -742,24 +938,29 @@ inline void absorb_chunk(DecodeState& st, float q_scale, float k_scale,
   st.l = st.l * alpha + row_sum;
   st.m = m_new;
 
-  // Quantize P~ to INT8; only its nonzero tokens reach P~V.
+  // Quantize P~ to INT8 codes, zero past the chunk up to a whole SIMD
+  // step; a chunk whose codes are all 0 adds nothing to O.
   const float p_scale = p_max > 0.0f ? p_max / kSymmetricHeadroom : 1.0f;
   const float inv_p = 1.0f / p_scale;
   const float o_scale = p_scale * vs.scale;
-  w.live.resize(tokens + 16);
-  w.p_q.resize(tokens + 16);
-  const std::size_t n_live =
-      live_codes(w.p.data(), tokens, inv_p, 0, w.live.data(), w.p_q.data());
-  if (n_live == 0) return;
+  const std::size_t step = kAvx512 ? kVnniChunk : kChunk;
+  const std::size_t padded = (tokens + step - 1) / step * step;
+  w.p_q.assign(padded / 4, 0);
+  auto* codes = reinterpret_cast<std::uint8_t*>(w.p_q.data());
+  if (!p_codes(w.p.data(), tokens, inv_p, codes)) return;
 
-  // O += o_scale * P~ V.
-  const std::int8_t* v = vs.rows;
+  // O += o_scale * P~ V, summed in int32.
   if (vs.packed != nullptr) {
-    load_tile(*vs.packed, w);
-    tile_rows(tokens, d, w, w.v_rows);
-    v = w.v_rows.data();
+    const TileCodes tc = load_tile(*vs.packed, w);
+    tile_pv(tc, codes, tokens, padded, d, o_scale, st.o.data(), w);
+    return;
   }
-  pv(st.o.data(), v, d, w.live.data(), w.p_q.data(), n_live, o_scale);
+  if constexpr (kSimd) {
+    w.v_quads.resize((tokens + 3) / 4 * d);
+    v_quads(vs.rows, tokens, d, w.v_quads.data());
+  }
+  pv_rows(st.o.data(), w.p_q.data(), 0, tokens, vs.rows, w.v_quads.data(), d,
+          o_scale, w.sums);
 }
 
 std::vector<float> fused_decode(std::span<const float> q,
@@ -814,8 +1015,8 @@ std::vector<float> fused_decode(std::span<const float> q,
     TURBO_CHECK(block->k.cols == d && block->v.cols == d &&
                 block->v.rows == block->k.rows);
     const std::size_t mask = win_start > pos ? win_start - pos : 0;
-    load_tile(block->k, w);
-    tile_dots(q_q1, q_lanes, q_total, block->tokens(), d, w);
+    const TileCodes k_codes = load_tile(block->k, w);
+    tile_dots(k_codes, q_q1, q_lanes, q_total, block->tokens(), d, w);
     absorb_chunk(st, q_scale, block->k.fp_scale,
                  VSource{nullptr, &block->v, block->v.fp_scale},
                  block->tokens(), d, attn_scale, sas, mask, w);

@@ -1,8 +1,8 @@
 // The AVX-512 VNNI entry of the fused kernels (kernels/dispatch.h): the
 // decode and prefill bodies compiled a third time, for AVX2 + F16C +
-// AVX-512 F/BW/VL/VNNI, with kAvx512 turning on their vpdpbusd, 16-lane
-// and vpcompressd helpers. fused_kernels.cpp holds the other two builds
-// and the table.
+// AVX-512 F/BW/VL/VNNI, with kAvx512 turning on their vpdpbusd and
+// 16-lane helpers. fused_kernels.cpp holds the other two builds and the
+// table.
 //
 // It has its own translation unit so that fused_kernels.cpp stays under
 // GCC's inlining growth limit. Compiled into that file, it made GCC stop
@@ -11,8 +11,6 @@
 // with it one PLT slot, moving every linked executable's own code by 16
 // bytes, bench/e2e's host probe included.
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -21,12 +19,14 @@
 #include <vector>
 
 #if defined(__x86_64__)
-// GCC 12's AVX-512 headers trip -Wmaybe-uninitialized inside their own
-// inline functions (_mm512_cvtepi8_epi32, _mm512_cvtps_ph and others). The
-// warning is located in the header, so only a pragma around the include
-// silences it.
+// GCC 12's AVX-512 headers trip -Wmaybe-uninitialized and
+// -Wuninitialized inside their own inline functions (_mm512_cvtepi8_epi32,
+// _mm512_cvtps_ph, _mm512_cvtepi32_ps through _mm512_undefined_ps, and
+// others). The warning is located in the header, so only a pragma around
+// the include silences it.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
 #include <immintrin.h>
 #pragma GCC diagnostic pop
 #endif

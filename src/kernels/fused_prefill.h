@@ -11,14 +11,14 @@
 //     dot products, skipping KV tiles no row of the Q tile can see;
 //   * shifts each row by its new maximum and sends the tile's scores and
 //     rescale factors through one Sas::apply call;
-//   * quantizes P~ and accumulates P~V over the nonzero codes only, with
-//     output channels as SIMD lanes.
+//   * quantizes P~ to byte codes and runs P~V as an integer matmul, exact
+//     in int32, over a quad-major copy of the V tile (four keys of one
+//     channel per dword), skipping quads of zero codes.
 //
 // Its output (o, lse and the cache) is bit-identical to the oracle's;
 // fused_prefill_test pins that for every compiled entry. Dispatch is the
-// decode kernel's (kernels/dispatch.h): baseline, AVX2 + F16C, or AVX-512
-// with VNNI, where QK^T runs on vpdpbusd, P~V on sixteen lanes and the P~
-// codes are compacted with vpcompressd.
+// decode kernel's (kernels/dispatch.h): baseline, AVX2 + F16C (P~V on
+// maddubs), or AVX-512 with VNNI, where QK^T and P~V run on vpdpbusd.
 #pragma once
 
 #include "attention/config.h"

@@ -5,8 +5,9 @@
 // fused_decode_body.h, in every ISA namespace, so it has no include guard
 // and reuses that body's helpers: stage1 (stage-1 quantization), row_dots
 // (exact int32 q.k, four keys per reduction) or, in the AVX-512 build,
-// quad_dots_vnni over a per-tile copy of K, max_avx2, live_codes (P~ codes
-// and their compaction) and pv (P~V).
+// quad_dots_vnni over a per-tile copy of K, max_avx2, p_codes (P~ codes
+// as bytes), v_quads (the SIMD builds' per-tile copy of V) and pv_rows
+// (P~V).
 //
 // The result (o, lse and the cache) is bit-identical to
 // turbo_attention_prefill, the oracle in attention/turbo_prefill.cpp.
@@ -25,9 +26,11 @@
 //     through Sas::apply, which is exp_neg bit for bit;
 //   * each row's sum and its l update run in key order, scalar; SIMD
 //     lanes are rows' elements only where the operation is element-wise;
-//   * P~ codes are clamp_to_i8(p * inv_p, 0, 127), and each output
-//     channel adds float(p_q * v) * o_scale over the nonzero codes in key
-//     order, after that row's alpha rescale.
+//   * P~ codes are clamp_to_i8(p * inv_p, 0, 127), and P~V is exact in
+//     int32, so its order and lanes are free: each output channel sums
+//     p_q * v over the row's keys of the tile, then adds float(sum) *
+//     o_scale once, after that row's alpha rescale, when some code is not
+//     0.
 //
 // The enclosing namespace provides `constexpr bool kSimd` and `kAvx512`.
 
@@ -43,8 +46,10 @@ struct PrefillScratch {
   // shifted scores of every row with len > 0, back to back in row order.
   std::vector<float> x;
   std::vector<std::int32_t> dots;   // one row's q.k
-  std::vector<std::uint32_t> live;  // keys whose P~ code is not 0
-  std::vector<std::int32_t> p_q;    // their codes
+  // One row's P~ codes over the tile, four bytes per dword, zero outside
+  // the row's visible keys (pv_rows reads whole dwords).
+  std::vector<std::uint32_t> p4;
+  std::vector<std::int32_t> sums;   // the baseline P~V's per-channel sums
   // The AVX-512 QK^T's operands: every K tile in quad_dots_vnni's layout
   // (quad_stride keys per row of four channels), and per row of the Q
   // tile its codes as four-byte quads and their sum.
@@ -52,32 +57,62 @@ struct PrefillScratch {
   std::size_t quad_stride = 0;
   std::vector<std::int32_t> q4;
   std::vector<std::int32_t> q_total;
+  // The SIMD P~V's operand: every V tile in v_quads' layout, v_tile_quads
+  // dwords apart.
+  std::vector<std::uint32_t> v_quads;
+  std::size_t v_tile_quads = 0;
 };
 
 // A K tile in quad_dots_vnni's layout: row c4 of d4 = ceil(d / 4) holds,
 // for each key t, its channels 4 c4 .. 4 c4 + 3 in one little-endian
 // dword, each byte k ^ 0x80 = k + 128 (past d, 0x80: q's zero bytes there
-// cancel it).
+// cancel it). Per four keys and 64 channels, the 4 x 16 dword transpose
+// leaves each channel quad's four keys in one 128-bit block. Key slots
+// past the tile, up to the next multiple of 4, hold junk the dots never
+// keep.
 inline void k_quads(const MatrixI8& k, std::size_t d4, std::size_t stride,
                     std::uint32_t* out) {
+#if defined(__x86_64__)
   const std::size_t d = k.cols();
-  for (std::size_t t = 0; t < k.rows(); ++t) {
-    const std::int8_t* row = k.data() + t * d;
-    for (std::size_t c4 = 0; c4 < d4; ++c4) {
-      std::uint32_t quad = 0;
-      std::memcpy(&quad, row + 4 * c4, std::min<std::size_t>(4, d - 4 * c4));
-      out[c4 * stride + t] = quad ^ 0x80808080u;
+  const std::size_t n = k.rows();
+  const __m512i flip = _mm512_set1_epi8(-128);
+  for (std::size_t t = 0; t < n; t += 4) {
+    for (std::size_t c0 = 0; c0 < d; c0 += 64) {
+      __m512i x[4] = {};
+      for (std::size_t j = 0; j < 4 && t + j < n; ++j) {
+        x[j] = _mm512_maskz_loadu_epi8(byte_mask(d - c0),
+                                       k.data() + (t + j) * d + c0);
+      }
+      transpose4x16_epi32(x);
+      const std::size_t c4 = c0 / 4;
+      for (std::size_t g = 0; g < 4; ++g) {
+        const __m512i y = _mm512_xor_si512(x[g], flip);
+        const __m128i blocks[4] = {_mm512_castsi512_si128(y),
+                                   _mm512_extracti32x4_epi32(y, 1),
+                                   _mm512_extracti32x4_epi32(y, 2),
+                                   _mm512_extracti32x4_epi32(y, 3)};
+        for (std::size_t m = 0; m < 4 && c4 + 4 * g + m < d4; ++m) {
+          _mm_storeu_si128(
+              reinterpret_cast<__m128i*>(out + (c4 + 4 * g + m) * stride + t),
+              blocks[m]);
+        }
+      }
     }
   }
+#else
+  (void)k, (void)d4, (void)stride, (void)out;
+#endif
 }
 
 // One (Q tile, KV tile) step of Algorithm 1 for the rows whose visible
 // range w.lo / w.len the caller set: scores, SAS, the online-softmax
 // update and P~V into o (rows of the Q tile, stride d). The AVX-512 build
-// reads K from quads, the tile's block of w.k_quads.
+// reads K from quads, the tile's block of w.k_quads, and the SIMD builds
+// read V from vq, the tile's block of w.v_quads.
 inline void absorb_kv_tile(const Int8Tile& k_tile,
                            const std::uint32_t* quads,
-                           const Int8Tile& v_tile, std::size_t q_rows,
+                           const Int8Tile& v_tile,
+                           const std::uint32_t* vq, std::size_t q_rows,
                            std::size_t d, float q_scale, float attn_scale,
                            const Sas& sas, float* o, PrefillScratch& w) {
   const float s_scale = q_scale * k_tile.scale * attn_scale;
@@ -152,21 +187,25 @@ inline void absorb_kv_tile(const Int8Tile& k_tile,
 #endif
   for (std::size_t i = i0; i < n_x; ++i) p_max = std::max(p_max, w.x[i]);
 
-  // Quantize P~ with one per-tile scale; O += o_scale * P~ V over the
-  // nonzero codes.
+  // Quantize P~ with one per-tile scale; O += o_scale * P~ V, each row's
+  // sums exact in int32.
   const float p_scale = p_max > 0.0f ? p_max / kSymmetricHeadroom : 1.0f;
   const float inv_p = 1.0f / p_scale;
   const float o_scale = p_scale * v_tile.scale;
-  const std::int8_t* v = v_tile.q.data();
+  auto* codes = reinterpret_cast<std::uint8_t*>(w.p4.data());
   p = w.x.data() + q_rows;
   for (std::size_t r = 0; r < q_rows; ++r) {
     const std::size_t n = w.len[r];
     if (n == 0) continue;
-    const std::size_t n_live =
-        live_codes(p, n, inv_p, w.lo[r], w.live.data(), w.p_q.data());
+    const std::size_t lo = w.lo[r];
+    // The codes overwrite [lo, lo + n); the rest of the edge quads is 0.
+    w.p4[lo / 4] = 0;
+    w.p4[(lo + n - 1) / 4] = 0;
+    const bool live = p_codes(p, n, inv_p, codes + lo);
     p += n;
-    if (n_live != 0) {
-      pv(o + r * d, v, d, w.live.data(), w.p_q.data(), n_live, o_scale);
+    if (live) {
+      pv_rows(o + r * d, w.p4.data(), lo, lo + n, v_tile.q.data(), vq, d,
+              o_scale, w.sums);
     }
   }
 }
@@ -227,6 +266,15 @@ TurboPrefillResult fused_prefill(const MatrixF& q, const MatrixF& k,
               w.k_quads.data() + j * d4 * w.quad_stride);
     }
   }
+  if constexpr (kSimd) {
+    // The SIMD P~V's V layout, likewise once per V tile.
+    w.v_tile_quads = (bc + 3) / 4 * d;
+    w.v_quads.resize(n_kv_tiles * w.v_tile_quads);
+    for (std::size_t j = 0; j < n_kv_tiles; ++j) {
+      v_quads(v_tiles[j].q.data(), v_tiles[j].q.rows(), d,
+              w.v_quads.data() + j * w.v_tile_quads);
+    }
+  }
 
   TurboPrefillResult result;
   result.o = MatrixF(n_q, d, 0.0f);
@@ -242,8 +290,7 @@ TurboPrefillResult fused_prefill(const MatrixF& q, const MatrixF& k,
   w.len.resize(tile_rows);
   w.x.resize(tile_rows + tile_rows * tile_cols);
   w.dots.resize(tile_cols);
-  w.live.resize(tile_cols + 16);  // live_codes' whole-vector stores
-  w.p_q.resize(tile_cols + 16);
+  w.p4.resize((tile_cols + 3) / 4);
   if constexpr (kAvx512) {
     w.q4.resize(tile_rows * d4);
     w.q_total.resize(tile_rows);
@@ -289,7 +336,9 @@ TurboPrefillResult fused_prefill(const MatrixF& q, const MatrixF& k,
       if (!seen) continue;
       const std::uint32_t* quads =
           kAvx512 ? w.k_quads.data() + j * d4 * w.quad_stride : nullptr;
-      absorb_kv_tile(k_tiles[j], quads, v_tiles[j], q_rows, d, q_scale,
+      const std::uint32_t* vq =
+          kSimd ? w.v_quads.data() + j * w.v_tile_quads : nullptr;
+      absorb_kv_tile(k_tiles[j], quads, v_tiles[j], vq, q_rows, d, q_scale,
                      attn_scale, sas, o, w);
     }
 

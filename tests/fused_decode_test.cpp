@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <memory>
 
@@ -9,9 +10,11 @@
 #include "attention/turbo_method.h"
 #include "common/check.h"
 #include "common/cpu.h"
+#include "common/numeric.h"
 #include "kernels/dispatch.h"
 #include "kvcache/paged_cache.h"
 #include "quant/progressive.h"
+#include "quant/symmetric.h"
 #include "tests/test_util.h"
 
 namespace turbo {
@@ -109,6 +112,8 @@ bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
   return a.size() == b.size() &&
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
+
+bool same_bits(float a, float b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
 // Blocks built straight from INT8 tiles, so a test controls the second
 // stage's inputs, plus a buffered tail.
@@ -335,6 +340,159 @@ TEST(FusedDecodeParity, ThousandAndOneTokenPrompt) {
     attn.decode(q.row(t), k.row(t), v.row(t));
   }
   check(55, "1001 prompt + 9 buffered");
+}
+
+TEST(FusedDecodeParity, Int4BlocksReadInPlaceOrUnpacked) {
+  // The AVX-512 entry reads an INT4 block whose row count is a multiple of
+  // 64 in place, two codes per packed byte, for q.K and for P~V; INT2 and
+  // INT3 blocks and ragged INT4 blocks (1, 33 and 63 rows) are unpacked
+  // first. Both ways must give the reference's bits, on their own and
+  // mixed in one call. The 64-byte reads past a ragged block's codes land
+  // in the code buffer's slack, which the sanitizer lane checks.
+  test::record_fused_entries();
+  for (const std::size_t d : {std::size_t{128}, std::size_t{44}}) {
+    const std::string what = "d=" + std::to_string(d);
+    const Blocks in_place = make_blocks(d, BitWidth::kInt4, {64, 128}, 5, 71);
+    expect_entries_match(in_place, AttentionConfig{}, 72, what + " in place");
+    const Blocks ragged = make_blocks(d, BitWidth::kInt4, {1, 33, 63}, 0, 73);
+    expect_entries_match(ragged, AttentionConfig{}, 74, what + " ragged");
+    const Blocks int2 = make_blocks(d, BitWidth::kInt2, {64, 128}, 0, 75);
+    expect_entries_match(int2, AttentionConfig{}, 76, what + " int2");
+    const Blocks mixed =
+        make_blocks(d, BitWidth::kInt4, {64, 33, 128, 1, 63, 64}, 7, 77);
+    expect_entries_match(mixed, AttentionConfig{}, 78, what + " mixed");
+    AttentionConfig window;
+    window.window = 150;  // starts inside the 128-row block
+    expect_entries_match(mixed, window, 79, what + " mixed, window");
+  }
+}
+
+// A block whose V channels all hold +-127: +127 (pattern 0), -127 (1),
+// signs alternating by channel (2) or by token and channel (3); K random.
+// Its first-stage scale is 1/127, so V reads +-1, as in the tail.
+std::unique_ptr<KvBlock> sign_block(std::size_t rows, std::size_t d,
+                                    BitWidth bits, int pattern, Rng& rng) {
+  MatrixI8 v(rows, d);
+  for (std::size_t t = 0; t < rows; ++t) {
+    for (std::size_t c = 0; c < d; ++c) {
+      const bool negative = pattern == 1 || (pattern == 2 && c % 2 == 1) ||
+                            (pattern == 3 && (t + c) % 2 == 1);
+      v(t, c) = static_cast<std::int8_t>(negative ? -127 : 127);
+    }
+  }
+  auto block = std::make_unique<KvBlock>();
+  block->k = progressive_compress(random_i8(rows, d, rng), 0.02f, bits);
+  block->v = progressive_compress(v, 1.0f / 127.0f, bits);
+  return block;
+}
+
+TEST(FusedDecodeParity, EveryCodeAt127AgainstFullScaleV) {
+  // q = 0 makes every score 0, so every P~ equals the chunk max and every
+  // code is 127. Against V at +-127 a pair of tokens sums 2 * 127^2 =
+  // 32,258 in the AVX2 entry's int16 step, its largest value.
+  test::record_fused_entries();
+  const Sas sas;
+  for (const std::size_t d : {std::size_t{128}, std::size_t{44}}) {
+    for (const BitWidth bits : {BitWidth::kInt4, BitWidth::kInt2}) {
+      for (const int pattern : {0, 1, 2, 3}) {
+        Rng rng(81);
+        Blocks b(d, 64);
+        for (const std::size_t rows : {64, 128, 64}) {
+          b.owned.push_back(sign_block(rows, d, bits, pattern, rng));
+          b.view.push_back(b.owned.back().get());
+        }
+        for (std::size_t t = 0; t < 40; ++t) {
+          std::vector<float> kt(d);
+          std::vector<float> vt(d);
+          rng.fill_normal(kt, 0.0, 1.0);
+          for (std::size_t c = 0; c < d; ++c) {
+            const bool negative = pattern == 1 ||
+                                  (pattern == 2 && c % 2 == 1) ||
+                                  (pattern == 3 && (t + c) % 2 == 1);
+            vt[c] = negative ? -1.0f : 1.0f;
+          }
+          b.keys.push(kt);
+          b.values.push(vt);
+        }
+        const std::string what = "d=" + std::to_string(d) +
+                                 " bits=" + std::to_string(bit_count(bits)) +
+                                 " pattern=" + std::to_string(pattern);
+        const std::vector<float> q(d, 0.0f);
+        const std::vector<float> ref = turbo_attention_decode(
+            q, b.view, b.keys, b.values, AttentionConfig{}, sas);
+        for (const auto& e : detail::fused_entries()) {
+          if (!e.supported) continue;
+          EXPECT_TRUE(same_bits(ref, e.decode(q, b.view, b.keys, b.values,
+                                              AttentionConfig{}, sas)))
+              << what << " entry=" << e.name;
+        }
+        if (pattern == 3) continue;
+        // Every token weighs the same and each channel holds one value,
+        // so O is that value, to rounding.
+        for (std::size_t c = 0; c < d; ++c) {
+          const float expected = pattern == 1 || (pattern == 2 && c % 2 == 1)
+                                     ? -1.0f
+                                     : 1.0f;
+          ASSERT_NEAR(ref[c], expected, 1e-5) << what << " c=" << c;
+        }
+      }
+    }
+  }
+}
+
+TEST(FusedDecodeParity, ReferenceAddsTheExactIntegerSumOnce) {
+  // A buffered tail only, one chunk: the reference's O is
+  // (0 + float(sum) * o_scale) / l. The test forms the chunk's P~ codes,
+  // o_scale and l from the public quantizers and Sas::exp_neg the way the
+  // reference does, and checks its O bit for bit.
+  const std::size_t d = 96;
+  const Sas sas;
+  const AttentionConfig cfg;
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    const Blocks b = make_blocks(d, BitWidth::kInt4, {}, 50, 90 + seed);
+    Rng rng(100 + seed);
+    std::vector<float> q(d);
+    rng.fill_normal(q, 0.0, 2.0);
+    const std::vector<float> ref =
+        turbo_attention_decode(q, b.view, b.keys, b.values, cfg, sas);
+
+    const float q_scale = symmetric_scale_int8(q);
+    std::vector<std::int8_t> q8(d);
+    quantize_symmetric_int8(q, q_scale, q8);
+    const MatrixI8& k = b.keys.tokens();
+    const MatrixI8& v = b.values.tokens();
+    const float s_scale =
+        q_scale * b.keys.scale() * cfg.effective_scale(d);
+    std::vector<float> s(k.rows());
+    float m = -std::numeric_limits<float>::infinity();
+    for (std::size_t t = 0; t < k.rows(); ++t) {
+      std::int32_t dot = 0;
+      for (std::size_t x = 0; x < d; ++x) dot += q8[x] * k(t, x);
+      s[t] = static_cast<float>(dot) * s_scale;
+      m = std::max(m, s[t]);
+    }
+    float l = 0.0f;
+    float p_max = 0.0f;
+    for (float& x : s) {
+      x = sas.exp_neg(x - m);
+      l += x;
+      p_max = std::max(p_max, x);
+    }
+    const float p_scale = p_max > 0.0f ? p_max / kSymmetricHeadroom : 1.0f;
+    const float inv_p = 1.0f / p_scale;
+    const float o_scale = p_scale * b.values.scale();
+    std::vector<std::int32_t> sum(d, 0);
+    for (std::size_t t = 0; t < v.rows(); ++t) {
+      const std::int32_t code = clamp_to_i8(s[t] * inv_p, 0, 127);
+      for (std::size_t x = 0; x < d; ++x) sum[x] += code * v(t, x);
+    }
+    const float inv_l = 1.0f / l;
+    for (std::size_t x = 0; x < d; ++x) {
+      const float once = 0.0f + static_cast<float>(sum[x]) * o_scale;
+      ASSERT_TRUE(same_bits(ref[x], once * inv_l))
+          << "seed " << seed << " channel " << x;
+    }
+  }
 }
 
 TEST(FusedDecodeTest, EmptyCacheThrows) {

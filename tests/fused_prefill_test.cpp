@@ -2,15 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <iomanip>
 #include <limits>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "attention/turbo.h"
 #include "attention/turbo_method.h"
 #include "common/check.h"
 #include "common/cpu.h"
+#include "common/numeric.h"
 #include "kernels/dispatch.h"
+#include "quant/symmetric.h"
+#include "softmax/sas.h"
 #include "tests/test_util.h"
 
 namespace turbo {
@@ -268,6 +275,157 @@ TEST(FusedPrefillParity, TurboKvAttentionPrefillMatchesOracleOnItsCache) {
     EXPECT_TRUE(same_bits(ref.o.flat(), o.flat())) << what;
     expect_same_cache(ref_cache, attn.cache(), what);
   }
+}
+
+// --- The integer P~V --------------------------------------------------------
+//
+// P~V sums p_q * v exactly in int32 per (row, KV tile), then adds
+// float(sum) * o_scale to O once. These tests pin the sum's extremes and
+// the rounding it replaced.
+
+// V of n rows of d at +1 (pattern 0), -1 (1), signs alternating by channel
+// (2) or by key and channel (3): stage 1 maps each to the codes +-127.
+MatrixF sign_pattern(std::size_t n, std::size_t d, int pattern) {
+  MatrixF v(n, d);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < d; ++c) {
+      const bool negative = pattern == 1 || (pattern == 2 && c % 2 == 1) ||
+                            (pattern == 3 && (r + c) % 2 == 1);
+      v(r, c) = negative ? -1.0f : 1.0f;
+    }
+  }
+  return v;
+}
+
+TEST(FusedPrefillExtremes, EveryCodeAt127AgainstFullScaleV) {
+  // Q = 0 makes every score 0, so every P~ equals the tile max and every
+  // code is 127. Against V at +-127, a pair of keys sums 2 * 127^2 =
+  // 32,258 in the AVX2 entry's int16 step, its largest value, and a
+  // 128-key row sums 128 * 127^2 in int32.
+  test::record_fused_entries();
+  const std::size_t n = 200;
+  for (const std::size_t d : {std::size_t{128}, std::size_t{44}}) {
+    const MatrixF q(n, d, 0.0f);
+    const MatrixF k = test::random_matrix(n, d, 61);
+    for (const int pattern : {0, 1, 2, 3}) {
+      const MatrixF v = sign_pattern(n, d, pattern);
+      for (const std::size_t bc : {std::size_t{64}, std::size_t{128}}) {
+        for (const bool causal : {true, false}) {
+          const AttentionConfig cfg = tiles(64, bc, causal);
+          const std::string what =
+              "d=" + std::to_string(d) + " pattern=" +
+              std::to_string(pattern) + " Bc=" + std::to_string(bc) +
+              (causal ? " causal" : " non-causal");
+          expect_entries_match(q, k, v, cfg, SasConfig{}, what);
+          if (pattern == 3) continue;
+          // Every key weighs the same and each channel holds one value,
+          // so O is that value, to rounding.
+          const TurboPrefillResult r =
+              fused_turbo_prefill(q, k, v, cfg, Sas{}, nullptr);
+          for (std::size_t i = 0; i < n; i += 37) {
+            for (std::size_t c = 0; c < d; ++c) {
+              ASSERT_NEAR(r.o(i, c), v(i, c), 1e-5) << what << " row " << i;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The P~V of the oracle before the integer sum: each channel adds
+// float(p_q * v) * o_scale over the nonzero codes, one key at a time in
+// key order.
+void per_key_pv(std::span<float> o, std::span<const std::int8_t> codes,
+                const MatrixI8& v, float o_scale) {
+  for (std::size_t t = 0; t < codes.size(); ++t) {
+    const std::int32_t pv = codes[t];
+    if (pv == 0) continue;
+    auto vr = v.row(t);
+    for (std::size_t x = 0; x < o.size(); ++x) {
+      o[x] += static_cast<float>(pv * vr[x]) * o_scale;
+    }
+  }
+}
+
+TEST(FusedPrefillOracle, AddsTheExactIntegerSumOnce) {
+  // One Q tile against one KV tile, non-causal: the oracle's O row is
+  // (0 + float(sum) * o_scale) / l. The test forms the tile's P~ codes,
+  // o_scale and l from the public quantizers and Sas::exp_neg the way the
+  // oracle does, and checks its O bit for bit. Against an FP64 P~V of the
+  // same codes, the integer sum's RMS error must be no larger than the
+  // per-key float sum's.
+  const std::size_t d = 128;
+  const std::size_t n_q = 48;
+  const std::size_t n_k = 64;
+  const AttentionConfig cfg = tiles(64, 64, false);
+  const Sas sas;
+  double err_int = 0.0;
+  double err_per_key = 0.0;
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    const Inputs in = make_inputs(n_q, n_k, d, 300 + seed);
+    const TurboPrefillResult res =
+        turbo_attention_prefill(in.q, in.k, in.v, cfg, sas, nullptr);
+    const Int8Tile qt = quantize_tile_int8(in.q);
+    const Int8Tile kt = quantize_tile_int8(in.k);
+    const Int8Tile vt = quantize_tile_int8(in.v);
+    const float s_scale = qt.scale * kt.scale * cfg.effective_scale(d);
+
+    MatrixF p(n_q, n_k);
+    std::vector<float> l(n_q, 0.0f);
+    float p_max = 0.0f;
+    for (std::size_t r = 0; r < n_q; ++r) {
+      std::vector<float> s(n_k);
+      float m = -std::numeric_limits<float>::infinity();
+      for (std::size_t t = 0; t < n_k; ++t) {
+        std::int32_t dot = 0;
+        for (std::size_t x = 0; x < d; ++x) dot += qt.q(r, x) * kt.q(t, x);
+        s[t] = static_cast<float>(dot) * s_scale;
+        m = std::max(m, s[t]);
+      }
+      for (std::size_t t = 0; t < n_k; ++t) {
+        p(r, t) = sas.exp_neg(s[t] - m);
+        l[r] += p(r, t);
+        p_max = std::max(p_max, p(r, t));
+      }
+    }
+    const float p_scale = p_max > 0.0f ? p_max / kSymmetricHeadroom : 1.0f;
+    const float inv_p = 1.0f / p_scale;
+    const float o_scale = p_scale * vt.scale;
+
+    for (std::size_t r = 0; r < n_q; ++r) {
+      std::vector<std::int8_t> codes(n_k);
+      std::vector<std::int32_t> sum(d, 0);
+      bool live = false;
+      for (std::size_t t = 0; t < n_k; ++t) {
+        codes[t] = clamp_to_i8(p(r, t) * inv_p, 0, 127);
+        live = live || codes[t] != 0;
+        for (std::size_t x = 0; x < d; ++x) sum[x] += codes[t] * vt.q(t, x);
+      }
+      std::vector<float> per_key(d, 0.0f);
+      per_key_pv(per_key, codes, vt.q, o_scale);
+      const float inv_l = 1.0f / l[r];
+      for (std::size_t x = 0; x < d; ++x) {
+        const float once =
+            live ? 0.0f + static_cast<float>(sum[x]) * o_scale : 0.0f;
+        ASSERT_TRUE(same_bits(res.o(r, x), once * inv_l))
+            << "seed " << seed << " row " << r << " channel " << x;
+        const double exact =
+            static_cast<double>(sum[x]) * static_cast<double>(o_scale);
+        err_int += (once - exact) * (once - exact);
+        err_per_key += (per_key[x] - exact) * (per_key[x] - exact);
+      }
+    }
+  }
+  const double count = 8.0 * n_q * d;
+  for (const auto& [name, err] : {std::pair{"rms_int_sum", err_int},
+                                  std::pair{"rms_per_key", err_per_key}}) {
+    std::ostringstream rms;
+    rms << std::scientific << std::setprecision(3) << std::sqrt(err / count);
+    RecordProperty(name, rms.str());
+  }
+  EXPECT_LE(err_int, err_per_key);
+  EXPECT_GT(err_per_key, 0.0);
 }
 
 }  // namespace
