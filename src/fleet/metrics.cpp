@@ -1,88 +1,54 @@
 #include "fleet/metrics.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <vector>
 
 namespace turbo::fleet {
 
 namespace {
 
+template <typename T>
+void merge_sum(T& into, const T& from) {
+  into += from;
+}
+void merge_sum(serving::TierStats& into, const serving::TierStats& from) {
+  for (std::size_t t = 0; t < into.size(); ++t) into[t] += from[t];
+}
+template <typename T>
+void merge_max(T& into, const T& from) {
+  into = std::max(into, from);
+}
+template <typename T>
+void merge_min(T& into, const T& from) {
+  into = std::min(into, from);
+}
+
+// Merge one replica's counters into the fleet's, each by the rule its
+// TURBO_ENGINE_COUNTERS entry names.
+void merge(serving::EngineCounters& into,
+           const serving::EngineCounters& from) {
+#define TURBO_MERGE_COUNTER(type, name, rule) \
+  merge_##rule(into.name, from.name);
+  TURBO_ENGINE_COUNTERS(TURBO_MERGE_COUNTER)
+#undef TURBO_MERGE_COUNTER
+}
+
 // Fold the per-replica engine results into one synthetic EngineResult so
 // the serving-level summarize() — percentiles, SLO attainment, the
 // hit_time_limit/unfinished consistency check — runs unchanged over the
-// fleet union. Counters sum; precision floors take the min; peaks sum
-// (replicas run concurrently, so fleet peak memory is the sum of replica
-// peaks, a conservative upper bound).
+// fleet union. The first replica seeds every counter, so min and max
+// need no identity value.
 serving::EngineResult aggregate(const FleetResult& result) {
   serving::EngineResult agg;
   agg.requests = result.requests;
   agg.makespan_s = result.makespan_s;
   agg.hit_time_limit = result.hit_time_limit;
-  bool first = true;
-  for (const serving::EngineResult& er : result.replica_results) {
-    agg.busy_s += er.busy_s;
-    agg.peak_batch += er.peak_batch;
-    agg.peak_kv_bytes += er.peak_kv_bytes;
-    agg.rejected += er.rejected;
-    agg.timed_out += er.timed_out;
-    agg.shed += er.shed;
-    agg.ladder_escalations += er.ladder_escalations;
-    agg.ladder_deescalations += er.ladder_deescalations;
-    agg.degraded_iterations += er.degraded_iterations;
-    agg.degraded_admissions += er.degraded_admissions;
-    agg.min_kv_bits =
-        first ? er.min_kv_bits : std::min(agg.min_kv_bits, er.min_kv_bits);
-    agg.degrade_rmse_proxy =
-        std::max(agg.degrade_rmse_proxy, er.degrade_rmse_proxy);
-    agg.preemptions += er.preemptions;
-    agg.preempted_recompute += er.preempted_recompute;
-    agg.preempted_swap += er.preempted_swap;
-    agg.swap_ins += er.swap_ins;
-    agg.swap_out_bytes += er.swap_out_bytes;
-    agg.swap_in_bytes += er.swap_in_bytes;
-    agg.swap_stall_s += er.swap_stall_s;
-    agg.checksum_failures += er.checksum_failures;
-    agg.recoveries += er.recoveries;
-    agg.degraded_steps += er.degraded_steps;
-    agg.injected_alloc_failures += er.injected_alloc_failures;
-    agg.max_preemptions_single_request =
-        std::max(agg.max_preemptions_single_request,
-                 er.max_preemptions_single_request);
-    agg.recomputed_tokens += er.recomputed_tokens;
-    agg.snapshots_written += er.snapshots_written;
-    agg.snapshot_bytes += er.snapshot_bytes;
-    agg.snapshot_restores += er.snapshot_restores;
-    agg.snapshot_corruptions += er.snapshot_corruptions;
-    agg.restored_requests += er.restored_requests;
-    agg.replayed_tokens += er.replayed_tokens;
-    agg.crash_recomputes += er.crash_recomputes;
-    agg.replica_crashes += er.replica_crashes;
-    agg.dedupe_drops += er.dedupe_drops;
-    agg.tier_demotions += er.tier_demotions;
-    agg.tier_promotions += er.tier_promotions;
-    agg.tier_failovers += er.tier_failovers;
-    agg.tier_blacklists += er.tier_blacklists;
-    agg.tier_fetch_retries += er.tier_fetch_retries;
-    agg.swap_unavailable_recomputes += er.swap_unavailable_recomputes;
-    agg.swap_overflow_recomputes += er.swap_overflow_recomputes;
-    agg.swap_tiers_used += er.swap_tiers_used;
-    agg.tier_retry_stall_s += er.tier_retry_stall_s;
-    agg.prefix_hit_tokens += er.prefix_hit_tokens;
-    agg.prefix_hit_requests += er.prefix_hit_requests;
-    agg.prefix_pages_attached += er.prefix_pages_attached;
-    agg.retained_pages_reclaimed += er.retained_pages_reclaimed;
-    agg.prefilled_tokens += er.prefilled_tokens;
-    agg.peak_referenced_pages += er.peak_referenced_pages;
-    agg.prefill_handoffs += er.prefill_handoffs;
-    for (std::size_t t = 0; t < kMaxSwapTiers; ++t) {
-      agg.tier_stats[t].stores += er.tier_stats[t].stores;
-      agg.tier_stats[t].hits += er.tier_stats[t].hits;
-      agg.tier_stats[t].demotions_in += er.tier_stats[t].demotions_in;
-      agg.tier_stats[t].promotions_out += er.tier_stats[t].promotions_out;
-      agg.tier_stats[t].failures += er.tier_stats[t].failures;
-      agg.tier_stats[t].blacklists += er.tier_stats[t].blacklists;
-    }
-    first = false;
-  }
+  const std::vector<serving::EngineResult>& replicas = result.replica_results;
+  if (replicas.empty()) return agg;
+  static_cast<serving::EngineCounters&>(agg) =
+      static_cast<const serving::EngineCounters&>(replicas.front());
+  for (std::size_t i = 1; i < replicas.size(); ++i) merge(agg, replicas[i]);
   return agg;
 }
 
@@ -90,35 +56,14 @@ serving::EngineResult aggregate(const FleetResult& result) {
 
 FleetMetrics summarize_fleet(const FleetResult& result) {
   FleetMetrics m;
+  static_cast<FleetCounters&>(m) = static_cast<const FleetCounters&>(result);
   m.fleet = serving::summarize(aggregate(result));
   m.replicas.reserve(result.replica_results.size());
   for (const serving::EngineResult& er : result.replica_results) {
     m.replicas.push_back(serving::summarize(er));
   }
-  m.replica_count = result.replica_count;
-  m.routed = result.routed;
-  m.replica_outages = result.replica_outages;
-  m.failover_drains = result.failover_drains;
-  m.rerouted_waiting = result.rerouted_waiting;
-  m.migrations = result.migrations;
-  m.migration_corruptions = result.migration_corruptions;
-  m.migration_recomputes = result.migration_recomputes;
-  m.migration_budget_exhausted = result.migration_budget_exhausted;
-  m.hit_time_limit = result.hit_time_limit;
-  m.prefill_replica_count = result.prefill_replica_count;
-  m.handoffs = result.handoffs;
-  m.handoff_corruptions = result.handoff_corruptions;
-  m.handoff_retries = result.handoff_retries;
-  m.handoff_budget_exhausted = result.handoff_budget_exhausted;
-  m.handoff_recomputes = result.handoff_recomputes;
-  m.role_fallback_prefills = result.role_fallback_prefills;
-  m.backpressure_deferrals = result.backpressure_deferrals;
-  m.affinity_hits = result.affinity_hits;
-  m.affinity_misses = result.affinity_misses;
   m.migrated_gb = result.migrated_bytes / (1024.0 * 1024.0 * 1024.0);
-  m.migration_stall_s = result.migration_stall_s;
   m.handoff_gb = result.handoff_bytes / (1024.0 * 1024.0 * 1024.0);
-  m.handoff_stall_s = result.handoff_stall_s;
   return m;
 }
 

@@ -1,9 +1,9 @@
 // Fleet-level metrics: per-replica serving rollups plus the fleet union.
 //
-// Mirroring contract (turbo_lint rule "unmirrored-engine-counter"): every
-// std::size_t / bool counter in FleetResult has a FleetMetrics field of
-// the same name, filled from it in metrics.cpp — a router counter that
-// never reaches the report is a lint error, not a code-review hope.
+// FleetMetrics carries the router's counters by type: it derives from
+// FleetCounters (fleet/router.h), as ServingMetrics derives from
+// EngineCounters (serving/engine.h), so a counter added to either list
+// reaches the report with no copy to write or miss.
 #pragma once
 
 #include <vector>
@@ -13,7 +13,7 @@
 
 namespace turbo::fleet {
 
-struct FleetMetrics {
+struct FleetMetrics : FleetCounters {
   // Union-level serving metrics: every trace request, whichever replica
   // finished it, summarized against the fleet makespan.
   serving::ServingMetrics fleet;
@@ -24,35 +24,8 @@ struct FleetMetrics {
   // requests count only where they terminated).
   std::vector<serving::ServingMetrics> replicas;
 
-  std::size_t replica_count = 0;
-  std::size_t routed = 0;
-  std::size_t replica_outages = 0;
-  std::size_t failover_drains = 0;
-  std::size_t rerouted_waiting = 0;
-  std::size_t migrations = 0;
-  std::size_t migration_corruptions = 0;
-  std::size_t migration_recomputes = 0;
-  std::size_t migration_budget_exhausted = 0;
-  bool hit_time_limit = false;
-
-  // Prefill/decode disaggregation (see fleet/router.h).
-  std::size_t prefill_replica_count = 0;
-  std::size_t handoffs = 0;
-  std::size_t handoff_corruptions = 0;
-  std::size_t handoff_retries = 0;
-  std::size_t handoff_budget_exhausted = 0;
-  std::size_t handoff_recomputes = 0;
-  std::size_t role_fallback_prefills = 0;
-  std::size_t backpressure_deferrals = 0;
-
-  // Affinity routing.
-  std::size_t affinity_hits = 0;
-  std::size_t affinity_misses = 0;
-
-  double migrated_gb = 0.0;
-  double migration_stall_s = 0.0;
-  double handoff_gb = 0.0;
-  double handoff_stall_s = 0.0;
+  double migrated_gb = 0.0;  // migrated_bytes / 2^30
+  double handoff_gb = 0.0;   // handoff_bytes / 2^30
 };
 
 FleetMetrics summarize_fleet(const FleetResult& result);

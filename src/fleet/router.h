@@ -154,7 +154,62 @@ class MigrationChannel {
   double bandwidth_;
 };
 
-struct FleetResult {
+// The router's run counters, declared once as (type, name). FleetResult
+// and FleetMetrics (fleet/metrics.h) both derive from the FleetCounters
+// struct generated from it.
+#define TURBO_FLEET_COUNTERS(X)                                               \
+  X(std::size_t, replica_count)                                               \
+  X(std::size_t, prefill_replica_count)  /* 0 = symmetric fleet */            \
+  X(std::size_t, routed)                 /* arrivals placed on a replica */   \
+  X(std::size_t, replica_outages)        /* outage windows that fired */      \
+  /* requests drained off dying replicas */                                   \
+  X(std::size_t, failover_drains)                                             \
+  /* drained with no KV: plain re-routes */                                   \
+  X(std::size_t, rerouted_waiting)                                            \
+  X(std::size_t, migrations)             /* KV streams moved over the wire */ \
+  X(std::size_t, migration_corruptions)  /* CRC-detected transfer faults */   \
+  /* Failovers that landed through the recompute path: corrupted              \
+     migrations plus streams over budget or unparkable at the source. */      \
+  X(std::size_t, migration_recomputes)                                        \
+  /* over-budget stream drops */                                              \
+  X(std::size_t, migration_budget_exhausted)                                  \
+                                                                              \
+  /* --- Prefill->decode handoff (disaggregated mode) -------------------- */ \
+  X(std::size_t, handoffs)               /* finished prefills handed over */  \
+  X(std::size_t, handoff_corruptions)    /* CRC-detected handoff faults */    \
+  X(std::size_t, handoff_retries)        /* transient-fault send retries */   \
+  /* send budget ran out */                                                   \
+  X(std::size_t, handoff_budget_exhausted)                                    \
+  /* Handoffs that landed through the recompute path: corrupted or            \
+     over-budget transfers plus streamless (recompute-mode) sources. */       \
+  X(std::size_t, handoff_recomputes)                                          \
+  /* Arrivals prefilled by a decode replica because no prefill replica was    \
+     healthy: the graceful degradation to symmetric mode. */                  \
+  X(std::size_t, role_fallback_prefills)                                      \
+  /* Arrivals whose admission was deferred at least once because every        \
+     healthy decode replica sat over the decode watermark (backpressure on    \
+     prefill admission instead of over-committing the decode pool). */        \
+  X(std::size_t, backpressure_deferrals)                                      \
+                                                                              \
+  /* --- Affinity routing ------------------------------------------------ */ \
+  /* routed to a prefix-holding replica */                                    \
+  X(std::size_t, affinity_hits)                                               \
+  /* fell back to least-outstanding-pages */                                  \
+  X(std::size_t, affinity_misses)                                             \
+  /* any replica (or routing) hit the stop */                                 \
+  X(bool, hit_time_limit)                                                     \
+                                                                              \
+  X(double, migrated_bytes)                                                   \
+  /* wire time across all migrations */                                       \
+  X(double, migration_stall_s)                                                \
+  X(double, handoff_bytes)               /* KV bytes moved by handoffs */     \
+  X(double, handoff_stall_s)             /* wire time across all handoffs */
+
+struct FleetCounters {
+  TURBO_FLEET_COUNTERS(TURBO_COUNTER_MEMBER)
+};
+
+struct FleetResult : FleetCounters {
   // Union of every replica's per-request outcomes plus any arrivals
   // stranded unrouted by the time limit: exactly one entry per trace
   // request, each in exactly one terminal state (kPending only when
@@ -166,45 +221,6 @@ struct FleetResult {
   // appended after, in crash order.
   std::vector<serving::EngineResult> replica_results;
   double makespan_s = 0.0;  // max replica makespan
-
-  std::size_t replica_count = 0;
-  std::size_t prefill_replica_count = 0;  // 0 = symmetric fleet
-  std::size_t routed = 0;             // arrivals placed on a replica
-  std::size_t replica_outages = 0;    // outage windows that fired
-  std::size_t failover_drains = 0;    // requests drained off dying replicas
-  std::size_t rerouted_waiting = 0;   // drained with no KV: plain re-routes
-  std::size_t migrations = 0;         // KV streams moved over the wire
-  std::size_t migration_corruptions = 0;  // CRC-detected transfer faults
-  // Failovers that landed through the recompute path: corrupted
-  // migrations plus streams over budget or unparkable at the source.
-  std::size_t migration_recomputes = 0;
-  std::size_t migration_budget_exhausted = 0;  // over-budget stream drops
-
-  // --- Prefill->decode handoff (disaggregated mode) -----------------------
-  std::size_t handoffs = 0;               // finished prefills handed over
-  std::size_t handoff_corruptions = 0;    // CRC-detected handoff faults
-  std::size_t handoff_retries = 0;        // transient-fault send retries
-  std::size_t handoff_budget_exhausted = 0;  // send budget ran out
-  // Handoffs that landed through the recompute path: corrupted or
-  // over-budget transfers plus streamless (recompute-mode) sources.
-  std::size_t handoff_recomputes = 0;
-  // Arrivals prefilled by a decode replica because no prefill replica was
-  // healthy: the graceful degradation to symmetric mode.
-  std::size_t role_fallback_prefills = 0;
-  // Arrivals whose admission was deferred at least once because every
-  // healthy decode replica sat over the decode watermark (backpressure
-  // on prefill admission instead of over-committing the decode pool).
-  std::size_t backpressure_deferrals = 0;
-
-  // --- Affinity routing ----------------------------------------------------
-  std::size_t affinity_hits = 0;    // routed to a prefix-holding replica
-  std::size_t affinity_misses = 0;  // fell back to least-outstanding-pages
-  bool hit_time_limit = false;  // any replica (or routing) hit the stop
-
-  double migrated_bytes = 0.0;
-  double migration_stall_s = 0.0;  // wire time across all migrations
-  double handoff_bytes = 0.0;      // KV bytes moved by handoffs
-  double handoff_stall_s = 0.0;    // wire time across all handoffs
 };
 
 // Routes one trace over a replicated fleet. Single-shot: construct, call

@@ -221,110 +221,142 @@ struct EngineConfig {
   EngineRole role = EngineRole::kFull;
 };
 
-struct EngineResult {
+// Per-tier swap-store counters (stores/hits/demotions/failures/...),
+// indexed by tier position; tiers beyond swap.tiers stay zero.
+using TierStats = std::array<TieredSwapStore::TierCounters, kMaxSwapTiers>;
+
+// The engine's run counters, declared once. Each entry is (type, name,
+// fleet merge rule). EngineResult and ServingMetrics (serving/metrics.h)
+// both derive from the EngineCounters struct generated from it, and
+// fleet::aggregate folds replica results into the fleet's by each
+// entry's rule: sum, max or min. Peaks sum, since replicas run
+// concurrently: the fleet's peak is at most the sum of replica peaks.
+#define TURBO_ENGINE_COUNTERS(X)                                              \
+  /* time spent in prefill+decode steps */                                    \
+  X(double, busy_s, sum)                                                      \
+  X(std::size_t, peak_batch, sum)                                             \
+  X(double, peak_kv_bytes, sum)                                               \
+  /* requests that can never fit */                                           \
+  X(std::size_t, rejected, sum)                                               \
+                                                                              \
+  /* --- SLO / overload counters ----------------------------------------- */ \
+  /* missed-deadline terminations */                                          \
+  X(std::size_t, timed_out, sum)                                              \
+  /* dropped by overload control */                                           \
+  X(std::size_t, shed, sum)                                                   \
+  X(std::size_t, ladder_escalations, sum)    /* pressure-level increases */   \
+  X(std::size_t, ladder_deescalations, sum)  /* pressure-level decreases */   \
+  /* iterations at reduced precision */                                       \
+  X(std::size_t, degraded_iterations, sum)                                    \
+  /* (re)admissions written degraded */                                       \
+  X(std::size_t, degraded_admissions, sum)                                    \
+  X(double, min_kv_bits, min)                /* lowest KV precision used */   \
+  /* quant-error proxy at that level */                                       \
+  X(double, degrade_rmse_proxy, max)                                          \
+                                                                              \
+  /* --- Robustness counters --------------------------------------------- */ \
+  X(std::size_t, preemptions, sum)           /* total eviction events */      \
+  /* victims that dropped their KV */                                         \
+  X(std::size_t, preempted_recompute, sum)                                    \
+  X(std::size_t, preempted_swap, sum)        /* victims swapped to host */    \
+  X(std::size_t, swap_ins, sum)              /* successful swap-backs */      \
+  X(double, swap_out_bytes, sum)                                              \
+  X(double, swap_in_bytes, sum)                                               \
+  /* wall-clock spent on PCIe transfers */                                    \
+  X(double, swap_stall_s, sum)                                                \
+  /* corrupt swap-ins detected by CRC */                                      \
+  X(std::size_t, checksum_failures, sum)                                      \
+  /* checksum failures recovered */                                           \
+  X(std::size_t, recoveries, sum)                                             \
+  /* steps that lost >=1 request to an injected allocation failure */         \
+  X(std::size_t, degraded_steps, sum)                                         \
+  X(std::size_t, injected_alloc_failures, sum)                                \
+  X(std::size_t, max_preemptions_single_request, max)                         \
+  /* Total KV tokens re-derived by recompute (recompute-mode re-admissions    \
+     plus corrupt-swap recoveries); the sum of Request::recomputed_tokens. */ \
+  X(std::size_t, recomputed_tokens, sum)                                      \
+                                                                              \
+  /* --- Prefix-sharing counters (kvcache/radix_index.h) ----------------- */ \
+  /* Prompt tokens served from resident shared-prefix pages at fresh          \
+     admission (sum of Request::prefix_hit_tokens)... */                      \
+  X(std::size_t, prefix_hit_tokens, sum)                                      \
+  /* ...across this many cache-hit requests. */                               \
+  X(std::size_t, prefix_hit_requests, sum)                                    \
+  /* Pages attached by refcount bump instead of allocation (fresh             \
+     admissions and re-admissions of preempted prefix holders). */            \
+  X(std::size_t, prefix_pages_attached, sum)                                  \
+  /* Refcount-zero registered pages reclaimed from the retained pool (LRU,    \
+     under genuine page exhaustion or at drain). */                           \
+  X(std::size_t, retained_pages_reclaimed, sum)                               \
+  /* Prompt tokens actually chunk-prefilled — with prefix hits this drops     \
+     below the sum of prompt lengths; the bench's headline reduction. */      \
+  X(std::size_t, prefilled_tokens, sum)                                       \
+  /* Peak pages referenced by live sequences (used pages minus the            \
+     reclaimable retained pool) — occupancy that eviction cannot lower. */    \
+  X(std::size_t, peak_referenced_pages, sum)                                  \
+                                                                              \
+  /* --- Disaggregation counters (src/fleet) ----------------------------- */ \
+  /* Requests this prefill-only engine finished prefilling and lifted into    \
+     the handoff queue (always 0 for EngineRole::kFull). */                   \
+  X(std::size_t, prefill_handoffs, sum)                                       \
+                                                                              \
+  /* --- Crash-recovery counters (serving/snapshot.h, src/fleet) --------- */ \
+  /* Crash-consistent snapshots this replica serialized into the              \
+     SnapshotStore, and their total serialized size. */                       \
+  X(std::size_t, snapshots_written, sum)                                      \
+  X(std::size_t, snapshot_bytes, sum)                                         \
+  /* Restarts that rehydrated from a CRC-valid snapshot... */                 \
+  X(std::size_t, snapshot_restores, sum)                                      \
+  /* ...and restore attempts whose blob failed its CRC (every entry then      \
+     recomputes from the prompt). */                                          \
+  X(std::size_t, snapshot_corruptions, sum)                                   \
+  /* Requests re-admitted from a snapshot entry after a crash. */             \
+  X(std::size_t, restored_requests, sum)                                      \
+  /* Tokens of post-snapshot progress lost to a crash and replayed (the       \
+     delta between crash-time and snapshot-time context; the full             \
+     crash-time context for requests the snapshot missed). */                 \
+  X(std::size_t, replayed_tokens, sum)                                        \
+  /* Crashed requests with no usable snapshot entry, recomputed from the      \
+     prompt. */                                                               \
+  X(std::size_t, crash_recomputes, sum)                                       \
+  /* Abrupt crashes this engine incarnation recovered from (1 on the          \
+     post-restart incarnation, 0 elsewhere). */                               \
+  X(std::size_t, replica_crashes, sum)                                        \
+  /* Snapshot entries dropped at restore because the request was already      \
+     terminal (or migrated away) before the crash — the dedupe that keeps     \
+     exactly-one-terminal-state through a restart. */                         \
+  X(std::size_t, dedupe_drops, sum)                                           \
+                                                                              \
+  /* --- Tiered-swap counters -------------------------------------------- */ \
+  X(std::size_t, tier_demotions, sum)        /* LRU demotions host -> disk */ \
+  /* promote-on-blocked-readmission */                                        \
+  X(std::size_t, tier_promotions, sum)                                        \
+  /* tiers skipped during fetches */                                          \
+  X(std::size_t, tier_failovers, sum)                                         \
+  X(std::size_t, tier_blacklists, sum)       /* tier blacklist events */      \
+  /* failed per-tier fetch attempts */                                        \
+  X(std::size_t, tier_fetch_retries, sum)                                     \
+  /* Swapped victims that degraded to recompute because every tier holding    \
+     the stream was unreachable (failover exhausted)... */                    \
+  X(std::size_t, swap_unavailable_recomputes, sum)                            \
+  /* ...or because no tier had room / was reachable at swap-out time. */      \
+  X(std::size_t, swap_overflow_recomputes, sum)                               \
+  /* tiers that held >= 1 stream */                                           \
+  X(std::size_t, swap_tiers_used, sum)                                        \
+  X(double, tier_retry_stall_s, sum)         /* retry-backoff wall-clock */   \
+  X(TierStats, tier_stats, sum)
+
+// One struct member per counter-list entry, value-initialized (zero).
+#define TURBO_COUNTER_MEMBER(type, name, ...) type name{};
+
+struct EngineCounters {
+  TURBO_ENGINE_COUNTERS(TURBO_COUNTER_MEMBER)
+};
+
+struct EngineResult : EngineCounters {
   std::vector<Request> requests;  // with timestamps + outcomes filled in
   double makespan_s = 0.0;        // time the last request finished
-  double busy_s = 0.0;            // time spent in prefill+decode steps
-  std::size_t peak_batch = 0;
-  double peak_kv_bytes = 0.0;
-  std::size_t rejected = 0;       // requests that can never fit
-
-  // --- SLO / overload counters --------------------------------------------
-  std::size_t timed_out = 0;             // missed-deadline terminations
-  std::size_t shed = 0;                  // dropped by overload control
-  std::size_t ladder_escalations = 0;    // pressure-level increases
-  std::size_t ladder_deescalations = 0;  // pressure-level decreases
-  std::size_t degraded_iterations = 0;   // iterations at reduced precision
-  std::size_t degraded_admissions = 0;   // (re)admissions written degraded
-  double min_kv_bits = 0.0;              // lowest KV precision used
-  double degrade_rmse_proxy = 0.0;       // quant-error proxy at that level
-
-  // --- Robustness counters ------------------------------------------------
-  std::size_t preemptions = 0;           // total eviction events
-  std::size_t preempted_recompute = 0;   // victims that dropped their KV
-  std::size_t preempted_swap = 0;        // victims swapped to host
-  std::size_t swap_ins = 0;              // successful swap-backs
-  double swap_out_bytes = 0.0;
-  double swap_in_bytes = 0.0;
-  double swap_stall_s = 0.0;             // wall-clock spent on PCIe transfers
-  std::size_t checksum_failures = 0;     // corrupt swap-ins detected by CRC
-  std::size_t recoveries = 0;            // checksum failures recovered
-  std::size_t degraded_steps = 0;        // steps that lost >=1 request to an
-                                         // injected allocation failure
-  std::size_t injected_alloc_failures = 0;
-  std::size_t max_preemptions_single_request = 0;
-  // Total KV tokens re-derived by recompute (recompute-mode re-admissions
-  // plus corrupt-swap recoveries); the sum of Request::recomputed_tokens.
-  std::size_t recomputed_tokens = 0;
-  bool hit_time_limit = false;           // max_sim_time_s safety stop fired
-
-  // --- Prefix-sharing counters (kvcache/radix_index.h) --------------------
-  // Prompt tokens served from resident shared-prefix pages at fresh
-  // admission (sum of Request::prefix_hit_tokens)...
-  std::size_t prefix_hit_tokens = 0;
-  // ...across this many cache-hit requests.
-  std::size_t prefix_hit_requests = 0;
-  // Pages attached by refcount bump instead of allocation (fresh
-  // admissions and re-admissions of preempted prefix holders).
-  std::size_t prefix_pages_attached = 0;
-  // Refcount-zero registered pages reclaimed from the retained pool
-  // (LRU, under genuine page exhaustion or at drain).
-  std::size_t retained_pages_reclaimed = 0;
-  // Prompt tokens actually chunk-prefilled — with prefix hits this drops
-  // below the sum of prompt lengths; the bench's headline reduction.
-  std::size_t prefilled_tokens = 0;
-  // Peak pages referenced by live sequences (used pages minus the
-  // reclaimable retained pool) — occupancy that eviction cannot lower.
-  std::size_t peak_referenced_pages = 0;
-
-  // --- Disaggregation counters (src/fleet) --------------------------------
-  // Requests this prefill-only engine finished prefilling and lifted into
-  // the handoff queue (always 0 for EngineRole::kFull).
-  std::size_t prefill_handoffs = 0;
-
-  // --- Crash-recovery counters (src/serving/snapshot.h, src/fleet) -------
-  // Crash-consistent snapshots this replica serialized into the
-  // SnapshotStore, and their total serialized size.
-  std::size_t snapshots_written = 0;
-  std::size_t snapshot_bytes = 0;
-  // Restarts that rehydrated from a CRC-valid snapshot...
-  std::size_t snapshot_restores = 0;
-  // ...and restore attempts whose blob failed its CRC (every entry then
-  // recomputes from the prompt).
-  std::size_t snapshot_corruptions = 0;
-  // Requests re-admitted from a snapshot entry after a crash.
-  std::size_t restored_requests = 0;
-  // Tokens of post-snapshot progress lost to a crash and replayed (the
-  // delta between crash-time and snapshot-time context; the full
-  // crash-time context for requests the snapshot missed).
-  std::size_t replayed_tokens = 0;
-  // Crashed requests with no usable snapshot entry, recomputed from the
-  // prompt.
-  std::size_t crash_recomputes = 0;
-  // Abrupt crashes this engine incarnation recovered from (1 on the
-  // post-restart incarnation, 0 elsewhere).
-  std::size_t replica_crashes = 0;
-  // Snapshot entries dropped at restore because the request was already
-  // terminal (or migrated away) before the crash — the dedupe that keeps
-  // exactly-one-terminal-state through a restart.
-  std::size_t dedupe_drops = 0;
-
-  // --- Tiered-swap counters -----------------------------------------------
-  std::size_t tier_demotions = 0;        // LRU demotions host -> disk
-  std::size_t tier_promotions = 0;       // promote-on-blocked-readmission
-  std::size_t tier_failovers = 0;        // tiers skipped during fetches
-  std::size_t tier_blacklists = 0;       // tier blacklist events
-  std::size_t tier_fetch_retries = 0;    // failed per-tier fetch attempts
-  // Swapped victims that degraded to recompute because every tier holding
-  // the stream was unreachable (failover exhausted)...
-  std::size_t swap_unavailable_recomputes = 0;
-  // ...or because no tier had room / was reachable at swap-out time.
-  std::size_t swap_overflow_recomputes = 0;
-  std::size_t swap_tiers_used = 0;       // tiers that held >= 1 stream
-  double tier_retry_stall_s = 0.0;       // retry-backoff wall-clock
-  // Per-tier store counters (stores/hits/demotions/failures/...), indexed
-  // by tier position; tiers beyond swap.tiers stay zero.
-  std::array<TieredSwapStore::TierCounters, kMaxSwapTiers> tier_stats = {};
+  bool hit_time_limit = false;    // max_sim_time_s safety stop fired
 };
 
 // A request lifted out of a draining engine with enough scheduler state

@@ -7,59 +7,13 @@ namespace turbo::serving {
 
 ServingMetrics summarize(const EngineResult& result) {
   ServingMetrics m;
-  m.rejected = result.rejected;
-  m.peak_batch = result.peak_batch;
-  m.peak_kv_gb = result.peak_kv_bytes / 1e9;
-  m.utilization =
-      result.makespan_s > 0.0 ? result.busy_s / result.makespan_s : 0.0;
-  m.timed_out = result.timed_out;
-  m.shed = result.shed;
-  m.ladder_escalations = result.ladder_escalations;
-  m.ladder_deescalations = result.ladder_deescalations;
-  m.degraded_iterations = result.degraded_iterations;
-  m.degraded_admissions = result.degraded_admissions;
-  m.min_kv_bits = result.min_kv_bits;
-  m.degrade_rmse_proxy = result.degrade_rmse_proxy;
+  static_cast<EngineCounters&>(m) = static_cast<const EngineCounters&>(result);
   m.hit_time_limit = result.hit_time_limit;
-  m.preemptions = result.preemptions;
-  m.preempted_recompute = result.preempted_recompute;
-  m.preempted_swap = result.preempted_swap;
-  m.swap_ins = result.swap_ins;
+  m.peak_kv_gb = result.peak_kv_bytes / 1e9;
   m.swap_out_gb = result.swap_out_bytes / 1e9;
   m.swap_in_gb = result.swap_in_bytes / 1e9;
-  m.swap_stall_s = result.swap_stall_s;
-  m.checksum_failures = result.checksum_failures;
-  m.recoveries = result.recoveries;
-  m.degraded_steps = result.degraded_steps;
-  m.injected_alloc_failures = result.injected_alloc_failures;
-  m.max_preemptions_single_request = result.max_preemptions_single_request;
-  m.recomputed_tokens = result.recomputed_tokens;
-  m.snapshots_written = result.snapshots_written;
-  m.snapshot_bytes = result.snapshot_bytes;
-  m.snapshot_restores = result.snapshot_restores;
-  m.snapshot_corruptions = result.snapshot_corruptions;
-  m.restored_requests = result.restored_requests;
-  m.replayed_tokens = result.replayed_tokens;
-  m.crash_recomputes = result.crash_recomputes;
-  m.replica_crashes = result.replica_crashes;
-  m.dedupe_drops = result.dedupe_drops;
-  m.tier_demotions = result.tier_demotions;
-  m.tier_promotions = result.tier_promotions;
-  m.tier_failovers = result.tier_failovers;
-  m.tier_blacklists = result.tier_blacklists;
-  m.tier_fetch_retries = result.tier_fetch_retries;
-  m.swap_unavailable_recomputes = result.swap_unavailable_recomputes;
-  m.swap_overflow_recomputes = result.swap_overflow_recomputes;
-  m.swap_tiers_used = result.swap_tiers_used;
-  m.tier_retry_stall_s = result.tier_retry_stall_s;
-  m.tier_stats = result.tier_stats;
-  m.prefix_hit_tokens = result.prefix_hit_tokens;
-  m.prefix_hit_requests = result.prefix_hit_requests;
-  m.prefix_pages_attached = result.prefix_pages_attached;
-  m.retained_pages_reclaimed = result.retained_pages_reclaimed;
-  m.prefilled_tokens = result.prefilled_tokens;
-  m.peak_referenced_pages = result.peak_referenced_pages;
-  m.prefill_handoffs = result.prefill_handoffs;
+  m.utilization =
+      result.makespan_s > 0.0 ? result.busy_s / result.makespan_s : 0.0;
 
   std::vector<float> ttft;
   std::vector<float> tpot;

@@ -28,9 +28,10 @@ struct ClassBreakdown {
   double ttft_attainment = 1.0;
 };
 
-struct ServingMetrics {
+// A run's summary: the engine's counters as they are (EngineCounters,
+// see serving/engine.h), plus what summarize() derives from the result.
+struct ServingMetrics : EngineCounters {
   std::size_t completed = 0;
-  std::size_t rejected = 0;
   // Requests in no terminal state when the run ended: nonzero if and only
   // if the max_sim_time_s safety stop fired (hit_time_limit), so a
   // truncated run can never masquerade as a clean one.
@@ -48,68 +49,10 @@ struct ServingMetrics {
   double e2e_p50 = 0.0;
   double e2e_p99 = 0.0;
   double utilization = 0.0;          // busy / makespan
-  std::size_t peak_batch = 0;
-  double peak_kv_gb = 0.0;
-
-  // SLO / overload counters (copied from EngineResult).
-  std::size_t timed_out = 0;
-  std::size_t shed = 0;
-  std::size_t ladder_escalations = 0;
-  std::size_t ladder_deescalations = 0;
-  std::size_t degraded_iterations = 0;
-  std::size_t degraded_admissions = 0;
-  double min_kv_bits = 0.0;
-  double degrade_rmse_proxy = 0.0;
+  double peak_kv_gb = 0.0;           // peak_kv_bytes / 1e9
+  double swap_out_gb = 0.0;          // swap_out_bytes / 1e9
+  double swap_in_gb = 0.0;           // swap_in_bytes / 1e9
   std::array<ClassBreakdown, kServiceClassCount> by_class;
-
-  // Robustness counters (copied from EngineResult; see serving/engine.h).
-  std::size_t preemptions = 0;
-  std::size_t preempted_recompute = 0;
-  std::size_t preempted_swap = 0;
-  std::size_t swap_ins = 0;
-  double swap_out_gb = 0.0;
-  double swap_in_gb = 0.0;
-  double swap_stall_s = 0.0;
-  std::size_t checksum_failures = 0;
-  std::size_t recoveries = 0;
-  std::size_t degraded_steps = 0;
-  std::size_t injected_alloc_failures = 0;
-  std::size_t max_preemptions_single_request = 0;
-  std::size_t recomputed_tokens = 0;  // KV tokens re-derived after eviction
-
-  // Crash-recovery counters (copied from EngineResult; see serving/engine.h).
-  std::size_t snapshots_written = 0;
-  std::size_t snapshot_bytes = 0;
-  std::size_t snapshot_restores = 0;
-  std::size_t snapshot_corruptions = 0;
-  std::size_t restored_requests = 0;
-  std::size_t replayed_tokens = 0;
-  std::size_t crash_recomputes = 0;
-  std::size_t replica_crashes = 0;
-  std::size_t dedupe_drops = 0;
-
-  // Tiered-swap counters (copied from EngineResult; see serving/engine.h).
-  std::size_t tier_demotions = 0;
-  std::size_t tier_promotions = 0;
-  std::size_t tier_failovers = 0;
-  std::size_t tier_blacklists = 0;
-  std::size_t tier_fetch_retries = 0;
-  std::size_t swap_unavailable_recomputes = 0;
-  std::size_t swap_overflow_recomputes = 0;
-  std::size_t swap_tiers_used = 0;
-  double tier_retry_stall_s = 0.0;
-  std::array<TieredSwapStore::TierCounters, kMaxSwapTiers> tier_stats = {};
-
-  // Prefix-sharing counters (copied from EngineResult; see serving/engine.h).
-  std::size_t prefix_hit_tokens = 0;
-  std::size_t prefix_hit_requests = 0;
-  std::size_t prefix_pages_attached = 0;
-  std::size_t retained_pages_reclaimed = 0;
-  std::size_t prefilled_tokens = 0;
-  std::size_t peak_referenced_pages = 0;
-
-  // Disaggregation counters (copied from EngineResult; see serving/engine.h).
-  std::size_t prefill_handoffs = 0;
 };
 
 ServingMetrics summarize(const EngineResult& result);

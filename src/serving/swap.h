@@ -128,6 +128,17 @@ class TieredSwapStore {
     std::size_t promotions_out = 0; // entries promoted up out of this tier
     std::size_t failures = 0;       // unavailable probes observed
     std::size_t blacklists = 0;     // times this tier was blacklisted
+
+    TierCounters& operator+=(const TierCounters& o) {
+      stores += o.stores;
+      hits += o.hits;
+      demotions_in += o.demotions_in;
+      promotions_out += o.promotions_out;
+      failures += o.failures;
+      blacklists += o.blacklists;
+      return *this;
+    }
+    bool operator==(const TierCounters&) const = default;
   };
 
   struct StoreOutcome {

@@ -142,8 +142,8 @@ TEST(DisaggTest, PrefillsHandOffAndDecodePoolGenerates) {
   EXPECT_GT(decode_completed, 0u);
 }
 
-// Every handoff counter mirrors into FleetMetrics by name (the lint
-// rule 6 contract, exercised end to end).
+// Every handoff counter reaches FleetMetrics by name (the shared
+// FleetCounters base, exercised end to end).
 TEST(DisaggTest, HandoffCountersMirrorIntoFleetMetrics) {
   const std::vector<Request> trace = serving::generate_trace(disagg_trace());
   FleetConfig cfg = disagg_fleet(2, 2);

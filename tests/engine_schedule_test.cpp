@@ -5,7 +5,8 @@
 // of seeded runs. The determinism tests elsewhere compare two runs of one
 // build, so a schedule change that is consistent from run to run passes
 // them; it fails here. A deliberate schedule change re-records the pins
-// and says why.
+// and says why. The metrics pins do the same for the summaries that
+// summarize() and summarize_fleet() build from those results.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,8 +15,11 @@
 #include <vector>
 
 #include "common/check.h"
+#include "fleet/chaos.h"
+#include "fleet/metrics.h"
 #include "fleet/router.h"
 #include "serving/engine.h"
+#include "serving/metrics.h"
 #include "serving/snapshot.h"
 #include "serving/trace.h"
 #include "sim/device.h"
@@ -172,6 +176,191 @@ TEST(ScheduleGoldenTest, FleetSessionsShape) {
   h.mix(r.affinity_hits);
   h.mix(r.affinity_misses);
   EXPECT_EQ(h.value(), 0x37cecacc3e333590ull);
+}
+
+// --- Golden summary digests -------------------------------------------------
+//
+// Every field of ServingMetrics and FleetMetrics, named one by one, so a
+// counter the summary code drops, double-counts or merges by the wrong
+// rule moves the pin even where the schedule does not.
+
+void mix_metrics(test::Fnv& h, const ServingMetrics& m) {
+  h.mix(m.completed);
+  h.mix(m.rejected);
+  h.mix(m.unfinished);
+  h.mix(static_cast<std::uint64_t>(m.hit_time_limit));
+  h.mixd(m.output_tokens_per_s);
+  h.mixd(m.ttft_p50);
+  h.mixd(m.ttft_p99);
+  h.mixd(m.tpot_p50);
+  h.mixd(m.tpot_p99);
+  h.mixd(m.e2e_p50);
+  h.mixd(m.e2e_p99);
+  h.mixd(m.utilization);
+  h.mix(m.peak_batch);
+  h.mixd(m.peak_kv_gb);
+  h.mix(m.timed_out);
+  h.mix(m.shed);
+  h.mix(m.ladder_escalations);
+  h.mix(m.ladder_deescalations);
+  h.mix(m.degraded_iterations);
+  h.mix(m.degraded_admissions);
+  h.mixd(m.min_kv_bits);
+  h.mixd(m.degrade_rmse_proxy);
+  for (const ClassBreakdown& cb : m.by_class) {
+    h.mix(cb.requests);
+    h.mix(cb.completed);
+    h.mix(cb.rejected);
+    h.mix(cb.timed_out);
+    h.mix(cb.shed);
+    h.mix(cb.preemptions);
+    h.mixd(cb.ttft_p50);
+    h.mixd(cb.ttft_p99);
+    h.mixd(cb.e2e_p99);
+    h.mix(cb.deadline_requests);
+    h.mix(cb.deadline_met);
+    h.mixd(cb.ttft_attainment);
+  }
+  h.mix(m.preemptions);
+  h.mix(m.preempted_recompute);
+  h.mix(m.preempted_swap);
+  h.mix(m.swap_ins);
+  h.mixd(m.swap_out_gb);
+  h.mixd(m.swap_in_gb);
+  h.mixd(m.swap_stall_s);
+  h.mix(m.checksum_failures);
+  h.mix(m.recoveries);
+  h.mix(m.degraded_steps);
+  h.mix(m.injected_alloc_failures);
+  h.mix(m.max_preemptions_single_request);
+  h.mix(m.recomputed_tokens);
+  h.mix(m.snapshots_written);
+  h.mix(m.snapshot_bytes);
+  h.mix(m.snapshot_restores);
+  h.mix(m.snapshot_corruptions);
+  h.mix(m.restored_requests);
+  h.mix(m.replayed_tokens);
+  h.mix(m.crash_recomputes);
+  h.mix(m.replica_crashes);
+  h.mix(m.dedupe_drops);
+  h.mix(m.tier_demotions);
+  h.mix(m.tier_promotions);
+  h.mix(m.tier_failovers);
+  h.mix(m.tier_blacklists);
+  h.mix(m.tier_fetch_retries);
+  h.mix(m.swap_unavailable_recomputes);
+  h.mix(m.swap_overflow_recomputes);
+  h.mix(m.swap_tiers_used);
+  h.mixd(m.tier_retry_stall_s);
+  for (const TieredSwapStore::TierCounters& tc : m.tier_stats) {
+    h.mix(tc.stores);
+    h.mix(tc.hits);
+    h.mix(tc.demotions_in);
+    h.mix(tc.promotions_out);
+    h.mix(tc.failures);
+    h.mix(tc.blacklists);
+  }
+  h.mix(m.prefix_hit_tokens);
+  h.mix(m.prefix_hit_requests);
+  h.mix(m.prefix_pages_attached);
+  h.mix(m.retained_pages_reclaimed);
+  h.mix(m.prefilled_tokens);
+  h.mix(m.peak_referenced_pages);
+  h.mix(m.prefill_handoffs);
+}
+
+std::uint64_t metrics_digest(const ServingMetrics& m) {
+  test::Fnv h;
+  mix_metrics(h, m);
+  return h.value();
+}
+
+// The fleet union, each replica in result order, then the router's own.
+std::uint64_t metrics_digest(const fleet::FleetMetrics& m) {
+  test::Fnv h;
+  mix_metrics(h, m.fleet);
+  for (const ServingMetrics& rm : m.replicas) mix_metrics(h, rm);
+  h.mix(m.replica_count);
+  h.mix(m.routed);
+  h.mix(m.replica_outages);
+  h.mix(m.failover_drains);
+  h.mix(m.rerouted_waiting);
+  h.mix(m.migrations);
+  h.mix(m.migration_corruptions);
+  h.mix(m.migration_recomputes);
+  h.mix(m.migration_budget_exhausted);
+  h.mix(static_cast<std::uint64_t>(m.hit_time_limit));
+  h.mix(m.prefill_replica_count);
+  h.mix(m.handoffs);
+  h.mix(m.handoff_corruptions);
+  h.mix(m.handoff_retries);
+  h.mix(m.handoff_budget_exhausted);
+  h.mix(m.handoff_recomputes);
+  h.mix(m.role_fallback_prefills);
+  h.mix(m.backpressure_deferrals);
+  h.mix(m.affinity_hits);
+  h.mix(m.affinity_misses);
+  h.mixd(m.migrated_gb);
+  h.mixd(m.migration_stall_s);
+  h.mixd(m.handoff_gb);
+  h.mixd(m.handoff_stall_s);
+  return h.value();
+}
+
+TEST(MetricsGoldenTest, CrushedSwap) {
+  const ServingMetrics m = summarize(
+      run_engine(crushed_engine(), generate_trace(overload_mix_trace())));
+  ASSERT_GT(m.preempted_swap, 0u);
+  ASSERT_GT(m.tier_stats[0].stores, 0u);
+  EXPECT_EQ(metrics_digest(m), 0x18739582d8b70a71ull);
+}
+
+// ScheduleGoldenTest.FleetOutage's run.
+TEST(MetricsGoldenTest, FleetOutage) {
+  fleet::FleetConfig cfg;
+  cfg.engine = pressured_engine();
+  cfg.replicas = 4;
+  cfg.engine.faults.replicas[1].add_outage(2.0, 8.0);
+  TraceConfig t = overload_mix_trace();
+  t.class_mix = {0.3, 0.5, 0.2};
+  const fleet::FleetMetrics m =
+      fleet::summarize_fleet(fleet::run_fleet(cfg, generate_trace(t)));
+  ASSERT_GT(m.migrations, 0u);
+  EXPECT_EQ(metrics_digest(m), 0xfc66e1c77b36b36eull);
+}
+
+// Two prefill and two decode replicas with faulty handoffs: retries,
+// corrupt transfers and the recompute fallback all fire.
+TEST(MetricsGoldenTest, DisaggHandoffFaults) {
+  fleet::FleetConfig cfg;
+  cfg.engine = pressured_engine();
+  cfg.replicas = 4;
+  cfg.prefill_replicas = 2;
+  cfg.engine.faults.seed = 11;
+  cfg.engine.faults.handoff_transient_prob = 0.1;
+  cfg.engine.faults.migration_corruption_prob = 0.05;
+  TraceConfig t = overload_mix_trace();
+  t.class_mix = {0.3, 0.5, 0.2};
+  const fleet::FleetMetrics m =
+      fleet::summarize_fleet(fleet::run_fleet(cfg, generate_trace(t)));
+  ASSERT_GT(m.handoff_retries, 0u);
+  ASSERT_GT(m.handoff_recomputes, 0u);
+  EXPECT_EQ(metrics_digest(m), 0x97d3ded9b4b6b3c8ull);
+}
+
+// The chaos harness at seed 7: crashes, restores, flapping outages and
+// tier death, so crashed incarnations follow the final ones.
+TEST(MetricsGoldenTest, ChaosSeed7) {
+  fleet::FleetConfig cfg;
+  cfg.engine = pressured_engine();
+  cfg.replicas = 4;
+  TraceConfig t = overload_mix_trace();
+  fleet::apply_chaos(cfg, 7, 0.8, t.duration_s);
+  const fleet::FleetMetrics m =
+      fleet::summarize_fleet(fleet::run_fleet(cfg, generate_trace(t)));
+  ASSERT_GT(m.fleet.replica_crashes, 0u);
+  ASSERT_GT(m.replicas.size(), m.replica_count);
+  EXPECT_EQ(metrics_digest(m), 0xa2f04e8444a95951ull);
 }
 
 // --- Expiry-index edge cases ------------------------------------------------

@@ -7,13 +7,15 @@
 // request in exactly one terminal state with zero leaked pages or parked
 // streams; corrupt migrations are CRC-detected and recovered by
 // recompute; the failover budget bounds interconnect traffic; routing
-// policies measurably shape tail latency; and the per-replica metric
-// rollup reconciles with the fleet union.
+// policies measurably shape tail latency; the per-replica metric rollup
+// reconciles with the fleet union; and every entry of the engine and
+// router counter lists reaches the summaries by its merge rule.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/fault.h"
@@ -352,7 +354,7 @@ TEST(FleetAffinityTest, FallsBackWhenPrefixHolderInOutage) {
 
 // Generated multi-turn session workload under affinity routing: the
 // per-request prefix hits roll up through the replica metrics into the
-// fleet union (lint rule 6's mirroring contract, exercised end to end).
+// fleet union (the counter list's sum rule, exercised end to end).
 TEST(FleetAffinityTest, PrefixHitTokensRollUpIntoFleetMetrics) {
   TraceConfig t;
   t.arrival_rate = 2.0;
@@ -404,13 +406,103 @@ TEST(FleetMetricsTest, ReplicaRollupReconcilesWithFleetUnion) {
   EXPECT_EQ(preemptions, m.fleet.preemptions);
   EXPECT_EQ(swap_ins, m.fleet.swap_ins);
   EXPECT_EQ(terminals, trace.size());
-  // Router counters mirror into the metrics struct (lint rule 6 contract).
+  // Router counters carry over into the metrics struct.
   EXPECT_EQ(m.replica_count, r.replica_count);
   EXPECT_EQ(m.routed, r.routed);
   EXPECT_EQ(m.replica_outages, r.replica_outages);
   EXPECT_EQ(m.failover_drains, r.failover_drains);
   EXPECT_EQ(m.migrations, r.migrations);
   EXPECT_EQ(m.hit_time_limit, r.hit_time_limit);
+}
+
+// --- Counter-list completeness ----------------------------------------------
+//
+// The counter lists (TURBO_ENGINE_COUNTERS, TURBO_FLEET_COUNTERS) are the
+// whole contract between the engine, the router and their summaries, so
+// these tests expand the lists rather than name counters.
+
+void set_counter(std::size_t& c, std::size_t v) { c = v; }
+void set_counter(double& c, std::size_t v) { c = static_cast<double>(v); }
+void set_counter(bool& c, std::size_t /*v*/) { c = true; }
+// Field k of the per-tier block gets v * (k + 1): distinct fields, and
+// the field-wise sum of two blocks is the block of the summed values.
+void set_counter(serving::TierStats& c, std::size_t v) {
+  std::size_t k = 0;
+  for (serving::TieredSwapStore::TierCounters& tc : c) {
+    tc.stores = v * ++k;
+    tc.hits = v * ++k;
+    tc.demotions_in = v * ++k;
+    tc.promotions_out = v * ++k;
+    tc.failures = v * ++k;
+    tc.blacklists = v * ++k;
+  }
+}
+
+// The values entry i takes on the first and the second replica, and the
+// one the fleet must then hold. The second replica holds the value the
+// rule picks, so a merge that skips the entry (and keeps the first
+// replica's) fails, as does a merge by any other rule.
+struct MergeCase {
+  std::size_t first;
+  std::size_t second;
+  std::size_t merged;
+};
+MergeCase sum_case(std::size_t i) { return {2 * i + 1, 3 * i + 2, 5 * i + 3}; }
+MergeCase max_case(std::size_t i) { return {2 * i + 1, 3 * i + 2, 3 * i + 2}; }
+MergeCase min_case(std::size_t i) { return {3 * i + 2, 2 * i + 1, 2 * i + 1}; }
+
+// Each engine counter merges into the fleet union by its entry's rule,
+// each replica's ServingMetrics carries its source's counters, and
+// FleetMetrics carries every router counter.
+TEST(CounterListTest, EveryCounterReachesTheSummaries) {
+  FleetResult r;
+  r.replica_results.resize(2);
+  EngineResult& a = r.replica_results[0];
+  EngineResult& b = r.replica_results[1];
+  std::size_t i = 0;
+#define SET_ENGINE_COUNTER(type, name, rule)  \
+  set_counter(a.name, rule##_case(i).first);  \
+  set_counter(b.name, rule##_case(i).second); \
+  ++i;
+  TURBO_ENGINE_COUNTERS(SET_ENGINE_COUNTER)
+#undef SET_ENGINE_COUNTER
+  i = 0;
+#define SET_FLEET_COUNTER(type, name) set_counter(r.name, 7 * i++ + 1);
+  TURBO_FLEET_COUNTERS(SET_FLEET_COUNTER)
+#undef SET_FLEET_COUNTER
+  // hit_time_limit is set, so the union needs a request left pending.
+  r.requests.emplace_back();
+
+  const FleetMetrics m = summarize_fleet(r);
+  ASSERT_EQ(m.replicas.size(), 2u);
+  i = 0;
+#define CHECK_ENGINE_COUNTER(type, name, rule)        \
+  {                                                   \
+    decltype(a.name) merged{};                        \
+    set_counter(merged, rule##_case(i++).merged);     \
+    EXPECT_EQ(m.fleet.name, merged) << #name;         \
+    EXPECT_EQ(m.replicas[0].name, a.name) << #name;   \
+    EXPECT_EQ(m.replicas[1].name, b.name) << #name;   \
+  }
+  TURBO_ENGINE_COUNTERS(CHECK_ENGINE_COUNTER)
+#undef CHECK_ENGINE_COUNTER
+#define CHECK_FLEET_COUNTER(type, name) EXPECT_EQ(m.name, r.name) << #name;
+  TURBO_FLEET_COUNTERS(CHECK_FLEET_COUNTER)
+#undef CHECK_FLEET_COUNTER
+}
+
+// The rules themselves: every engine counter sums across replicas except
+// the precision floor and two worst cases. A rule edited in the list
+// changes what the fleet reports, so it fails here first.
+TEST(CounterListTest, OnlyThePrecisionFloorAndWorstCasesSkipTheSum) {
+  std::string not_summed;
+#define NOTE_RULE(type, name, rule) \
+  if (std::string(#rule) != "sum") not_summed += #name ":" #rule " ";
+  TURBO_ENGINE_COUNTERS(NOTE_RULE)
+#undef NOTE_RULE
+  EXPECT_EQ(not_summed,
+            "min_kv_bits:min degrade_rmse_proxy:max "
+            "max_preemptions_single_request:max ");
 }
 
 // --- Swap-stream key namespacing (regression) -------------------------------

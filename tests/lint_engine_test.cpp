@@ -227,21 +227,25 @@ TEST(LintLexerTest, MarkersAndFileTags) {
 
 // --- rule registry --------------------------------------------------------
 
-TEST(LintRegistryTest, FourteenRulesInOrder) {
+TEST(LintRegistryTest, ThirteenRulesInOrder) {
   const auto& rules = turbo::lint::rules();
   const std::vector<std::string> expected = {
-      "no-raw-assert",        "unchecked-i8-cast",
-      "integer-kernel",       "method-shape-check",
-      "unchecked-cache-append", "unmirrored-engine-counter",
-      "unfaultable-swap-io",  "nondeterministic-iteration",
-      "unsanctioned-entropy", "mutable-global-state",
-      "unordered-float-reduction", "unfaultable-replica-channel",
-      "cow-unguarded-page-write", "unfaultable-snapshot-io"};
+      "no-raw-assert",          "unchecked-i8-cast",
+      "integer-kernel",         "method-shape-check",
+      "unchecked-cache-append", "unfaultable-swap-io",
+      "nondeterministic-iteration", "unsanctioned-entropy",
+      "mutable-global-state",   "unordered-float-reduction",
+      "unfaultable-replica-channel", "cow-unguarded-page-write",
+      "unfaultable-snapshot-io"};
   ASSERT_EQ(rules.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(rules[i].id, expected[i]);
     EXPECT_FALSE(rules[i].summary.empty()) << rules[i].id;
   }
+  // Catalog numbers skip the retired rule 6.
+  EXPECT_EQ(rules[4].number, 5);
+  EXPECT_EQ(rules[5].number, 7);
+  EXPECT_EQ(rules.back().number, 14);
   ASSERT_NE(turbo::lint::rule_info("nondeterministic-iteration"), nullptr);
   EXPECT_EQ(turbo::lint::rule_info("nondeterministic-iteration")->suppression,
             "allow-unordered-iter");
@@ -290,33 +294,6 @@ TEST(LintRuleTest, UncheckedCacheAppend) {
   EXPECT_EQ(
       fire_count("src/a.cpp", "rule05_neg.cpp", "unchecked-cache-append"),
       0u);
-}
-
-TEST(LintRuleTest, UnmirroredEngineCounter) {
-  const Project pos = project_from({
-      {"src/serving/engine.h", "rule06_pos_engine.h"},
-      {"src/serving/metrics.h", "rule06_metrics.h"},
-      {"src/serving/metrics.cpp", "rule06_metrics.cpp"},
-  });
-  const auto pos_findings = turbo::lint::run_rules(pos);
-  ASSERT_EQ(count_rule(pos_findings, "unmirrored-engine-counter"), 1u);
-  bool names_dropped = false;
-  for (const Finding& f : pos_findings) {
-    if (f.rule == "unmirrored-engine-counter" &&
-        f.message.find("dropped") != std::string::npos) {
-      names_dropped = true;
-    }
-  }
-  EXPECT_TRUE(names_dropped);
-
-  const Project neg = project_from({
-      {"src/serving/engine.h", "rule06_neg_engine.h"},
-      {"src/serving/metrics.h", "rule06_metrics.h"},
-      {"src/serving/metrics.cpp", "rule06_metrics.cpp"},
-  });
-  EXPECT_EQ(count_rule(turbo::lint::run_rules(neg),
-                       "unmirrored-engine-counter"),
-            0u);
 }
 
 TEST(LintRuleTest, UnfaultableSwapIo) {

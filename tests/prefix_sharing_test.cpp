@@ -315,7 +315,7 @@ TEST(EnginePrefixTest, FollowUpAttachesRetainedPrefixPages) {
   EXPECT_EQ(r.prefilled_tokens, 256u + 64u);
   EXPECT_GT(r.peak_referenced_pages, 0u);
 
-  // The metrics rollup mirrors every prefix counter (lint rule 6).
+  // The metrics rollup carries every prefix counter (EngineCounters).
   const ServingMetrics m = summarize(r);
   EXPECT_EQ(m.prefix_hit_tokens, r.prefix_hit_tokens);
   EXPECT_EQ(m.prefix_hit_requests, r.prefix_hit_requests);

@@ -5,29 +5,15 @@
 #   tools/check.sh release    # just the Release build + tests
 #   tools/check.sh asan       # just the ASan+UBSan build + tests
 #   tools/check.sh tsan       # just the ThreadSanitizer build + tests
-#   tools/check.sh fault      # fault-injection suite (ctest -L fault) in
-#                             # both builds; checks Release and ASan agree
-#   tools/check.sh serving    # serving/scheduler suite (ctest -L serving)
-#                             # in both builds (chunked prefill, metrics)
-#   tools/check.sh slo        # SLO/overload-control suite (ctest -L slo)
-#                             # in both builds (classes, deadlines, ladder)
-#   tools/check.sh tier       # tiered-swap suite (ctest -L tier) in both
-#                             # builds (placement, failover, blacklist)
-#   tools/check.sh fleet      # fleet-router suite (ctest -L fleet) in all
-#                             # three builds (routing, outage drain,
-#                             # KV-migration failover)
-#   tools/check.sh prefix     # prefix-sharing suite (ctest -L prefix) in
-#                             # all three builds (radix index, CoW attach,
-#                             # session traces, retained-pool reclaim)
-#   tools/check.sh disagg     # disaggregation suite (ctest -L disagg) in
-#                             # all three builds (role split, prefill->
-#                             # decode handoff, backpressure, degrade)
-#   tools/check.sh chaos      # crash-recovery suite (ctest -L chaos) in
-#                             # all three builds (crash faults, snapshot
-#                             # restore, chaos harness) plus a cross-lane
-#                             # diff of a seeded chaos run
+#   tools/check.sh chaos      # cross-lane diff: the seeded serve runs of
+#                             # tools/serve_runs.sh must print byte-
+#                             # identical output in all three builds
 #   tools/check.sh lint       # just turbo_lint
 #   tools/check.sh tidy       # just clang-tidy (skipped when not installed)
+#
+# Each build's ctest run covers every label (fault, serving, slo, tier,
+# fleet, prefix, disagg, chaos, lint); `ctest --test-dir <build> -L <label>`
+# re-runs one of them.
 #
 # Exits non-zero on the first failing stage. Stages that need a tool the
 # machine does not have (clang-tidy) are reported as SKIP, not failure.
@@ -42,9 +28,9 @@ FAILED=0
 
 for s in "${STAGES[@]}"; do
   case "$s" in
-    all|release|asan|tsan|fault|serving|slo|tier|fleet|prefix|disagg|chaos|lint|tidy) ;;
+    all|release|asan|tsan|chaos|lint|tidy) ;;
     *)
-      echo "check.sh: unknown stage '$s' (expected: release asan tsan fault serving slo tier fleet prefix disagg chaos lint tidy)" >&2
+      echo "check.sh: unknown stage '$s' (expected: release asan tsan chaos lint tidy)" >&2
       exit 2
       ;;
   esac
@@ -84,153 +70,33 @@ run_tsan() {
   ctest --preset debug-tsan || return 1
 }
 
-run_fault() {
-  banner "fault: deterministic fault-injection suite (Release + ASan+UBSan)"
-  # The suite asserts bit-identical engine results for identical seeds, so
-  # running it under both build types is the determinism check the
-  # robustness docs promise (docs/ROBUSTNESS.md).
-  cmake --preset release || return 1
-  cmake --build --preset release -j "$JOBS" --target fault_injection_test || return 1
-  ctest --test-dir build-release -L fault --output-on-failure || return 1
-  cmake --preset debug-asan-ubsan || return 1
-  cmake --build --preset debug-asan-ubsan -j "$JOBS" --target fault_injection_test || return 1
-  ctest --test-dir build-asan-ubsan -L fault --output-on-failure || return 1
-}
-
-run_serving() {
-  banner "serving: scheduler suite (chunked prefill + metrics, both builds)"
-  # Chunked prefill must be bit-deterministic and drain identical totals
-  # in Release and under sanitizers, same contract as the fault stage.
-  cmake --preset release || return 1
-  cmake --build --preset release -j "$JOBS" \
-    --target serving_test chunked_prefill_test || return 1
-  ctest --test-dir build-release -L serving --output-on-failure || return 1
-  cmake --preset debug-asan-ubsan || return 1
-  cmake --build --preset debug-asan-ubsan -j "$JOBS" \
-    --target serving_test chunked_prefill_test || return 1
-  ctest --test-dir build-asan-ubsan -L serving --output-on-failure || return 1
-}
-
-run_slo() {
-  banner "slo: overload-control suite (classes, deadlines, ladder, both builds)"
-  # Class-aware scheduling, deadline timeouts and the degradation ladder
-  # must be bit-deterministic per seed in Release and under sanitizers,
-  # same contract as the fault stage.
-  cmake --preset release || return 1
-  cmake --build --preset release -j "$JOBS" --target slo_scheduler_test || return 1
-  ctest --test-dir build-release -L slo --output-on-failure || return 1
-  cmake --preset debug-asan-ubsan || return 1
-  cmake --build --preset debug-asan-ubsan -j "$JOBS" --target slo_scheduler_test || return 1
-  ctest --test-dir build-asan-ubsan -L slo --output-on-failure || return 1
-}
-
-run_tier() {
-  banner "tier: tiered-swap suite (placement, failover, blacklist, both builds)"
-  # Tier placement, LRU demotion, failover and blacklisting must be
-  # bit-deterministic per seed in Release and under sanitizers, same
-  # contract as the fault stage.
-  cmake --preset release || return 1
-  cmake --build --preset release -j "$JOBS" --target tiered_swap_test || return 1
-  ctest --test-dir build-release -L tier --output-on-failure || return 1
-  cmake --preset debug-asan-ubsan || return 1
-  cmake --build --preset debug-asan-ubsan -j "$JOBS" --target tiered_swap_test || return 1
-  ctest --test-dir build-asan-ubsan -L tier --output-on-failure || return 1
-}
-
-run_fleet() {
-  banner "fleet: router suite (routing, outage drain, migration, all builds)"
-  # The fleet suite asserts bit-identical seeded runs and
-  # exactly-one-terminal-state under a replica outage. It runs in all
-  # three lanes: Release, ASan+UBSan, and TSan — the router will sit in
-  # front of the threaded kernel pool (ROADMAP), so the TSan tripwire
-  # covers it from day one.
-  cmake --preset release || return 1
-  cmake --build --preset release -j "$JOBS" --target fleet_router_test || return 1
-  ctest --test-dir build-release -L fleet --output-on-failure || return 1
-  cmake --preset debug-asan-ubsan || return 1
-  cmake --build --preset debug-asan-ubsan -j "$JOBS" --target fleet_router_test || return 1
-  ctest --test-dir build-asan-ubsan -L fleet --output-on-failure || return 1
-  cmake --preset debug-tsan || return 1
-  cmake --build --preset debug-tsan -j "$JOBS" --target fleet_router_test || return 1
-  ctest --test-dir build-tsan -L fleet --output-on-failure || return 1
-}
-
-run_prefix() {
-  banner "prefix: prefix-sharing suite (radix index, CoW, sessions, all builds)"
-  # Prefix attach, retained-pool reclaim and session traces must be
-  # bit-deterministic per seed across all three lanes — the suite's
-  # seeded session run is asserted bit-identical in Release, ASan+UBSan
-  # and TSan, extending the fleet stage's determinism contract to the
-  # radix-shared KV path.
-  cmake --preset release || return 1
-  cmake --build --preset release -j "$JOBS" --target prefix_sharing_test || return 1
-  ctest --test-dir build-release -L prefix --output-on-failure || return 1
-  cmake --preset debug-asan-ubsan || return 1
-  cmake --build --preset debug-asan-ubsan -j "$JOBS" --target prefix_sharing_test || return 1
-  ctest --test-dir build-asan-ubsan -L prefix --output-on-failure || return 1
-  cmake --preset debug-tsan || return 1
-  cmake --build --preset debug-tsan -j "$JOBS" --target prefix_sharing_test || return 1
-  ctest --test-dir build-tsan -L prefix --output-on-failure || return 1
-}
-
-run_disagg() {
-  banner "disagg: prefill/decode split suite (handoff, backpressure, all builds)"
-  # Disaggregated fleets must be bit-deterministic per seed across all
-  # three lanes — the suite's seeded 2p2d run (outage + handoff faults)
-  # is asserted bit-identical in Release, ASan+UBSan and TSan, and the
-  # acceptance case (a prefill replica killed mid-run) must reach 100%
-  # terminal outcomes in every lane.
-  cmake --preset release || return 1
-  cmake --build --preset release -j "$JOBS" --target disagg_test || return 1
-  ctest --test-dir build-release -L disagg --output-on-failure || return 1
-  cmake --preset debug-asan-ubsan || return 1
-  cmake --build --preset debug-asan-ubsan -j "$JOBS" --target disagg_test || return 1
-  ctest --test-dir build-asan-ubsan -L disagg --output-on-failure || return 1
-  cmake --preset debug-tsan || return 1
-  cmake --build --preset debug-tsan -j "$JOBS" --target disagg_test || return 1
-  ctest --test-dir build-tsan -L disagg --output-on-failure || return 1
-}
-
 run_chaos() {
-  banner "chaos: crash-recovery suite (crash, snapshot, chaos, all builds)"
-  # Crash restarts and the composed chaos schedule must be
-  # bit-deterministic per seed across all three lanes. Beyond the ctest
-  # suite, the stage runs one fixed seeded chaos serve through the CLI in
-  # every lane and diffs the full stdout — counters, audit and all — so a
-  # lane-dependent recovery path cannot slip past the unit asserts.
-  local chaos_args=(serve --rate 24 --duration 15 --seed 29 --replicas 4
-                    --chaos-seed 7 --chaos-intensity 0.8)
-  cmake --preset release || return 1
-  cmake --build --preset release -j "$JOBS" \
-    --target crash_recovery_test turbo_cli || return 1
-  ctest --test-dir build-release -L chaos --output-on-failure || return 1
-  ./build-release/tools/turbo_cli "${chaos_args[@]}" \
-    > build-release/chaos_run.txt || return 1
-  cmake --preset debug-asan-ubsan || return 1
-  cmake --build --preset debug-asan-ubsan -j "$JOBS" \
-    --target crash_recovery_test turbo_cli || return 1
-  ctest --test-dir build-asan-ubsan -L chaos --output-on-failure || return 1
-  ./build-asan-ubsan/tools/turbo_cli "${chaos_args[@]}" \
-    > build-asan-ubsan/chaos_run.txt || return 1
-  cmake --preset debug-tsan || return 1
-  cmake --build --preset debug-tsan -j "$JOBS" \
-    --target crash_recovery_test turbo_cli || return 1
-  ctest --test-dir build-tsan -L chaos --output-on-failure || return 1
-  ./build-tsan/tools/turbo_cli "${chaos_args[@]}" \
-    > build-tsan/chaos_run.txt || return 1
-  diff build-release/chaos_run.txt build-asan-ubsan/chaos_run.txt || {
-    echo "chaos: seeded chaos run differs between Release and ASan+UBSan" >&2
+  banner "chaos: seeded serve runs, byte-identical across all three builds"
+  # A lane-dependent path (an uninitialized read, a sanitizer-perturbed
+  # order) changes a seeded run's output without failing a unit assert,
+  # so the full stdout of each run is diffed across the lanes.
+  local lane preset dir
+  for lane in release:build-release debug-asan-ubsan:build-asan-ubsan \
+              debug-tsan:build-tsan; do
+    preset="${lane%%:*}"
+    dir="${lane##*:}"
+    cmake --preset "$preset" || return 1
+    cmake --build --preset "$preset" -j "$JOBS" --target turbo_cli || return 1
+    tools/serve_runs.sh "$dir/tools/turbo_cli" "$dir/serve_runs" || return 1
+  done
+  diff -r build-release/serve_runs build-asan-ubsan/serve_runs || {
+    echo "chaos: seeded serve runs differ between Release and ASan+UBSan" >&2
     return 1
   }
-  diff build-release/chaos_run.txt build-tsan/chaos_run.txt || {
-    echo "chaos: seeded chaos run differs between Release and TSan" >&2
+  diff -r build-release/serve_runs build-tsan/serve_runs || {
+    echo "chaos: seeded serve runs differ between Release and TSan" >&2
     return 1
   }
-  echo "chaos: seeded chaos run is byte-identical across all three lanes"
+  echo "chaos: seeded serve runs are byte-identical across all three lanes"
 }
 
 run_lint() {
-  banner "lint: turbo_lint determinism + quant-invariant rules (14 rules)"
+  banner "lint: turbo_lint determinism + quant-invariant rules (13 rules)"
   # Reuse whichever configured build dir already has the lint binary;
   # fall back to configuring the release preset.
   local bin=""
@@ -264,13 +130,6 @@ run_tidy() {
 if want release; then run_release || FAILED=1; fi
 if [[ $FAILED -eq 0 ]] && want asan; then run_asan || FAILED=1; fi
 if [[ $FAILED -eq 0 ]] && want tsan; then run_tsan || FAILED=1; fi
-if [[ $FAILED -eq 0 ]] && want fault; then run_fault || FAILED=1; fi
-if [[ $FAILED -eq 0 ]] && want serving; then run_serving || FAILED=1; fi
-if [[ $FAILED -eq 0 ]] && want slo; then run_slo || FAILED=1; fi
-if [[ $FAILED -eq 0 ]] && want tier; then run_tier || FAILED=1; fi
-if [[ $FAILED -eq 0 ]] && want fleet; then run_fleet || FAILED=1; fi
-if [[ $FAILED -eq 0 ]] && want prefix; then run_prefix || FAILED=1; fi
-if [[ $FAILED -eq 0 ]] && want disagg; then run_disagg || FAILED=1; fi
 if [[ $FAILED -eq 0 ]] && want chaos; then run_chaos || FAILED=1; fi
 if [[ $FAILED -eq 0 ]] && want lint; then run_lint || FAILED=1; fi
 if [[ $FAILED -eq 0 ]] && want tidy; then run_tidy || FAILED=1; fi

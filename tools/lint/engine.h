@@ -53,6 +53,9 @@ struct Finding {
 };
 
 struct RuleInfo {
+  // Catalog number (docs/STATIC_ANALYSIS.md). A retired rule's number is
+  // not reused, so the numbers have gaps.
+  int number = 0;
   std::string id;           // e.g. "nondeterministic-iteration"
   std::string summary;      // one-line rationale for --list-rules
   std::string suppression;  // inline marker name ("" = not suppressible)

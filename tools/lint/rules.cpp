@@ -1,10 +1,11 @@
 // The turbo_lint rules, implemented over the token stream.
-// Rules 1-7 are the v1 invariants reimplemented on the engine; rules
-// 8-11 are the determinism / concurrency-readiness pack added ahead of
-// the SIMD + thread-pool kernel overhaul; 12-13 guard the fleet
-// migration channel and the paged cache's copy-on-write contract (see
-// docs/STATIC_ANALYSIS.md for the full catalog: rationale, examples,
-// suppression syntax).
+// Rules 1-5 and 7 are the v1 invariants reimplemented on the engine
+// (rule 6 is retired: the counters it kept mirrored are now declared
+// once); rules 8-11 are the determinism / concurrency-readiness pack
+// added ahead of the SIMD + thread-pool kernel overhaul; 12-14 guard the
+// fleet migration channel, the paged cache's copy-on-write contract and
+// snapshot I/O (see docs/STATIC_ANALYSIS.md for the full catalog:
+// rationale, examples, suppression syntax).
 #include <algorithm>
 #include <set>
 #include <sstream>
@@ -313,115 +314,6 @@ void rule_unchecked_cache_append(const SourceFile& file,
          "turbo-lint: allow-unchecked-append)",
          out);
   }
-}
-
-// --- rule 6: unmirrored-engine-counter ------------------------------------
-
-// [begin, end] token range of `struct <name> { ... }` in `toks`.
-bool find_struct_body(const Tokens& toks, const char* name,
-                      std::size_t& begin, std::size_t& end) {
-  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (!is_ident(toks[i], "struct") || !is_ident(toks[i + 1], name)) {
-      continue;
-    }
-    std::size_t j = i + 2;
-    while (j < toks.size() && !is_punct(toks[j], "{") &&
-           !is_punct(toks[j], ";")) {
-      ++j;
-    }
-    if (j >= toks.size() || is_punct(toks[j], ";")) continue;
-    begin = j;
-    end = match_brace(toks, j);
-    return true;
-  }
-  return false;
-}
-
-// One result-struct / metrics-struct mirror pair: every std::size_t or
-// bool field of `result_struct` (in `result_rel`) must appear in
-// `metrics_struct` (in `metrics_rel`) and be read as `result.<name>` in
-// `metrics_cpp_rel`. Instantiated for the serving engine and the fleet
-// router.
-void check_counter_mirror(const Project& project, const char* result_rel,
-                          const char* result_struct, const char* metrics_rel,
-                          const char* metrics_struct,
-                          const char* metrics_cpp_rel,
-                          std::vector<Finding>& out) {
-  const SourceFile* engine_h = project.find(result_rel);
-  const SourceFile* metrics_h = project.find(metrics_rel);
-  const SourceFile* metrics_cpp = project.find(metrics_cpp_rel);
-  if (engine_h == nullptr) return;  // layer absent from this tree
-
-  const Tokens& etoks = engine_h->lexed.tokens;
-  std::size_t rbegin = 0;
-  std::size_t rend = 0;
-  if (!find_struct_body(etoks, result_struct, rbegin, rend)) return;
-
-  std::size_t mbegin = 0;
-  std::size_t mend = 0;
-  const bool have_metrics =
-      metrics_h != nullptr && find_struct_body(metrics_h->lexed.tokens,
-                                               metrics_struct, mbegin, mend);
-
-  for (std::size_t i = rbegin + 1; i + 1 < rend; ++i) {
-    std::string name;
-    std::size_t line = 0;
-    if (is_ident(etoks[i], "bool") &&
-        etoks[i + 1].kind == TokKind::kIdent) {
-      name = etoks[i + 1].text;
-      line = etoks[i].line;
-    } else if (i + 3 < rend && is_ident(etoks[i], "std") &&
-               is_punct(etoks[i + 1], "::") &&
-               is_ident(etoks[i + 2], "size_t") &&
-               etoks[i + 3].kind == TokKind::kIdent) {
-      name = etoks[i + 3].text;
-      line = etoks[i].line;
-    } else {
-      continue;
-    }
-
-    bool in_metrics = false;
-    if (have_metrics) {
-      const Tokens& mtoks = metrics_h->lexed.tokens;
-      for (std::size_t j = mbegin; j < mend; ++j) {
-        if (is_ident(mtoks[j], name.c_str())) in_metrics = true;
-      }
-    }
-    bool assigned = false;
-    if (metrics_cpp != nullptr) {
-      const Tokens& ctoks = metrics_cpp->lexed.tokens;
-      for (std::size_t j = 0; j + 2 < ctoks.size(); ++j) {
-        if (is_ident(ctoks[j], "result") && is_punct(ctoks[j + 1], ".") &&
-            is_ident(ctoks[j + 2], name.c_str())) {
-          assigned = true;
-        }
-      }
-    }
-    if (in_metrics && assigned) continue;
-    std::string what;
-    if (!in_metrics) {
-      what = std::string("has no ") + metrics_struct + " counterpart";
-    }
-    if (!assigned) {
-      if (!what.empty()) what += " and ";
-      what += std::string("is never read from result. in ") + metrics_cpp_rel;
-    }
-    emit(*engine_h, line, "unmirrored-engine-counter",
-         std::string(result_struct) + "::" + name + " " + what +
-             "; mirror it into " + metrics_struct +
-             " (or annotate with turbo-lint: allow-unmirrored)",
-         out);
-  }
-}
-
-void rule_unmirrored_engine_counters(const Project& project,
-                                     std::vector<Finding>& out) {
-  check_counter_mirror(project, "src/serving/engine.h", "EngineResult",
-                       "src/serving/metrics.h", "ServingMetrics",
-                       "src/serving/metrics.cpp", out);
-  check_counter_mirror(project, "src/fleet/router.h", "FleetResult",
-                       "src/fleet/metrics.h", "FleetMetrics",
-                       "src/fleet/metrics.cpp", out);
 }
 
 // --- rule 7: unfaultable-swap-io ------------------------------------------
@@ -1059,61 +951,57 @@ void rule_unordered_float_reduction(const Project& project,
 
 const std::vector<RuleInfo>& rules() {
   static const std::vector<RuleInfo> kRules = {
-      {"no-raw-assert",
+      {1, "no-raw-assert",
        "assert() compiles out in release builds; use TURBO_CHECK / "
        "TURBO_DCHECK",
        ""},
-      {"unchecked-i8-cast",
+      {2, "unchecked-i8-cast",
        "bare static_cast to int8/uint8 silently truncates; use the checked "
        "helpers in common/numeric.h",
        "allow-narrowing"},
-      {"integer-kernel",
+      {3, "integer-kernel",
        "files tagged integer-kernel must stay free of floating-point "
        "arithmetic (FlashQ decode is INT-only by design)",
        "allow-float"},
-      {"method-shape-check",
+      {4, "method-shape-check",
        "every KvAttention prefill/decode/attend must TURBO_CHECK its input "
        "shapes",
        ""},
-      {"unchecked-cache-append",
+      {5, "unchecked-cache-append",
        "PagedKvCache::append_token's result reports page exhaustion and "
        "must be consumed",
        "allow-unchecked-append"},
-      {"unmirrored-engine-counter",
-       "every EngineResult counter must be mirrored into ServingMetrics "
-       "and assigned in metrics.cpp",
-       "allow-unmirrored"},
-      {"unfaultable-swap-io",
+      {7, "unfaultable-swap-io",
        "every swap store/fetch entry point must accept a FaultInjector*",
        "allow-unfaultable"},
-      {"nondeterministic-iteration",
+      {8, "nondeterministic-iteration",
        "iteration over std::unordered_{map,set} must not feed "
        "ordering-sensitive sinks; use an ordered container or a sorted "
        "snapshot",
        "allow-unordered-iter"},
-      {"unsanctioned-entropy",
+      {9, "unsanctioned-entropy",
        "rand/random_device/clock reads outside src/common/rng.h break "
        "seeded bit-identical runs",
        "allow-entropy"},
-      {"mutable-global-state",
+      {10, "mutable-global-state",
        "no mutable namespace-scope or function-static state in "
        "src/kernels, src/quant, src/attention (the worker-pool execution "
        "surface)",
        "allow-mutable-global"},
-      {"unordered-float-reduction",
+      {11, "unordered-float-reduction",
        "float accumulation over unordered iteration is hash-layout-"
        "dependent; sort first or accumulate in integer domain",
        "allow-unordered-reduction"},
-      {"unfaultable-replica-channel",
+      {12, "unfaultable-replica-channel",
        "every src/fleet migration/transfer entry point must accept a "
        "FaultInjector*",
        "allow-unfaultable-channel"},
-      {"cow-unguarded-page-write",
+      {13, "cow-unguarded-page-write",
        "page_data_[...] writes outside the fresh-page allocation sites "
        "must prove private ownership with a refcount_[...] == guard "
        "(shared pages are copy-on-write)",
        "allow-cow-write"},
-      {"unfaultable-snapshot-io",
+      {14, "unfaultable-snapshot-io",
        "every src/serving/snapshot save/restore entry point must accept "
        "a FaultInjector*",
        "allow-unfaultable-snapshot"},
@@ -1138,7 +1026,6 @@ std::vector<Finding> run_rules(const Project& project) {
     rule_unordered_float_reduction(project, f, out);
   }
   rule_method_shape_check(project, out);
-  rule_unmirrored_engine_counters(project, out);
 
   std::sort(out.begin(), out.end(), [](const Finding& a, const Finding& b) {
     if (a.rel != b.rel) return a.rel < b.rel;

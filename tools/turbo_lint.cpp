@@ -32,10 +32,8 @@ namespace lint = turbo::lint;
 namespace {
 
 int list_rules() {
-  std::size_t n = 0;
   for (const lint::RuleInfo& r : lint::rules()) {
-    ++n;
-    std::cout << "  " << n << ". " << r.id << "\n       " << r.summary
+    std::cout << "  " << r.number << ". " << r.id << "\n       " << r.summary
               << "\n       suppression: "
               << (r.suppression.empty() ? "(none — not suppressible)"
                                         : "// turbo-lint: " + r.suppression)
