@@ -177,6 +177,7 @@ class EngineImpl {
         allocator_(d_.page_count),
         radix_(config.page_tokens),
         page_ref_(d_.page_count, 0),
+        class_ref_(d_.page_count),
         fault_(config.faults),
         class_aware_(config.policy == SchedPolicy::kClassAware),
         iters_since_level_change_(config.degrade.window_iters) {
@@ -273,6 +274,7 @@ class EngineImpl {
   // Returns false at the old `break`: nothing running, waiting, paused
   // or pending.
   bool step(double horizon_s) {
+    check_books();
     ++iteration_;
     // Pull arrivals whose time has come.
     while (!pending_.empty() &&
@@ -314,7 +316,7 @@ class EngineImpl {
         Request& r = result_.requests[running_[i].trace_index];
         if (!deadline_expired(r)) continue;
         time_out(r);
-        release_all(running_[i].pages);
+        release_all(running_[i]);
         dead_[i] = 1;
       }
       compact_running(dead_);
@@ -414,10 +416,11 @@ class EngineImpl {
       }
       std::size_t needed = pages_needed(p.context + 1, bits);
       needed -= std::min(needed, matched.size());
-      hold_pages(matched);
+      const std::size_t c = class_of(p.trace_index);
+      hold_pages(matched, c);
       std::vector<PageId> pages;
-      if (!try_alloc(needed, pages)) {
-        unhold_pages(matched);
+      if (!try_alloc(needed, pages, c)) {
+        unhold_pages(matched, c);
         // Page-blocked: spend the wait staging the parked stream up the
         // hierarchy (once per wait), so when pages do free up the
         // swap-in reads at host-link speed instead of disk speed.
@@ -606,12 +609,12 @@ class EngineImpl {
           reclaim_for_guarantee(c, needed);
         }
         if (!admission_allowed(c, needed)) return false;
-        hold_pages(matched);
+        hold_pages(matched, c);
         std::vector<PageId> pages;
         // Fails on an injected fault, or when the only reclaimable pages
         // admission counted were the matched ones.
-        if (!try_alloc(needed, pages)) {
-          unhold_pages(matched);
+        if (!try_alloc(needed, pages, c)) {
+          unhold_pages(matched, c);
           return false;
         }
         result_.prefix_pages_attached += matched.size();
@@ -787,7 +790,7 @@ class EngineImpl {
         if (ru.remaining == 0) {
           r.finish_s = now_;
           r.outcome = Outcome::kCompleted;
-          release_all(ru.pages);
+          release_all(ru);
           ++finished_;
           dead_[i] = 1;
         } else if (config_.role == EngineRole::kPrefillOnly) {
@@ -810,7 +813,7 @@ class EngineImpl {
             m.has_stream = true;
           }
           m.ready_s = now_;
-          release_all(ru.pages);
+          release_all(ru);
           drained_[ru.trace_index] = 1;
           --live_total_;
           ++result_.prefill_handoffs;
@@ -905,7 +908,7 @@ class EngineImpl {
       if (ru.remaining == 0) {
         r.finish_s = now_;
         r.outcome = Outcome::kCompleted;
-        release_all(ru.pages);
+        release_all(ru);
         ++finished_;
         dead_[i] = 1;
       }
@@ -942,7 +945,7 @@ class EngineImpl {
         bytes = static_cast<double>(ru.pages.size()) * d_.page_bytes;
         has_stream = true;
       }
-      release_all(ru.pages);
+      release_all(ru);
       lift(ru.trace_index, ru.context, ru.remaining, ru.prompt_left,
            ru.kv_bits, has_stream, bytes);
     }
@@ -985,6 +988,7 @@ class EngineImpl {
     // parked streams — nothing to leak when the router tears it down.
     TURBO_CHECK_MSG(allocator_.used_pages() == 0,
                     "drained replica leaked KV pages");
+    TURBO_CHECK_MSG(books_empty(), "drained replica still charges pages");
     if (swap_store_.has_value()) {
       TURBO_CHECK_MSG(swap_store_->count() == 0,
                       "drained replica leaked parked swap streams");
@@ -996,6 +1000,11 @@ class EngineImpl {
     result_.makespan_s = now_;
     result_.injected_alloc_failures = allocator_.injected_failures();
     result_.hit_time_limit = finished_ < live_total_;
+    check_books();
+    // Every request reached a terminal state, so none holds a page.
+    if (!result_.hit_time_limit) {
+      TURBO_CHECK_MSG(books_empty(), "terminal run still charges pages");
+    }
     if (swap_store_.has_value()) {
       // No-leak invariant: every request reached exactly one terminal
       // state, and every terminal path (swap-in, unavailable-recompute,
@@ -1294,12 +1303,12 @@ class EngineImpl {
   // fault hit this attempt, retained pages notwithstanding). With an
   // empty pool this is exactly one allocator call — the legacy fault-draw
   // sequence.
-  PageId alloc_page() {
+  PageId alloc_page(std::size_t c) {
     while (true) {
       const std::size_t injected_before = allocator_.injected_failures();
       const PageId p = allocator_.allocate();
       if (p != kInvalidPage) {
-        page_ref_[p] = 1;
+        add_ref(p, c);
         return p;
       }
       if (allocator_.injected_failures() > injected_before) {
@@ -1314,12 +1323,48 @@ class EngineImpl {
     }
   }
 
+  // The charge books, kept at every reference change: a page with one
+  // reference is charged to its holder's class, a page with two or more
+  // is shared and charged to nobody (evicting any single holder would not
+  // free it). Only the 0<->1 and 1<->2 transitions move a charge.
+  void add_ref(PageId page, std::size_t c) {
+    if (page_ref_[page] == 0) {
+      ++charged_[c];
+    } else if (page_ref_[page] == 1) {
+      --charged_[holder_of(page)];
+      ++shared_;
+    }
+    ++page_ref_[page];
+    ++class_ref_[page][c];
+  }
+  // Returns the references left.
+  std::uint32_t drop_ref(PageId page, std::size_t c) {
+    TURBO_DCHECK(class_ref_[page][c] > 0);
+    --class_ref_[page][c];
+    const std::uint32_t left = --page_ref_[page];
+    if (left == 0) {
+      --charged_[c];
+    } else if (left == 1) {
+      --shared_;
+      ++charged_[holder_of(page)];
+    }
+    return left;
+  }
+  // The class holding a singly referenced page's reference.
+  std::size_t holder_of(PageId page) const {
+    std::size_t c = 0;
+    while (class_ref_[page][c] == 0) {
+      ++c;
+      TURBO_DCHECK(c < kServiceClassCount);
+    }
+    return c;
+  }
+
   // Drop one reference. The last reference parks registered pages in the
   // retained pool (still attachable through the index) and frees
   // unregistered ones.
-  void unref_page(PageId page) {
-    TURBO_DCHECK(page_ref_[page] > 0);
-    if (--page_ref_[page] > 0) return;
+  void unref_page(PageId page, std::size_t c) {
+    if (drop_ref(page, c) > 0) return;
     if (radix_.has_page(page)) {
       retained_.emplace(page, retained_touch_++);
     } else {
@@ -1333,7 +1378,7 @@ class EngineImpl {
   // exhaustion path in alloc_page cannot reclaim a page that is about to
   // be attached; held_stamps_ keeps each page's retention stamp
   // (kNotRetained when it was referenced) for unhold_pages.
-  void hold_pages(const std::vector<PageId>& pages) {
+  void hold_pages(const std::vector<PageId>& pages, std::size_t c) {
     held_stamps_.clear();
     for (const PageId page : pages) {
       std::size_t stamp = kNotRetained;
@@ -1343,26 +1388,26 @@ class EngineImpl {
         retained_.erase(it);
       }
       held_stamps_.push_back(stamp);
-      ++page_ref_[page];
+      add_ref(page, c);
     }
   }
   // Undo hold_pages after a failed allocation: every page returns to the
   // state it had, retained ones under their original LRU stamps.
-  void unhold_pages(const std::vector<PageId>& pages) {
+  void unhold_pages(const std::vector<PageId>& pages, std::size_t c) {
     for (std::size_t i = 0; i < pages.size(); ++i) {
-      if (--page_ref_[pages[i]] == 0) {
+      if (drop_ref(pages[i], c) == 0) {
         retained_.emplace(pages[i], held_stamps_[i]);
       }
     }
   }
 
-  // Allocate `n` pages or none (failed attempts roll back).
-  bool try_alloc(std::size_t n, std::vector<PageId>& out) {
+  // Allocate `n` pages for class `c`, or none (failed attempts roll back).
+  bool try_alloc(std::size_t n, std::vector<PageId>& out, std::size_t c) {
     for (std::size_t i = 0; i < n; ++i) {
-      const PageId p = alloc_page();
+      const PageId p = alloc_page(c);
       if (p == kInvalidPage) {
         while (!out.empty()) {
-          unref_page(out.back());
+          unref_page(out.back(), c);
           out.pop_back();
         }
         return false;
@@ -1372,9 +1417,10 @@ class EngineImpl {
     return true;
   }
 
-  void release_all(std::vector<PageId>& pages) {
-    for (const PageId p : pages) unref_page(p);
-    pages.clear();
+  void release_all(Running& ru) {
+    const std::size_t c = class_of(ru.trace_index);
+    for (const PageId p : ru.pages) unref_page(p, c);
+    ru.pages.clear();
   }
 
   // The prompt ids admission at `bits` may match against the prefix
@@ -1481,7 +1527,7 @@ class EngineImpl {
     } else {
       ++result_.preempted_recompute;
     }
-    release_all(victim.pages);
+    release_all(victim);
     paused_.push_back(p);
     return stall;
   }
@@ -1543,7 +1589,7 @@ class EngineImpl {
     while (running_[i].pages.size() <
            pages_needed(target, running_[i].kv_bits)) {
       const std::size_t injected_before = allocator_.injected_failures();
-      const PageId page = alloc_page();
+      const PageId page = alloc_page(class_of(running_[i].trace_index));
       if (page != kInvalidPage) {
         running_[i].pages.push_back(page);
         continue;
@@ -1618,7 +1664,10 @@ class EngineImpl {
   // billed: a shared prefix page is charged to nobody, because evicting
   // any single resident would not free it — billing it to each resident
   // would overcharge every one of them against the class share.
-  std::size_t class_used_pages(std::size_t c) const {
+  std::size_t class_used_pages(std::size_t c) const { return charged_[c]; }
+  // The same count by a walk over every running request's pages: the
+  // Debug oracle for charged_.
+  std::size_t recount_class_pages(std::size_t c) const {
     std::size_t used = 0;
     for (const Running& ru : running_) {
       if (class_of(ru.trace_index) != c) continue;
@@ -1627,6 +1676,33 @@ class EngineImpl {
       }
     }
     return used;
+  }
+  // The page books, checked once per step in O(1): every allocated page
+  // is charged to one class, shared, or retained. The range test catches
+  // a counter that wrapped below zero, which the sum alone would hide.
+  // Debug builds also recount each class's charge the slow way.
+  void check_books() const {
+    const std::size_t used = allocator_.used_pages();
+    std::size_t booked = shared_ + retained_.size();
+    bool in_range = shared_ <= used;
+    for (const std::size_t n : charged_) {
+      booked += n;
+      in_range = in_range && n <= used;
+    }
+    TURBO_CHECK_MSG(in_range && booked == used,
+                    "page books out of balance or wrapped below zero: "
+                        << booked << " charged, shared or retained vs "
+                        << used << " allocated");
+    for (std::size_t c = 0; c < kServiceClassCount; ++c) {
+      TURBO_DCHECK(charged_[c] == recount_class_pages(c));
+    }
+  }
+  // No page is referenced: every charge and share has been released.
+  bool books_empty() const {
+    for (const std::size_t n : charged_) {
+      if (n != 0) return false;
+    }
+    return shared_ == 0;
   }
   std::size_t guaranteed_pages(std::size_t c) const {
     return static_cast<std::size_t>(config_.classes[c].page_share *
@@ -1673,6 +1749,12 @@ class EngineImpl {
   // Uniform per-page reference counts, indexed by PageId. Every allocated
   // page has ref >= 1 except retained pages (ref == 0, parked below).
   std::vector<std::uint32_t> page_ref_;
+  // The same references split by the holder's service class, and the
+  // books add_ref()/drop_ref() keep from them: pages whose single
+  // reference a class holds, and pages with two or more references.
+  std::vector<std::array<std::uint32_t, kServiceClassCount>> class_ref_;
+  std::array<std::size_t, kServiceClassCount> charged_{};
+  std::size_t shared_ = 0;
   // Registered pages whose last reference died, parked for re-attachment
   // instead of freed: page -> retention order (the LRU clock). An ordered
   // map so reclaim scans deterministically (lint rule 8).

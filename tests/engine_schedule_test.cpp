@@ -144,6 +144,24 @@ TEST(ScheduleGoldenTest, SessionPrefixReclaim) {
   EXPECT_EQ(test::prefix_digest(r), 0x883b656461374ab9ull);
 }
 
+// Session traffic through the crushed pool: guarantee reclaim evicts
+// victims that hold shared prefix pages, so a page's charge moves between
+// classes as its second reference comes and goes. The other pins never
+// evict a guarantee-reclaim victim holding a shared page.
+TEST(ScheduleGoldenTest, SharedPrefixGuaranteeReclaim) {
+  TraceConfig t = overload_mix_trace();
+  t.arrival_rate = 8.0;
+  t.shared_prefix_tokens = 512;
+  t.shared_prefix_fraction = 0.8;
+  t.session_turns = 3;
+  t.session_gap_s = 1.0;
+  t.agentic_fraction = 0.4;
+  const EngineResult r = run_engine(crushed_engine(), generate_trace(t));
+  ASSERT_GT(r.preemptions, 0u);
+  ASSERT_GT(r.prefix_pages_attached, 0u);
+  EXPECT_EQ(test::prefix_digest(r), 0x18d9188cd6ab53afull);
+}
+
 // The benchmark's fleet_sessions shape, 120 s of it: four affinity-routed
 // replicas, four-turn sessions, 80% behind a shared 1,024-token prompt.
 // Every arrival scores each replica's radix index.

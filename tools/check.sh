@@ -47,7 +47,7 @@ want() {
 banner() { printf '\n==== %s ====\n' "$1"; }
 
 run_release() {
-  banner "release: -O2 -Werror build + ctest"
+  banner "release: -O3 -DNDEBUG -Werror build + ctest"
   cmake --preset release || return 1
   cmake --build --preset release -j "$JOBS" || return 1
   ctest --preset release || return 1
