@@ -3,8 +3,9 @@
 // Serving engines avoid per-sequence contiguous KV allocations (internal
 // fragmentation, no sharing) by carving the cache into fixed-size pages
 // and mapping sequences onto them through page tables — the vLLM design.
-// This allocator owns the page pool; the paged cache maps sequences to
-// pages and stores compressed KV payloads in them.
+// This allocator owns the free list; PagePool (kvcache/page_pool.h) keeps
+// the references and the prefix index on top of it for the paged cache
+// and the serving engine.
 //
 // An optional FaultInjector makes individual allocations fail
 // deterministically even while pages remain free, so schedulers built on

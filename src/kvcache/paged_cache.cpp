@@ -9,10 +9,8 @@ PagedKvCache::PagedKvCache(std::size_t head_dim, BitWidth bits,
     : head_dim_(head_dim),
       bits_(bits),
       page_tokens_(page_tokens),
-      allocator_(page_count),
-      page_data_(page_count),
-      refcount_(page_count, 0),
-      radix_(page_tokens) {
+      pages_(page_count, page_tokens, 1),
+      page_data_(page_count) {
   TURBO_CHECK(head_dim_ > 0);
   TURBO_CHECK(page_tokens_ > 0);
 }
@@ -31,7 +29,7 @@ PagedKvCache::SeqId PagedKvCache::fork_sequence(SeqId seq) {
   const SeqId id = next_seq_++;
   Sequence copy = src;  // page table + buffers copied
   for (PageId p : copy.pages) {
-    ++refcount_[p];
+    pages_.ref(p, 0);
   }
   sequences_.emplace(id, std::move(copy));
   return id;
@@ -40,17 +38,17 @@ PagedKvCache::SeqId PagedKvCache::fork_sequence(SeqId seq) {
 void PagedKvCache::release_sequence(SeqId seq) {
   Sequence& s = seq_ref(seq);
   for (PageId p : s.pages) {
-    TURBO_DCHECK(refcount_[p] > 0);
-    if (--refcount_[p] == 0) {
-      // Dying pages leave the prefix index; descendants cascade out with
-      // them (unreachable without their ancestor) but stay allocated —
-      // erase_page returns index membership, not references.
-      if (radix_.has_page(p)) radix_.erase_page(p);
+    if (pages_.unref(p, 0) == 0) {
       page_data_[p] = KvBlock{};
-      allocator_.release(p);
+      // Sharing is among live sequences only: an indexed page is
+      // reclaimed as it dies instead of staying retained. Its descendants
+      // cascade out of the index (unreachable without their ancestor) but
+      // stay allocated while referenced.
+      if (pages_.indexed(p)) pages_.reclaim(p);
     }
   }
   sequences_.erase(seq);
+  pages_.check_books();
 }
 
 void PagedKvCache::register_prefix(SeqId seq,
@@ -58,18 +56,18 @@ void PagedKvCache::register_prefix(SeqId seq,
   const Sequence& s = seq_ref(seq);
   std::size_t n = tokens.size() / page_tokens_;
   if (n > s.pages.size()) n = s.pages.size();
-  radix_.insert(tokens.first(n * page_tokens_),
-                std::span<const PageId>(s.pages.data(), n));
+  pages_.index(tokens.first(n * page_tokens_),
+               std::span<const PageId>(s.pages.data(), n));
 }
 
 PagedKvCache::PrefixAttach PagedKvCache::create_with_prefix(
     std::span<const std::int32_t> tokens) {
-  const std::vector<PageId> matched = radix_.match(tokens);
+  const std::vector<PageId> matched = pages_.radix().match(tokens);
   const SeqId id = create_sequence();
   Sequence& s = seq_ref(id);
   for (const PageId p : matched) {
-    TURBO_DCHECK(refcount_[p] > 0);  // index never outlives its pages
-    ++refcount_[p];
+    TURBO_DCHECK(pages_.refs(p) > 0);  // index never outlives its pages
+    pages_.ref(p, 0);
     s.pages.push_back(p);
   }
   return PrefixAttach{id, matched.size() * page_tokens_};
@@ -110,13 +108,12 @@ bool PagedKvCache::append_prefill_block(SeqId seq, const Int8Tile& k_tile,
   if (k_tile.q.rows() == page_tokens_) {
     TURBO_CHECK_MSG(s.k_buffer.empty(),
                     "page-sized prefill tile must not straddle buffered rows");
-    const PageId page = allocator_.allocate();
+    const PageId page = pages_.alloc(0);
     if (page == kInvalidPage) return false;
     page_data_[page].k =
         progressive_compress(k_tile.q, k_tile.scale, bits_);
     page_data_[page].v =
         progressive_compress(v_tile.q, v_tile.scale, bits_);
-    refcount_[page] = 1;
     s.pages.push_back(page);
     return true;
   }
@@ -140,7 +137,7 @@ bool PagedKvCache::append_prefill_block(SeqId seq, const Int8Tile& k_tile,
 
 bool PagedKvCache::flush_buffer(Sequence& s) {
   TURBO_CHECK(s.k_buffer.full());
-  const PageId page = allocator_.allocate();
+  const PageId page = pages_.alloc(0);
   if (page == kInvalidPage) return false;
   const float k_scale = s.k_buffer.scale();
   const float v_scale = s.v_buffer.scale();
@@ -148,7 +145,6 @@ bool PagedKvCache::flush_buffer(Sequence& s) {
   const MatrixI8 v_q1 = s.v_buffer.take();
   page_data_[page].k = progressive_compress(k_q1, k_scale, bits_);
   page_data_[page].v = progressive_compress(v_q1, v_scale, bits_);
-  refcount_[page] = 1;
   s.pages.push_back(page);
   return true;
 }
@@ -177,20 +173,12 @@ std::optional<PagedKvCache::SeqId> PagedKvCache::adopt_sequence(
 
   std::vector<PageId> pages;
   pages.reserve(blocks.size());
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    const PageId page = allocator_.allocate();
-    if (page == kInvalidPage) {
-      for (const PageId p : pages) allocator_.release(p);  // rollback
-      return std::nullopt;
-    }
-    pages.push_back(page);
-  }
+  if (!pages_.alloc_n(blocks.size(), pages, 0)) return std::nullopt;
   Sequence s{{},
              DecodeBuffer(page_tokens_, head_dim_),
              DecodeBuffer(page_tokens_, head_dim_)};
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     page_data_[pages[i]] = std::move(blocks[i]);
-    refcount_[pages[i]] = 1;
   }
   s.pages = std::move(pages);
   if (k_scale > 0.0f) s.k_buffer.restore_scale(k_scale);
@@ -201,6 +189,7 @@ std::optional<PagedKvCache::SeqId> PagedKvCache::adopt_sequence(
   }
   const SeqId id = next_seq_++;
   sequences_.emplace(id, std::move(s));
+  pages_.check_books();
   return id;
 }
 
@@ -230,15 +219,7 @@ std::size_t PagedKvCache::charged_pages(SeqId seq) const {
   const Sequence& s = seq_ref(seq);
   std::size_t n = 0;
   for (const PageId p : s.pages) {
-    if (refcount_[p] == 1) ++n;
-  }
-  return n;
-}
-
-std::size_t PagedKvCache::shared_pages() const {
-  std::size_t n = 0;
-  for (std::uint32_t rc : refcount_) {
-    if (rc > 1) ++n;
+    if (pages_.refs(p) == 1) ++n;
   }
   return n;
 }
@@ -246,7 +227,7 @@ std::size_t PagedKvCache::shared_pages() const {
 std::size_t PagedKvCache::memory_bytes() const {
   std::size_t bytes = 0;
   for (PageId p = 0; p < page_data_.size(); ++p) {
-    if (refcount_[p] > 0) bytes += page_data_[p].memory_bytes();
+    if (pages_.refs(p) > 0) bytes += page_data_[p].memory_bytes();
   }
   for (const auto& [id, s] : sequences_) {
     bytes += s.k_buffer.memory_bytes() + s.v_buffer.memory_bytes();

@@ -7,6 +7,11 @@
 // share full pages by reference counting with no copy ever needed; only
 // the partial INT8 tail buffer is duplicated. This is the vLLM PagedAttention
 // design specialized to TurboAttention's compressed page payloads.
+//
+// References, charges and the prefix index live in a PagePool
+// (kvcache/page_pool.h) with a single holder, the same accounting the
+// serving engine runs; this class adds the page payloads and the
+// per-sequence page tables and tail buffers.
 #pragma once
 
 #include <cstdint>
@@ -15,9 +20,8 @@
 #include <vector>
 
 #include "kvcache/decode_buffer.h"
-#include "kvcache/page_allocator.h"
+#include "kvcache/page_pool.h"
 #include "kvcache/quantized_kv_cache.h"
-#include "kvcache/radix_index.h"
 
 namespace turbo {
 
@@ -82,17 +86,12 @@ class PagedKvCache {
   // --- Swap-in (kvcache/serialization.h) ------------------------------
   // Adopt a fully-materialized sequence: one page is allocated per block
   // and the tail buffers are restored bit-exactly. All-or-nothing: on
-  // page exhaustion (or an injected allocation failure) every page
-  // allocated so far is released and nullopt is returned — the cache is
-  // left exactly as before the call. Blocks must match this cache's
-  // head_dim / bits / page_tokens.
+  // page exhaustion every page allocated so far is released and nullopt
+  // is returned — the cache is left exactly as before the call. Blocks
+  // must match this cache's head_dim / bits / page_tokens.
   std::optional<SeqId> adopt_sequence(std::vector<KvBlock> blocks,
                                       float k_scale, const MatrixI8& k_rows,
                                       float v_scale, const MatrixI8& v_rows);
-
-  // Expose the allocator so callers can wire a FaultInjector
-  // (common/fault.h) into the allocation path.
-  PageAllocator& allocator() { return allocator_; }
 
   // --- Decode view ----------------------------------------------------
   std::size_t token_count(SeqId seq) const;
@@ -101,11 +100,11 @@ class PagedKvCache {
   const DecodeBuffer& value_buffer(SeqId seq) const;
 
   // --- Introspection --------------------------------------------------
-  std::size_t used_pages() const { return allocator_.used_pages(); }
-  std::size_t free_pages() const { return allocator_.free_pages(); }
+  std::size_t used_pages() const { return pages_.used(); }
+  std::size_t free_pages() const { return pages_.free(); }
   std::size_t sequence_count() const { return sequences_.size(); }
   // Pages referenced by more than one sequence.
-  std::size_t shared_pages() const;
+  std::size_t shared_pages() const { return pages_.shared(); }
   // Pages this sequence is charged for: only privately-referenced pages
   // (refcount == 1) count. Shared pages are charged to nobody — across
   // all sequences, sum(charged_pages) + shared_pages() == used_pages().
@@ -115,7 +114,7 @@ class PagedKvCache {
   std::size_t charged_pages(SeqId seq) const;
   // Total compressed bytes held (pages + buffers).
   std::size_t memory_bytes() const;
-  const RadixIndex& radix() const { return radix_; }
+  const RadixIndex& radix() const { return pages_.radix(); }
 
  private:
   struct Sequence {
@@ -131,10 +130,8 @@ class PagedKvCache {
   std::size_t head_dim_;
   BitWidth bits_;
   std::size_t page_tokens_;
-  PageAllocator allocator_;
-  std::vector<KvBlock> page_data_;       // indexed by PageId
-  std::vector<std::uint32_t> refcount_;  // indexed by PageId
-  RadixIndex radix_;
+  PagePool pages_;
+  std::vector<KvBlock> page_data_;  // indexed by PageId
   std::unordered_map<SeqId, Sequence> sequences_;
   SeqId next_seq_ = 1;
 };

@@ -6,8 +6,8 @@
 // attached by refcount bump (the fork_sequence CoW path generalized to
 // partial prefixes) and only the novel suffix is charged pages and
 // chunk-prefilled. The index stores no KV data and owns no references —
-// refcounts live with the cache/engine that feeds it, and the owner must
-// erase pages here when they die.
+// refcounts live with the PagePool (kvcache/page_pool.h) that owns it,
+// which erases pages here when they die.
 //
 // The tree is path-compressed: a node holds a run of pages and the
 // tokens they cover, so a long shared system prompt is one node, not one

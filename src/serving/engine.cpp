@@ -14,8 +14,7 @@
 #include "common/check.h"
 #include "common/matrix.h"
 #include "common/rng.h"
-#include "kvcache/page_allocator.h"
-#include "kvcache/radix_index.h"
+#include "kvcache/page_pool.h"
 #include "quant/error.h"
 #include "serving/swap.h"
 
@@ -174,14 +173,11 @@ class EngineImpl {
   explicit EngineImpl(const EngineConfig& config)
       : config_(config),
         d_(derive_config(config)),
-        allocator_(d_.page_count),
-        radix_(config.page_tokens),
-        page_ref_(d_.page_count, 0),
-        class_ref_(d_.page_count),
+        pages_(d_.page_count, config.page_tokens, kServiceClassCount),
         fault_(config.faults),
         class_aware_(config.policy == SchedPolicy::kClassAware),
         iters_since_level_change_(config.degrade.window_iters) {
-    allocator_.set_fault_injector(&fault_);
+    pages_.set_fault_injector(&fault_);
     // Swap mode parks preemption victims in a tiered store: tier 0 is
     // host DRAM behind the PCIe link, tier 1 (optional) local disk. The
     // engine runs the store in phantom mode — byte counts and placement
@@ -408,7 +404,7 @@ class EngineImpl {
       // the shortfall — pages reclaimed in the meantime — is recomputed.
       std::vector<PageId> matched;
       if (p.prefix_tokens > 0) {
-        matched = radix_.match(std::span<const std::int32_t>(
+        matched = pages_.radix().match(std::span<const std::int32_t>(
             result_.requests[p.trace_index].prompt_ids.data(),
             std::min<std::size_t>(
                 result_.requests[p.trace_index].prompt_ids.size(),
@@ -417,10 +413,10 @@ class EngineImpl {
       std::size_t needed = pages_needed(p.context + 1, bits);
       needed -= std::min(needed, matched.size());
       const std::size_t c = class_of(p.trace_index);
-      hold_pages(matched, c);
+      pages_.hold(matched, c);
       std::vector<PageId> pages;
-      if (!try_alloc(needed, pages, c)) {
-        unhold_pages(matched, c);
+      if (!pages_.alloc_n(needed, pages, c)) {
+        pages_.unhold(matched, c);
         // Page-blocked: spend the wait staging the parked stream up the
         // hierarchy (once per wait), so when pages do free up the
         // swap-in reads at host-link speed instead of disk speed.
@@ -553,7 +549,7 @@ class EngineImpl {
             if (running_[j].pinned) continue;
             const std::size_t jc = class_of(running_[j].trace_index);
             if (jc == c) continue;
-            if (class_used_pages(jc) <= guaranteed_pages(jc)) continue;
+            if (pages_.charged(jc) <= guaranteed_pages(jc)) continue;
             if (best == running_.size()) {
               best = j;
               continue;
@@ -599,22 +595,22 @@ class EngineImpl {
         // request is charged (and reclaims, and reserves) only its novel
         // suffix — a cache-hit prompt is cheap to admit.
         const std::vector<PageId> matched =
-            radix_.match(prefix_span(r, admit_bits));
+            pages_.radix().match(prefix_span(r, admit_bits));
         const std::size_t matched_tokens = matched.size() * d_.tpp_normal;
         const std::size_t suffix = r.prompt_tokens - matched_tokens;
         const std::size_t first_chunk = std::min(suffix + 1, d_.quantum);
         const std::size_t needed = pages_needed(first_chunk, admit_bits);
         if (class_aware_ && effective_free() < needed &&
-            class_used_pages(c) + needed <= guaranteed_pages(c)) {
+            pages_.charged(c) + needed <= guaranteed_pages(c)) {
           reclaim_for_guarantee(c, needed);
         }
         if (!admission_allowed(c, needed)) return false;
-        hold_pages(matched, c);
+        pages_.hold(matched, c);
         std::vector<PageId> pages;
         // Fails on an injected fault, or when the only reclaimable pages
         // admission counted were the matched ones.
-        if (!try_alloc(needed, pages, c)) {
-          unhold_pages(matched, c);
+        if (!pages_.alloc_n(needed, pages, c)) {
+          pages_.unhold(matched, c);
           return false;
         }
         result_.prefix_pages_attached += matched.size();
@@ -775,7 +771,7 @@ class EngineImpl {
               std::min({r.prompt_tokens / d_.tpp_normal,
                         r.prompt_ids.size() / d_.tpp_normal,
                         ru.pages.size()});
-          radix_.insert(
+          pages_.index(
               std::span<const std::int32_t>(r.prompt_ids.data(),
                                             n_full * d_.tpp_normal),
               std::span<const PageId>(ru.pages.data(), n_full));
@@ -827,7 +823,7 @@ class EngineImpl {
       if (degraded) ++result_.degraded_steps;
       result_.peak_kv_bytes = std::max(
           result_.peak_kv_bytes,
-          static_cast<double>(allocator_.used_pages()) * d_.page_bytes);
+          static_cast<double>(pages_.used()) * d_.page_bytes);
       result_.peak_referenced_pages =
           std::max(result_.peak_referenced_pages, referenced_pages());
     }
@@ -888,7 +884,7 @@ class EngineImpl {
     result_.busy_s += step_s;
     result_.peak_kv_bytes = std::max(
         result_.peak_kv_bytes,
-        static_cast<double>(allocator_.used_pages()) * d_.page_bytes);
+        static_cast<double>(pages_.used()) * d_.page_bytes);
     result_.peak_referenced_pages =
         std::max(result_.peak_referenced_pages, referenced_pages());
 
@@ -983,12 +979,12 @@ class EngineImpl {
     prefilled_.clear();
     // Unreferenced retained prefix pages are cache, not state: drop them
     // so the zero-leak check below sees a genuinely empty allocator.
-    flush_retained();
+    pages_.flush_retained();
     // Zero-leak invariants: a drained replica holds no pages and no
     // parked streams — nothing to leak when the router tears it down.
-    TURBO_CHECK_MSG(allocator_.used_pages() == 0,
-                    "drained replica leaked KV pages");
-    TURBO_CHECK_MSG(books_empty(), "drained replica still charges pages");
+    TURBO_CHECK_MSG(pages_.used() == 0, "drained replica leaked KV pages");
+    TURBO_CHECK_MSG(pages_.books_empty(),
+                    "drained replica still charges pages");
     if (swap_store_.has_value()) {
       TURBO_CHECK_MSG(swap_store_->count() == 0,
                       "drained replica leaked parked swap streams");
@@ -998,12 +994,14 @@ class EngineImpl {
 
   EngineResult finish() {
     result_.makespan_s = now_;
-    result_.injected_alloc_failures = allocator_.injected_failures();
+    result_.injected_alloc_failures = pages_.injected_failures();
+    result_.retained_pages_reclaimed = pages_.reclaimed();
     result_.hit_time_limit = finished_ < live_total_;
     check_books();
     // Every request reached a terminal state, so none holds a page.
     if (!result_.hit_time_limit) {
-      TURBO_CHECK_MSG(books_empty(), "terminal run still charges pages");
+      TURBO_CHECK_MSG(pages_.books_empty(),
+                      "terminal run still charges pages");
     }
     if (swap_store_.has_value()) {
       // No-leak invariant: every request reached exactly one terminal
@@ -1166,7 +1164,7 @@ class EngineImpl {
   double now() const { return now_; }
   bool done() const { return finished_ >= live_total_; }
   bool has_work() const { return finished_ < live_total_; }
-  std::size_t used_pages() const { return allocator_.used_pages(); }
+  std::size_t used_pages() const { return pages_.used(); }
   std::size_t live() const { return live_total_ - finished_; }
   std::size_t total_pages() const { return d_.page_count; }
   // Pages live sequences actually reference (retained pages excluded):
@@ -1174,10 +1172,10 @@ class EngineImpl {
   // controller, the bench's peak-occupancy claim and the fleet's decode
   // watermark must see.
   std::size_t referenced_pages() const {
-    return allocator_.used_pages() - retained_.size();
+    return pages_.used() - pages_.retained();
   }
   std::size_t prefix_match_tokens(const Request& r) const {
-    return radix_.match_pages(prefix_span(r, d_.bits_normal)) *
+    return pages_.radix().match_pages(prefix_span(r, d_.bits_normal)) *
            d_.tpp_normal;
   }
 
@@ -1275,151 +1273,12 @@ class EngineImpl {
   // Free pages plus the reclaimable retained pool — what admission and
   // guarantee reclaim may actually count on.
   std::size_t effective_free() const {
-    return allocator_.free_pages() + retained_.size();
-  }
-
-  // Evict one retained page from the prefix index and free it, cascading
-  // its now-unreachable radix subtree. Descendant pages still referenced
-  // by live requests stay allocated (they merely become unindexed);
-  // descendant pages that were themselves retained free with it.
-  void reclaim_retained_page(PageId page) {
-    for (const PageId q : radix_.erase_page(page)) {
-      const auto it = retained_.find(q);
-      if (it == retained_.end()) continue;
-      retained_.erase(it);
-      allocator_.release(q);
-      ++result_.retained_pages_reclaimed;
-    }
-  }
-  void flush_retained() {
-    while (!retained_.empty()) {
-      reclaim_retained_page(retained_.begin()->first);
-    }
-  }
-
-  // Allocate one page (ref == 1). On genuine exhaustion the retained pool
-  // is reclaimed least-recently-retained first and the allocation
-  // retried; injected failures are returned to the caller unchanged (the
-  // fault hit this attempt, retained pages notwithstanding). With an
-  // empty pool this is exactly one allocator call — the legacy fault-draw
-  // sequence.
-  PageId alloc_page(std::size_t c) {
-    while (true) {
-      const std::size_t injected_before = allocator_.injected_failures();
-      const PageId p = allocator_.allocate();
-      if (p != kInvalidPage) {
-        add_ref(p, c);
-        return p;
-      }
-      if (allocator_.injected_failures() > injected_before) {
-        return kInvalidPage;
-      }
-      if (retained_.empty()) return kInvalidPage;
-      auto lru = retained_.begin();
-      for (auto it = retained_.begin(); it != retained_.end(); ++it) {
-        if (it->second < lru->second) lru = it;
-      }
-      reclaim_retained_page(lru->first);
-    }
-  }
-
-  // The charge books, kept at every reference change: a page with one
-  // reference is charged to its holder's class, a page with two or more
-  // is shared and charged to nobody (evicting any single holder would not
-  // free it). Only the 0<->1 and 1<->2 transitions move a charge.
-  void add_ref(PageId page, std::size_t c) {
-    if (page_ref_[page] == 0) {
-      ++charged_[c];
-    } else if (page_ref_[page] == 1) {
-      --charged_[holder_of(page)];
-      ++shared_;
-    }
-    ++page_ref_[page];
-    ++class_ref_[page][c];
-  }
-  // Returns the references left.
-  std::uint32_t drop_ref(PageId page, std::size_t c) {
-    TURBO_DCHECK(class_ref_[page][c] > 0);
-    --class_ref_[page][c];
-    const std::uint32_t left = --page_ref_[page];
-    if (left == 0) {
-      --charged_[c];
-    } else if (left == 1) {
-      --shared_;
-      ++charged_[holder_of(page)];
-    }
-    return left;
-  }
-  // The class holding a singly referenced page's reference.
-  std::size_t holder_of(PageId page) const {
-    std::size_t c = 0;
-    while (class_ref_[page][c] == 0) {
-      ++c;
-      TURBO_DCHECK(c < kServiceClassCount);
-    }
-    return c;
-  }
-
-  // Drop one reference. The last reference parks registered pages in the
-  // retained pool (still attachable through the index) and frees
-  // unregistered ones.
-  void unref_page(PageId page, std::size_t c) {
-    if (drop_ref(page, c) > 0) return;
-    if (radix_.has_page(page)) {
-      retained_.emplace(page, retained_touch_++);
-    } else {
-      allocator_.release(page);
-    }
-  }
-
-  // Attach matched prefix pages by refcount bump (the CoW fork path):
-  // retained pages leave the pool, referenced pages gain a reference.
-  // Admission holds them before allocating the novel suffix, so the
-  // exhaustion path in alloc_page cannot reclaim a page that is about to
-  // be attached; held_stamps_ keeps each page's retention stamp
-  // (kNotRetained when it was referenced) for unhold_pages.
-  void hold_pages(const std::vector<PageId>& pages, std::size_t c) {
-    held_stamps_.clear();
-    for (const PageId page : pages) {
-      std::size_t stamp = kNotRetained;
-      if (page_ref_[page] == 0) {
-        const auto it = retained_.find(page);
-        stamp = it->second;
-        retained_.erase(it);
-      }
-      held_stamps_.push_back(stamp);
-      add_ref(page, c);
-    }
-  }
-  // Undo hold_pages after a failed allocation: every page returns to the
-  // state it had, retained ones under their original LRU stamps.
-  void unhold_pages(const std::vector<PageId>& pages, std::size_t c) {
-    for (std::size_t i = 0; i < pages.size(); ++i) {
-      if (drop_ref(pages[i], c) == 0) {
-        retained_.emplace(pages[i], held_stamps_[i]);
-      }
-    }
-  }
-
-  // Allocate `n` pages for class `c`, or none (failed attempts roll back).
-  bool try_alloc(std::size_t n, std::vector<PageId>& out, std::size_t c) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const PageId p = alloc_page(c);
-      if (p == kInvalidPage) {
-        while (!out.empty()) {
-          unref_page(out.back(), c);
-          out.pop_back();
-        }
-        return false;
-      }
-      out.push_back(p);
-    }
-    return true;
+    return pages_.free() + pages_.retained();
   }
 
   void release_all(Running& ru) {
     const std::size_t c = class_of(ru.trace_index);
-    for (const PageId p : ru.pages) unref_page(p, c);
+    for (const PageId p : ru.pages) pages_.unref(p, c);
     ru.pages.clear();
   }
 
@@ -1441,7 +1300,7 @@ class EngineImpl {
   std::size_t shared_page_count(const Running& ru) const {
     std::size_t n = 0;
     for (const PageId p : ru.pages) {
-      if (page_ref_[p] > 1) ++n;
+      if (pages_.refs(p) > 1) ++n;
     }
     return n;
   }
@@ -1492,7 +1351,7 @@ class EngineImpl {
     // after the first unindexed page is this victim's private state.
     std::size_t kept = 0;
     while (kept < victim.pages.size() &&
-           radix_.has_page(victim.pages[kept])) {
+           pages_.indexed(victim.pages[kept])) {
       ++kept;
     }
     const std::size_t private_pages = victim.pages.size() - kept;
@@ -1588,13 +1447,13 @@ class EngineImpl {
                     bool& degraded) {
     while (running_[i].pages.size() <
            pages_needed(target, running_[i].kv_bits)) {
-      const std::size_t injected_before = allocator_.injected_failures();
-      const PageId page = alloc_page(class_of(running_[i].trace_index));
+      const std::size_t injected_before = pages_.injected_failures();
+      const PageId page = pages_.alloc(class_of(running_[i].trace_index));
       if (page != kInvalidPage) {
         running_[i].pages.push_back(page);
         continue;
       }
-      if (allocator_.injected_failures() > injected_before) {
+      if (pages_.injected_failures() > injected_before) {
         // The fault hit this request's allocation: it is the victim.
         stall += preempt(running_[i]);
         dead[i] = 1;
@@ -1659,50 +1518,25 @@ class EngineImpl {
     return per_class > 0 ? per_class : config_.pin_after_preemptions;
   }
 
-  // Pages currently *charged* to running requests of a class (swapped-out
-  // requests hold none). Only privately-referenced pages (ref == 1) are
-  // billed: a shared prefix page is charged to nobody, because evicting
-  // any single resident would not free it — billing it to each resident
-  // would overcharge every one of them against the class share.
-  std::size_t class_used_pages(std::size_t c) const { return charged_[c]; }
-  // The same count by a walk over every running request's pages: the
-  // Debug oracle for charged_.
+  // The pool's per-class charge (kvcache/page_pool.h) by a walk over every
+  // running request's pages: the Debug oracle check_books() compares.
   std::size_t recount_class_pages(std::size_t c) const {
     std::size_t used = 0;
     for (const Running& ru : running_) {
       if (class_of(ru.trace_index) != c) continue;
       for (const PageId p : ru.pages) {
-        if (page_ref_[p] == 1) ++used;
+        if (pages_.refs(p) == 1) ++used;
       }
     }
     return used;
   }
-  // The page books, checked once per step in O(1): every allocated page
-  // is charged to one class, shared, or retained. The range test catches
-  // a counter that wrapped below zero, which the sum alone would hide.
-  // Debug builds also recount each class's charge the slow way.
+  // The page books, checked once per step in O(1) by the pool; Debug
+  // builds also recount each class's charge the slow way.
   void check_books() const {
-    const std::size_t used = allocator_.used_pages();
-    std::size_t booked = shared_ + retained_.size();
-    bool in_range = shared_ <= used;
-    for (const std::size_t n : charged_) {
-      booked += n;
-      in_range = in_range && n <= used;
-    }
-    TURBO_CHECK_MSG(in_range && booked == used,
-                    "page books out of balance or wrapped below zero: "
-                        << booked << " charged, shared or retained vs "
-                        << used << " allocated");
+    pages_.check_books();
     for (std::size_t c = 0; c < kServiceClassCount; ++c) {
-      TURBO_DCHECK(charged_[c] == recount_class_pages(c));
+      TURBO_DCHECK(pages_.charged(c) == recount_class_pages(c));
     }
-  }
-  // No page is referenced: every charge and share has been released.
-  bool books_empty() const {
-    for (const std::size_t n : charged_) {
-      if (n != 0) return false;
-    }
-    return shared_ == 0;
   }
   std::size_t guaranteed_pages(std::size_t c) const {
     return static_cast<std::size_t>(config_.classes[c].page_share *
@@ -1726,13 +1560,13 @@ class EngineImpl {
     const std::size_t free = effective_free();
     const std::size_t reserve = running_.empty() ? 0 : d_.reserve_pages;
     if (!class_aware_) return free >= needed + reserve;
-    if (class_used_pages(c) + needed <= guaranteed_pages(c)) {
+    if (pages_.charged(c) + needed <= guaranteed_pages(c)) {
       return free >= needed;
     }
     std::size_t protected_deficit = 0;
     for (std::size_t dc = 0; dc < kServiceClassCount; ++dc) {
       if (dc == c || !class_has_demand(dc)) continue;
-      const std::size_t used = class_used_pages(dc);
+      const std::size_t used = pages_.charged(dc);
       const std::size_t guaranteed = guaranteed_pages(dc);
       if (used < guaranteed) protected_deficit += guaranteed - used;
     }
@@ -1741,28 +1575,12 @@ class EngineImpl {
 
   EngineConfig config_;
   DerivedConfig d_;
-  PageAllocator allocator_;
-  // Prefix index over phantom pages (the engine tracks page *counts*, not
-  // KV payloads; the byte-level twin of this machinery lives in
-  // PagedKvCache). Pages indexed here are shareable across requests.
-  RadixIndex radix_;
-  // Uniform per-page reference counts, indexed by PageId. Every allocated
-  // page has ref >= 1 except retained pages (ref == 0, parked below).
-  std::vector<std::uint32_t> page_ref_;
-  // The same references split by the holder's service class, and the
-  // books add_ref()/drop_ref() keep from them: pages whose single
-  // reference a class holds, and pages with two or more references.
-  std::vector<std::array<std::uint32_t, kServiceClassCount>> class_ref_;
-  std::array<std::size_t, kServiceClassCount> charged_{};
-  std::size_t shared_ = 0;
-  // Registered pages whose last reference died, parked for re-attachment
-  // instead of freed: page -> retention order (the LRU clock). An ordered
-  // map so reclaim scans deterministically (lint rule 8).
-  std::map<PageId, std::size_t> retained_;
-  std::size_t retained_touch_ = 0;
-  // hold_pages() scratch: the stamps unhold_pages() restores.
-  static constexpr std::size_t kNotRetained = ~std::size_t{0};
-  std::vector<std::size_t> held_stamps_;
+  // Page references, per-class charges, the prefix index and the
+  // retained pool, over phantom pages: the engine tracks page counts, not
+  // KV payloads. A page's charge is billed to its holder's service class;
+  // a shared prefix page is charged to nobody, because evicting any
+  // single resident would not free it.
+  PagePool pages_;
   FaultInjector fault_;
   std::optional<TieredSwapStore> swap_store_;
   EngineResult result_;

@@ -42,9 +42,10 @@
 // grows linearly with the number of requests even when that backlog
 // grows all trace long.
 //
-// KV memory is managed as fixed-size pages through a real PageAllocator,
-// so exhaustion (and injected allocation faults) surface exactly where
-// they would in a paged serving system. Admission is optimistic — a
+// KV memory is managed as fixed-size pages through a real page pool
+// (kvcache/page_pool.h, the one PagedKvCache runs), so exhaustion (and
+// injected allocation faults) surface exactly where they would in a paged
+// serving system. Admission is optimistic — a
 // request needs only its prompt's pages to start — and decode-time growth
 // that cannot be backed by a free page triggers *preemption*: the victim
 // is the lowest class (batch before standard before interactive), then

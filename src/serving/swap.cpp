@@ -9,27 +9,6 @@
 
 namespace turbo::serving {
 
-void HostSwapStore::store(std::uint64_t key, std::vector<std::uint8_t> stream,
-                          FaultInjector* /*fault*/) {
-  auto it = streams_.find(key);
-  if (it != streams_.end()) {
-    bytes_ -= it->second.size();
-    streams_.erase(it);
-  }
-  bytes_ += stream.size();
-  streams_.emplace(key, std::move(stream));
-}
-
-std::optional<std::vector<std::uint8_t>> HostSwapStore::fetch(
-    std::uint64_t key, FaultInjector* /*fault*/) {
-  auto it = streams_.find(key);
-  if (it == streams_.end()) return std::nullopt;
-  std::vector<std::uint8_t> out = std::move(it->second);
-  bytes_ -= out.size();
-  streams_.erase(it);
-  return out;
-}
-
 // ---- TieredSwapStore -------------------------------------------------------
 
 TieredSwapStore::TieredSwapStore(std::vector<SwapTier> tiers,
@@ -270,16 +249,6 @@ std::optional<std::size_t> TieredSwapStore::tier_of(std::uint64_t key) const {
 // ---- Byte-level swap paths -------------------------------------------------
 
 std::size_t swap_out(PagedKvCache& cache, PagedKvCache::SeqId seq,
-                     std::uint64_t key, HostSwapStore& store,
-                     FaultInjector* fault) {
-  std::vector<std::uint8_t> stream = serialize_sequence(cache, seq);
-  const std::size_t bytes = stream.size();
-  store.store(key, std::move(stream), fault);
-  cache.release_sequence(seq);
-  return bytes;
-}
-
-std::size_t swap_out(PagedKvCache& cache, PagedKvCache::SeqId seq,
                      std::uint64_t key, TieredSwapStore& store,
                      std::size_t iteration, double now_s, FaultInjector* fault,
                      TieredSwapStore::StoreOutcome* outcome) {
@@ -291,31 +260,6 @@ std::size_t swap_out(PagedKvCache& cache, PagedKvCache::SeqId seq,
   if (!out.stored) return 0;  // refused: the sequence keeps its pages
   cache.release_sequence(seq);
   return bytes;
-}
-
-SwapInResult swap_in(PagedKvCache& cache, std::uint64_t key,
-                     HostSwapStore& store, FaultInjector* fault) {
-  std::optional<std::vector<std::uint8_t>> stream = store.fetch(key, fault);
-  if (!stream.has_value()) return {SwapInStatus::kMissing, 0};
-  // Deserialization runs with the fault injector and must never be able
-  // to leak a mutated stream back into the store: keep a pristine copy
-  // for the out-of-pages repark, so a later retry sees the exact bytes
-  // that were swapped out.
-  std::vector<std::uint8_t> pristine = *stream;
-  try {
-    const std::optional<PagedKvCache::SeqId> seq =
-        deserialize_sequence(cache, *stream, fault);
-    if (!seq.has_value()) {
-      // Not corrupt, just no room: keep the stream for a later retry.
-      store.store(key, std::move(pristine), fault);
-      return {SwapInStatus::kOutOfPages, 0};
-    }
-    return {SwapInStatus::kOk, *seq};
-  } catch (const CheckError&) {
-    // IntegrityError (checksum) or structural damage: either way the
-    // stream is unusable — drop it, the caller recomputes.
-    return {SwapInStatus::kChecksumMismatch, 0};
-  }
 }
 
 TieredSwapInResult swap_in(PagedKvCache& cache, std::uint64_t key,
@@ -357,14 +301,6 @@ TieredSwapInResult swap_in(PagedKvCache& cache, std::uint64_t key,
     r.status = SwapInStatus::kChecksumMismatch;
     return r;
   }
-}
-
-double swap_transfer_seconds(double bytes, const sim::DeviceSpec& dev,
-                             double spike_multiplier) {
-  TURBO_CHECK_MSG(dev.pcie_bandwidth > 0.0,
-                  "device has no host-link bandwidth configured");
-  TURBO_CHECK(spike_multiplier >= 1.0);
-  return bytes / dev.pcie_bandwidth * spike_multiplier;
 }
 
 }  // namespace turbo::serving

@@ -1,16 +1,13 @@
-// Swap stores for preempted KV sequences: single-tier host memory and a
-// fault-tolerant multi-tier hierarchy.
+// The swap store for preempted KV sequences: a fault-tolerant multi-tier
+// hierarchy.
 //
 // When the scheduler preempts a running request it can either drop its KV
 // pages and re-prefill later (recompute) or move them off-device and
 // bring them back later (swap) — the vLLM preemption pair. The paper's
 // progressive KV compression is what makes the swapped streams small
 // enough that a hierarchy deeper than host DRAM is plausible, so this
-// file provides both:
+// file provides:
 //
-//  - HostSwapStore: the original single-tier host store. Holds serialized
-//    sequence streams (kvcache/serialization.h) keyed by request id, so a
-//    swapped sequence really round-trips through the checksummed format.
 //  - TieredSwapStore: an ordered list of tiers (host DRAM -> disk by
 //    default), each with its own capacity, bandwidth and per-tier fault
 //    profile (common/fault.h TierFaultPlan). Swap-out lands in the
@@ -22,13 +19,13 @@
 //    blacklisting with cooloff keeps a flapping tier from stalling the
 //    admission loop; a blacklisted tier is skipped without stall until
 //    its cooloff expires, then probed again (one failure re-blacklists).
-//  - swap_out / swap_in overloads for both stores: serialize-and-release
-//    / fetch-and-adopt with explicit status, including checksum-mismatch
-//    detection so callers can fall back to recompute. The tiered fetch is
-//    non-consuming: the parked stream is only erased once adoption
-//    succeeds (or the stream is proven corrupt), so an out-of-pages retry
-//    always sees pristine bytes.
-//  - swap_transfer_seconds: the legacy single-link PCIe cost model.
+//  - swap_out / swap_in: serialize-and-release / fetch-and-adopt of real
+//    streams (kvcache/serialization.h, checksummed) with explicit status,
+//    including checksum-mismatch detection so callers can fall back to
+//    recompute. The fetch is non-consuming: the parked stream is only
+//    erased once adoption succeeds (or the stream is proven corrupt), so
+//    an out-of-pages retry always sees pristine bytes. A one-tier store
+//    is a plain host store.
 //
 // Every function here that stores or fetches a stream takes a
 // FaultInjector* (turbo_lint rule `unfaultable-swap-io` enforces this),
@@ -44,7 +41,6 @@
 
 #include "common/fault.h"
 #include "kvcache/paged_cache.h"
-#include "sim/device.h"
 
 namespace turbo::serving {
 
@@ -62,29 +58,6 @@ inline std::uint64_t swap_stream_key(std::size_t replica, std::uint64_t id) {
                   "request id overflows the replica-namespaced swap key");
   return (static_cast<std::uint64_t>(replica) << 56) | id;
 }
-
-class HostSwapStore {
- public:
-  // Store a serialized stream under `key` (overwrites any previous one).
-  // The injector parameter is part of the faultable-I/O contract; the
-  // single-tier store itself never fails or draws.
-  void store(std::uint64_t key, std::vector<std::uint8_t> stream,
-             FaultInjector* fault = nullptr);
-
-  // Remove and return the stream stored under `key`; nullopt if absent.
-  std::optional<std::vector<std::uint8_t>> fetch(
-      std::uint64_t key, FaultInjector* fault = nullptr);
-
-  bool contains(std::uint64_t key) const {
-    return streams_.count(key) > 0;
-  }
-  std::size_t count() const { return streams_.size(); }
-  std::size_t stored_bytes() const { return bytes_; }
-
- private:
-  std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> streams_;
-  std::size_t bytes_ = 0;
-};
 
 // One level of the swap hierarchy, fastest first.
 struct SwapTier {
@@ -251,17 +224,11 @@ class TieredSwapStore {
   std::vector<double> blacklisted_until_;
 };
 
-// Serialize `seq`, park the stream in the store under `key`, and release
-// the sequence's pages. Returns the stream size in bytes (what the
-// transfer cost model should charge).
-std::size_t swap_out(PagedKvCache& cache, PagedKvCache::SeqId seq,
-                     std::uint64_t key, HostSwapStore& store,
-                     FaultInjector* fault = nullptr);
-
-// Tiered variant: the pages are released only when a tier accepted the
-// stream (outcome->stored); on refusal the sequence is left intact so the
-// caller can keep running or drop it for recompute. Returns the stream
-// size when stored, 0 when refused.
+// Serialize `seq` and park the stream in the store under `key`. The pages
+// are released only when a tier accepted the stream (outcome->stored); on
+// refusal the sequence is left intact so the caller can keep running or
+// drop it for recompute. Returns the stream size when stored, 0 when
+// refused.
 std::size_t swap_out(PagedKvCache& cache, PagedKvCache::SeqId seq,
                      std::uint64_t key, TieredSwapStore& store,
                      std::size_t iteration, double now_s, FaultInjector* fault,
@@ -272,12 +239,7 @@ enum class SwapInStatus {
   kChecksumMismatch,  // corruption detected; stream dropped — recompute
   kOutOfPages,        // cache cannot back the pages; stream kept in store
   kMissing,           // no stream under this key
-  kUnavailable,       // tiered only: every tier holding the stream is down
-};
-
-struct SwapInResult {
-  SwapInStatus status = SwapInStatus::kMissing;
-  PagedKvCache::SeqId seq = 0;
+  kUnavailable,       // every tier holding the stream is down
 };
 
 struct TieredSwapInResult {
@@ -286,27 +248,16 @@ struct TieredSwapInResult {
   TieredSwapStore::FetchOutcome fetch;  // transfer/stall/failover detail
 };
 
-// Fetch `key` from the store and adopt it into `cache`. A corrupt stream
-// (CRC mismatch, or any structural damage) is consumed and reported as
-// kChecksumMismatch; on kOutOfPages the stream is parked back so the
-// caller can retry after freeing pages — the parked copy is pristine
-// (deserialization runs on a scratch copy), so a retry can never see
-// injector-mutated bytes. `fault` optionally injects corruption into the
-// fetched stream (common/fault.h).
-SwapInResult swap_in(PagedKvCache& cache, std::uint64_t key,
-                     HostSwapStore& store, FaultInjector* fault = nullptr);
-
-// Tiered variant: probes tiers fastest-first (retry/backoff/failover per
-// the store's TierHealthPolicy) and only erases the entry once the
-// stream is adopted or proven corrupt; kOutOfPages and kUnavailable
-// leave the pristine entry in place for a later retry.
+// Fetch `key` from the store and adopt it into `cache`. Probes tiers
+// fastest-first (retry/backoff/failover per the store's TierHealthPolicy)
+// and only erases the entry once the stream is adopted or proven corrupt:
+// a corrupt stream (CRC mismatch, or any structural damage) is dropped
+// and reported as kChecksumMismatch, while kOutOfPages and kUnavailable
+// leave the pristine entry in place for a later retry (deserialization
+// runs on a scratch copy, so a retry never sees injector-mutated bytes).
+// `fault` injects tier faults and stream corruption (common/fault.h).
 TieredSwapInResult swap_in(PagedKvCache& cache, std::uint64_t key,
                            TieredSwapStore& store, std::size_t iteration,
                            double now_s, FaultInjector* fault);
-
-// Seconds to move `bytes` across the host link of `dev`, scaled by a
-// spike multiplier (>= 1.0) from the fault injector.
-double swap_transfer_seconds(double bytes, const sim::DeviceSpec& dev,
-                             double spike_multiplier = 1.0);
 
 }  // namespace turbo::serving

@@ -10,9 +10,10 @@
 //  - identical fault seeds give bit-identical results (the suite runs
 //    under both Release and ASan+UBSan in CI, so this is a cross-build
 //    determinism check, not just a same-process one);
-//  - the real byte-level swap path (PagedKvCache -> serialize ->
-//    HostSwapStore -> deserialize/adopt) survives corruption and page
-//    exhaustion with all-or-nothing semantics.
+//  - the real byte-level swap path (PagedKvCache -> serialize -> a
+//    one-tier TieredSwapStore -> deserialize/adopt) survives corruption
+//    with all-or-nothing semantics. Its round trip and out-of-pages retry
+//    are TieredSwapPathTest cases (tiered_swap_test.cpp).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -328,35 +329,9 @@ PagedKvCache::SeqId fill_sequence(PagedKvCache& cache, std::size_t tokens,
   return seq;
 }
 
-TEST(SwapStoreTest, RoundTripRestoresSequenceBitExact) {
-  PagedKvCache cache(kDim, BitWidth::kInt4, kPageTokens, 32);
-  const auto seq = fill_sequence(cache, kPageTokens * 2 + 3, 9);
-  const auto blocks_before = cache.blocks(seq);
-  std::vector<std::vector<std::uint8_t>> k_payloads;
-  for (const KvBlock* b : blocks_before) {
-    k_payloads.push_back(b->k.packed);
-  }
-  const std::size_t tokens = cache.token_count(seq);
-  const std::size_t tail = cache.key_buffer(seq).size();
-
-  serving::HostSwapStore store;
-  const std::size_t bytes = serving::swap_out(cache, seq, 77, store);
-  EXPECT_GT(bytes, 0u);
-  EXPECT_TRUE(store.contains(77));
-  EXPECT_EQ(store.stored_bytes(), bytes);
-  EXPECT_FALSE(cache.has_sequence(seq));
-  EXPECT_EQ(cache.used_pages(), 0u);  // pages really were released
-
-  const serving::SwapInResult in = serving::swap_in(cache, 77, store);
-  ASSERT_EQ(in.status, serving::SwapInStatus::kOk);
-  EXPECT_FALSE(store.contains(77));
-  EXPECT_EQ(cache.token_count(in.seq), tokens);
-  EXPECT_EQ(cache.key_buffer(in.seq).size(), tail);
-  const auto blocks_after = cache.blocks(in.seq);
-  ASSERT_EQ(blocks_after.size(), k_payloads.size());
-  for (std::size_t i = 0; i < blocks_after.size(); ++i) {
-    EXPECT_EQ(blocks_after[i]->k.packed, k_payloads[i]);
-  }
+// A host-only store: one unbounded tier.
+serving::TieredSwapStore host_store() {
+  return serving::TieredSwapStore({serving::SwapTier{"host", 0, 100.0}});
 }
 
 TEST(SwapStoreTest, SwapOutOfForkLeavesParentIntact) {
@@ -370,12 +345,12 @@ TEST(SwapStoreTest, SwapOutOfForkLeavesParentIntact) {
   const std::size_t parent_tokens = cache.token_count(parent);
   const std::size_t fork_tokens = cache.token_count(fork);
 
-  serving::HostSwapStore store;
-  serving::swap_out(cache, fork, 1, store);
+  serving::TieredSwapStore store = host_store();
+  EXPECT_GT(serving::swap_out(cache, fork, 1, store, 1, 0.0, nullptr), 0u);
   EXPECT_EQ(cache.shared_pages(), 0u);
   EXPECT_EQ(cache.token_count(parent), parent_tokens);
 
-  const serving::SwapInResult in = serving::swap_in(cache, 1, store);
+  const auto in = serving::swap_in(cache, 1, store, 2, 0.0, nullptr);
   ASSERT_EQ(in.status, serving::SwapInStatus::kOk);
   EXPECT_EQ(cache.token_count(in.seq), fork_tokens);
   EXPECT_EQ(cache.shared_pages(), 0u);  // restored pages are private
@@ -385,59 +360,44 @@ TEST(SwapStoreTest, SwapOutOfForkLeavesParentIntact) {
 TEST(SwapStoreTest, CorruptedStreamDetectedAndDropped) {
   PagedKvCache cache(kDim, BitWidth::kInt4, kPageTokens, 32);
   const auto seq = fill_sequence(cache, kPageTokens * 3, 21);
-  serving::HostSwapStore store;
-  const std::size_t bytes = serving::swap_out(cache, seq, 5, store);
+  serving::TieredSwapStore store = host_store();
+  const std::size_t bytes =
+      serving::swap_out(cache, seq, 5, store, 1, 0.0, nullptr);
 
-  auto stream = store.fetch(5);
-  ASSERT_TRUE(stream.has_value());
-  (*stream)[bytes / 2] ^= 0x10;  // flip one payload bit
-  store.store(5, std::move(*stream));
+  ASSERT_NE(store.stream_of(5), nullptr);
+  std::vector<std::uint8_t> stream = *store.stream_of(5);
+  stream[bytes / 2] ^= 0x10;  // flip one payload bit in the parked copy
+  ASSERT_TRUE(store.store(5, std::move(stream), 2, 0.0, nullptr).stored);
 
   const std::size_t used_before = cache.used_pages();
-  const serving::SwapInResult in = serving::swap_in(cache, 5, store);
+  const auto in = serving::swap_in(cache, 5, store, 3, 0.0, nullptr);
   EXPECT_EQ(in.status, serving::SwapInStatus::kChecksumMismatch);
-  EXPECT_FALSE(store.contains(5));           // corrupt stream is consumed
+  EXPECT_FALSE(store.contains(5));             // corrupt stream is dropped
   EXPECT_EQ(cache.used_pages(), used_before);  // nothing adopted
 }
 
 TEST(SwapStoreTest, InjectedCorruptionTriggersChecksumPath) {
   PagedKvCache cache(kDim, BitWidth::kInt4, kPageTokens, 32);
   const auto seq = fill_sequence(cache, kPageTokens * 2, 33);
-  serving::HostSwapStore store;
-  serving::swap_out(cache, seq, 8, store);
+  serving::TieredSwapStore store = host_store();
+  serving::swap_out(cache, seq, 8, store, 1, 0.0, nullptr);
 
+  // Stream corruption on the deserialize path, not the tier's media.
   FaultPlan plan;
   plan.seed = 3;
   plan.stream_corruption_prob = 1.0;  // always corrupt
   FaultInjector injector(plan);
-  const serving::SwapInResult in =
-      serving::swap_in(cache, 8, store, &injector);
+  const auto in = serving::swap_in(cache, 8, store, 2, 0.0, &injector);
   EXPECT_EQ(in.status, serving::SwapInStatus::kChecksumMismatch);
   EXPECT_EQ(injector.injected_corruptions(), 1u);
-}
-
-TEST(SwapStoreTest, OutOfPagesKeepsStreamForRetry) {
-  PagedKvCache cache(kDim, BitWidth::kInt4, kPageTokens, 4);
-  const auto seq = fill_sequence(cache, kPageTokens * 3 + 1, 17);  // 3 pages + tail
-  serving::HostSwapStore store;
-  serving::swap_out(cache, seq, 2, store);
-
-  // Occupy the pool so the swap-in cannot be backed.
-  const auto hog = fill_sequence(cache, kPageTokens * 2 + 1, 18);
-  const serving::SwapInResult blocked = serving::swap_in(cache, 2, store);
-  EXPECT_EQ(blocked.status, serving::SwapInStatus::kOutOfPages);
-  EXPECT_TRUE(store.contains(2));  // all-or-nothing: stream kept
-
-  cache.release_sequence(hog);
-  const serving::SwapInResult retry = serving::swap_in(cache, 2, store);
-  ASSERT_EQ(retry.status, serving::SwapInStatus::kOk);
-  EXPECT_EQ(cache.token_count(retry.seq), kPageTokens * 3 + 1);
+  EXPECT_EQ(injector.injected_tier_corruptions(), 0u);
+  EXPECT_FALSE(store.contains(8));
 }
 
 TEST(SwapStoreTest, MissingKeyReported) {
   PagedKvCache cache(kDim, BitWidth::kInt4, kPageTokens, 4);
-  serving::HostSwapStore store;
-  EXPECT_EQ(serving::swap_in(cache, 99, store).status,
+  serving::TieredSwapStore store = host_store();
+  EXPECT_EQ(serving::swap_in(cache, 99, store, 1, 0.0, nullptr).status,
             serving::SwapInStatus::kMissing);
 }
 

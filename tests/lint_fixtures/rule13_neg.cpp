@@ -1,6 +1,7 @@
 // Negative fixture for cow-unguarded-page-write: every page_data_ write
-// is either inside a fresh-page allocation site, guarded by a refcount
-// comparison, reads only, or carries the suppression marker.
+// is either inside a fresh-page allocation site, guarded by a comparison
+// of the page pool's reference read, reads only, or carries the
+// suppression marker.
 #include <cstddef>
 
 struct KvBlock {
@@ -8,27 +9,33 @@ struct KvBlock {
   int v = 0;
 };
 
+struct Pool {
+  unsigned alloc(std::size_t h);
+  unsigned unref(std::size_t p, std::size_t h);
+  unsigned refs(std::size_t p) const;
+};
+
 struct Cache {
   KvBlock page_data_[8];
-  unsigned refcount_[8];
+  Pool pages_;
 
-  bool append_prefill_block(std::size_t p, int k) {
+  bool append_prefill_block(int k) {
+    const unsigned p = pages_.alloc(0);
     page_data_[p].k = k;  // fresh page: just allocated by this function
-    refcount_[p] = 1;
     return true;
   }
-  bool flush_buffer(std::size_t p) {
+  bool flush_buffer() {
+    const unsigned p = pages_.alloc(0);
     page_data_[p] = KvBlock{};  // fresh page again
-    refcount_[p] = 1;
     return true;
   }
   void release(std::size_t p) {
-    if (--refcount_[p] == 0) {
+    if (pages_.unref(p, 0) == 0) {
       page_data_[p] = KvBlock{};  // guarded: provably last reference
     }
   }
   void private_write(std::size_t p, int k) {
-    if (refcount_[p] == 1) {
+    if (pages_.refs(p) == 1) {
       page_data_[p].k = k;  // guarded: provably private
     }
   }

@@ -439,50 +439,6 @@ TEST(TieredSwapPathTest, TierCorruptionDetectedByChecksum) {
   EXPECT_EQ(cache.used_pages(), used_before);
 }
 
-// Regression for the single-tier store: a kOutOfPages swap-in must park a
-// *pristine* copy back, even when a fault injector is live on the
-// deserialize path. The seed is chosen (by simulating the injector's
-// first draw) so the corruption probe does not fire on the first
-// attempt — the stream survives untouched and must round-trip bit-exact.
-TEST(HostSwapRegressionTest, OutOfPagesReparksPristineStream) {
-  const double corrupt_p = 0.4;
-  std::uint64_t seed = 0;
-  for (std::uint64_t s = 1; s < 64; ++s) {
-    Rng probe(s);
-    if (probe.uniform() >= corrupt_p) {
-      seed = s;
-      break;
-    }
-  }
-  ASSERT_GT(seed, 0u);
-
-  PagedKvCache cache(kDim, BitWidth::kInt4, kPageTokens, 4);
-  const auto seq = fill_sequence(cache, kPageTokens * 3 + 1, 17);
-  serving::HostSwapStore store;
-  serving::swap_out(cache, seq, 2, store);
-  auto parked = store.fetch(2);
-  ASSERT_TRUE(parked.has_value());
-  const std::vector<std::uint8_t> original = *parked;
-  store.store(2, std::move(*parked));
-
-  const auto hog = fill_sequence(cache, kPageTokens * 2 + 1, 18);
-  FaultPlan plan;
-  plan.seed = seed;
-  plan.stream_corruption_prob = corrupt_p;
-  FaultInjector injector(plan);
-  const auto blocked = serving::swap_in(cache, 2, store, &injector);
-  ASSERT_EQ(blocked.status, serving::SwapInStatus::kOutOfPages);
-  auto reparked = store.fetch(2);
-  ASSERT_TRUE(reparked.has_value());
-  EXPECT_EQ(*reparked, original);  // the re-parked copy is pristine
-  store.store(2, std::move(*reparked));
-
-  cache.release_sequence(hog);
-  const auto retry = serving::swap_in(cache, 2, store);
-  ASSERT_EQ(retry.status, serving::SwapInStatus::kOk);
-  EXPECT_EQ(cache.token_count(retry.seq), kPageTokens * 3 + 1);
-}
-
 // ---- Engine integration ---------------------------------------------------
 
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) {

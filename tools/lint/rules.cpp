@@ -316,122 +316,72 @@ void rule_unchecked_cache_append(const SourceFile& file,
   }
 }
 
-// --- rule 7: unfaultable-swap-io ------------------------------------------
+// --- rules 7, 12, 14: unfaultable I/O entry points ----------------------
 
-void rule_unfaultable_swap_io(const SourceFile& file,
-                              std::vector<Finding>& out) {
-  if (file.rel.rfind("src/serving/swap.", 0) != 0) return;
-  static const std::set<std::string> kIoFns = {
-      "store", "store_phantom", "fetch", "swap_in", "swap_out", "promote"};
+// Every entry point that stores, fetches or moves a KV stream across a
+// boundary that can fail must take a FaultInjector*, so the failure stays
+// injectable and seed-deterministic: a recovery path that cannot be made
+// to fail on demand is never tested. Call sites (obj.fetch(...),
+// this->handoff(...)) are exempt. One row per boundary:
+//  - rule 7, swap I/O in src/serving/swap.*;
+//  - rule 12, the replica channel in src/fleet/, the prefill->decode
+//    handoff included. The router's private failover plumbing is
+//    deliberately outside the set: the contract binds the wire, not the
+//    bookkeeping around it;
+//  - rule 14, snapshot save/restore in src/serving/snapshot.*. The pure
+//    serialize/deserialize helpers are outside the set: the contract
+//    binds the store boundary, not the codec.
+struct FaultableIo {
+  const char* prefix;
+  std::set<std::string> fns;
+  const char* rule;
+  const char* message;  // follows the entry point's name
+};
+
+void rule_unfaultable_io(const SourceFile& file, std::vector<Finding>& out) {
+  static const FaultableIo kBoundaries[] = {
+      {"src/serving/swap.",
+       {"store", "store_phantom", "fetch", "swap_in", "swap_out", "promote"},
+       "unfaultable-swap-io",
+       " stores or fetches a swap stream but takes no FaultInjector*; "
+       "every swap I/O path must be fault-injectable (or annotate with "
+       "turbo-lint: allow-unfaultable)"},
+      {"src/fleet/",
+       {"migrate", "migrate_stream", "transfer", "transfer_stream",
+        "handoff", "handoff_stream"},
+       "unfaultable-replica-channel",
+       " moves a KV stream between replicas but takes no FaultInjector*; "
+       "every migration path must be fault-injectable (or annotate with "
+       "turbo-lint: allow-unfaultable-channel)"},
+      {"src/serving/snapshot.",
+       {"save", "restore", "save_snapshot", "restore_snapshot",
+        "snapshot_to", "restore_from"},
+       "unfaultable-snapshot-io",
+       " saves or restores a replica snapshot but takes no FaultInjector*; "
+       "every crash-recovery I/O path must be fault-injectable (or "
+       "annotate with turbo-lint: allow-unfaultable-snapshot)"},
+  };
   const Tokens& toks = file.lexed.tokens;
-  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != TokKind::kIdent || kIoFns.count(toks[i].text) == 0 ||
-        !is_punct(toks[i + 1], "(")) {
-      continue;
+  for (const FaultableIo& io : kBoundaries) {
+    if (file.rel.rfind(io.prefix, 0) != 0) continue;
+    for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
+      if (toks[i].kind != TokKind::kIdent || io.fns.count(toks[i].text) == 0 ||
+          !is_punct(toks[i + 1], "(")) {
+        continue;
+      }
+      // A name preceded by '.' or '->' is a call site, not a signature.
+      if (i > 0 &&
+          (is_punct(toks[i - 1], ".") || is_punct(toks[i - 1], "->"))) {
+        continue;
+      }
+      const std::size_t close = match_paren(toks, i + 1);
+      bool has_injector = false;
+      for (std::size_t j = i + 1; j < close; ++j) {
+        if (is_ident(toks[j], "FaultInjector")) has_injector = true;
+      }
+      if (has_injector) continue;
+      emit(file, toks[i].line, io.rule, toks[i].text + io.message, out);
     }
-    // A name preceded by '.' or '->' is a call site, not a signature.
-    if (i > 0 && (is_punct(toks[i - 1], ".") || is_punct(toks[i - 1], "->"))) {
-      continue;
-    }
-    const std::size_t close = match_paren(toks, i + 1);
-    bool has_injector = false;
-    for (std::size_t j = i + 1; j < close; ++j) {
-      if (is_ident(toks[j], "FaultInjector")) has_injector = true;
-    }
-    if (has_injector) continue;
-    emit(file, toks[i].line, "unfaultable-swap-io",
-         toks[i].text +
-             " stores or fetches a swap stream but takes no FaultInjector*; "
-             "every swap I/O path must be fault-injectable (or annotate "
-             "with turbo-lint: allow-unfaultable)",
-         out);
-  }
-}
-
-// --- rule 12: unfaultable-replica-channel ---------------------------------
-
-// Mirror of rule 7 for the fleet layer: every replica-to-replica KV
-// migration/transfer entry point in src/fleet/ — including the
-// prefill→decode handoff path — must accept a FaultInjector*, so
-// in-transit corruption and transient send faults stay injectable and
-// seed-deterministic. Call sites (obj.migrate(...), this->handoff(...))
-// are exempt; the router's private failover plumbing is deliberately
-// outside the set — the contract binds the wire, not the bookkeeping
-// around it.
-void rule_unfaultable_replica_channel(const SourceFile& file,
-                                      std::vector<Finding>& out) {
-  if (file.rel.rfind("src/fleet/", 0) != 0) return;
-  static const std::set<std::string> kChannelFns = {
-      "migrate",  "migrate_stream", "transfer",
-      "transfer_stream", "handoff", "handoff_stream"};
-  const Tokens& toks = file.lexed.tokens;
-  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != TokKind::kIdent ||
-        kChannelFns.count(toks[i].text) == 0 ||
-        !is_punct(toks[i + 1], "(")) {
-      continue;
-    }
-    // A name preceded by '.' or '->' is a call site, not a signature.
-    if (i > 0 && (is_punct(toks[i - 1], ".") || is_punct(toks[i - 1], "->"))) {
-      continue;
-    }
-    const std::size_t close = match_paren(toks, i + 1);
-    bool has_injector = false;
-    for (std::size_t j = i + 1; j < close; ++j) {
-      if (is_ident(toks[j], "FaultInjector")) has_injector = true;
-    }
-    if (has_injector) continue;
-    emit(file, toks[i].line, "unfaultable-replica-channel",
-         toks[i].text +
-             " moves a KV stream between replicas but takes no "
-             "FaultInjector*; every migration path must be "
-             "fault-injectable (or annotate with turbo-lint: "
-             "allow-unfaultable-channel)",
-         out);
-  }
-}
-
-// --- rule 14: unfaultable-snapshot-io -------------------------------------
-
-// Third member of the rule 7/12 family, binding the crash-recovery
-// layer: every snapshot save/restore entry point in
-// src/serving/snapshot.* must accept a FaultInjector*, so snapshot-store
-// unavailability and restore-time corruption stay injectable and
-// seed-deterministic — a recovery path that cannot be made to fail on
-// demand is a recovery path that is never tested. Call sites
-// (store.save(...), store.restore(...)) are exempt; the pure
-// serialize/deserialize helpers are deliberately outside the set — the
-// contract binds the store boundary, not the codec.
-void rule_unfaultable_snapshot_io(const SourceFile& file,
-                                  std::vector<Finding>& out) {
-  if (file.rel.rfind("src/serving/snapshot.", 0) != 0) return;
-  static const std::set<std::string> kSnapshotFns = {
-      "save", "restore", "save_snapshot", "restore_snapshot",
-      "snapshot_to", "restore_from"};
-  const Tokens& toks = file.lexed.tokens;
-  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != TokKind::kIdent ||
-        kSnapshotFns.count(toks[i].text) == 0 ||
-        !is_punct(toks[i + 1], "(")) {
-      continue;
-    }
-    // A name preceded by '.' or '->' is a call site, not a signature.
-    if (i > 0 && (is_punct(toks[i - 1], ".") || is_punct(toks[i - 1], "->"))) {
-      continue;
-    }
-    const std::size_t close = match_paren(toks, i + 1);
-    bool has_injector = false;
-    for (std::size_t j = i + 1; j < close; ++j) {
-      if (is_ident(toks[j], "FaultInjector")) has_injector = true;
-    }
-    if (has_injector) continue;
-    emit(file, toks[i].line, "unfaultable-snapshot-io",
-         toks[i].text +
-             " saves or restores a replica snapshot but takes no "
-             "FaultInjector*; every crash-recovery I/O path must be "
-             "fault-injectable (or annotate with turbo-lint: "
-             "allow-unfaultable-snapshot)",
-         out);
   }
 }
 
@@ -441,9 +391,10 @@ void rule_unfaultable_snapshot_io(const SourceFile& file,
 // (copy-on-write); mutating page_data_[...] while another sequence still
 // references the page corrupts that sequence's KV. Writes are sanctioned
 // only inside the fresh-page allocation sites (append_prefill_block,
-// flush_buffer, adopt_sequence — the page was just allocated, refcount
-// is being set to 1) or when the surrounding statement proves private
-// ownership with a refcount_[...] == comparison.
+// flush_buffer, adopt_sequence — the page was just allocated with one
+// reference) or when the surrounding statement proves private ownership
+// by comparing the page pool's reference read with ==:
+// pages_.refs(...) == or pages_.unref(...) ==.
 void rule_cow_unguarded_page_write(const SourceFile& file,
                                    std::vector<Finding>& out) {
   const Tokens& toks = file.lexed.tokens;
@@ -497,28 +448,27 @@ void rule_cow_unguarded_page_write(const SourceFile& file,
       }
     }
     if (sanctioned) continue;
-    // Guarded form: a refcount_[...] == comparison in the surrounding
-    // statement / condition (e.g. `if (--refcount_[p] == 0)` before a
-    // release-path reset, or `if (refcount_[p] == 1)` before a CoW write).
+    // Guarded form: the pool's reference read compared with == in the
+    // surrounding statement / condition (e.g. `if (pages_.unref(p, 0) ==
+    // 0)` before a release-path reset, or `if (pages_.refs(p) == 1)`
+    // before a CoW write).
     bool guarded = false;
     const std::size_t lo = i > 40 ? i - 40 : 0;
-    for (std::size_t k = lo; k + 1 < i && !guarded; ++k) {
-      if (!is_ident(toks[k], "refcount_") || !is_punct(toks[k + 1], "[")) {
+    for (std::size_t k = lo; k + 3 < i && !guarded; ++k) {
+      if (!is_ident(toks[k], "pages_") || !is_punct(toks[k + 1], ".") ||
+          !(is_ident(toks[k + 2], "refs") || is_ident(toks[k + 2], "unref")) ||
+          !is_punct(toks[k + 3], "(")) {
         continue;
       }
-      for (std::size_t m = k + 2; m < std::min(k + 10, i); ++m) {
-        if (is_punct(toks[m], "==")) {
-          guarded = true;
-          break;
-        }
-      }
+      const std::size_t call_end = match_paren(toks, k + 3);
+      guarded = call_end + 1 < i && is_punct(toks[call_end + 1], "==");
     }
     if (guarded) continue;
     emit(file, toks[i].line, "cow-unguarded-page-write",
          "write to page_data_[...] outside a fresh-page allocation site "
-         "without a refcount_[...] == guard: shared (refcount > 1) pages "
-         "are copy-on-write and must never be mutated in place (or "
-         "annotate with turbo-lint: allow-cow-write)",
+         "without a pages_.refs(...) == or pages_.unref(...) == guard: "
+         "shared (refcount > 1) pages are copy-on-write and must never be "
+         "mutated in place (or annotate with turbo-lint: allow-cow-write)",
          out);
   }
 }
@@ -998,8 +948,8 @@ const std::vector<RuleInfo>& rules() {
        "allow-unfaultable-channel"},
       {13, "cow-unguarded-page-write",
        "page_data_[...] writes outside the fresh-page allocation sites "
-       "must prove private ownership with a refcount_[...] == guard "
-       "(shared pages are copy-on-write)",
+       "must prove private ownership with a pages_.refs(...) == or "
+       "pages_.unref(...) == guard (shared pages are copy-on-write)",
        "allow-cow-write"},
       {14, "unfaultable-snapshot-io",
        "every src/serving/snapshot save/restore entry point must accept "
@@ -1016,9 +966,7 @@ std::vector<Finding> run_rules(const Project& project) {
     rule_unchecked_i8_cast(f, out);
     rule_integer_kernel(f, out);
     rule_unchecked_cache_append(f, out);
-    rule_unfaultable_swap_io(f, out);
-    rule_unfaultable_replica_channel(f, out);
-    rule_unfaultable_snapshot_io(f, out);
+    rule_unfaultable_io(f, out);
     rule_cow_unguarded_page_write(f, out);
     rule_nondeterministic_iteration(project, f, out);
     rule_unsanctioned_entropy(f, out);
