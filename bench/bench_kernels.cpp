@@ -19,15 +19,11 @@
 #include "kernels/fused_prefill.h"
 #include "common/fp16.h"
 #include "common/rng.h"
-#include "fleet/router.h"
 #include "kvcache/radix_index.h"
 #include "quant/asymmetric.h"
 #include "quant/packing.h"
 #include "quant/progressive.h"
 #include "quant/symmetric.h"
-#include "serving/engine.h"
-#include "serving/trace.h"
-#include "sim/device.h"
 #include "softmax/sas.h"
 #include "softmax/softmax.h"
 
@@ -369,83 +365,6 @@ void BM_GroupedQuantChannelwise(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * m.size());
 }
 BENCHMARK(BM_GroupedQuantChannelwise);
-
-// Simulator cost against trace length: run_engine on one trace shaped like
-// the end-to-end benchmark's sim_overload (one A100-80GB engine,
-// Phi3-medium, Turbo at 3 bits; 20 req/s, class mix 0.3/0.5/0.2, TTFT
-// deadlines 2 s / 10 s / none) lasting range(0) seconds. The engine runs
-// at about twice its capacity, so the waiting backlog grows with the
-// trace: a step whose cost tracks the backlog fits worse than O(N).
-void BM_EngineOverload(benchmark::State& state) {
-  serving::EngineConfig cfg;
-  cfg.device = sim::a100_sxm_80gb();
-  cfg.geometry = sim::phi3_medium_geometry();
-  cfg.method = sim::AttnMethod::kTurbo;
-  cfg.attention.kv_bits = 3.0;
-  serving::TraceConfig t;
-  t.arrival_rate = 20.0;
-  t.duration_s = static_cast<double>(state.range(0));
-  t.class_mix = {0.3, 0.5, 0.2};
-  t.ttft_deadline_s = {2.0, 10.0, 0.0};
-  const std::vector<serving::Request> trace = serving::generate_trace(t);
-  for (auto _ : state) {
-    const serving::EngineResult r = serving::run_engine(cfg, trace);
-    benchmark::DoNotOptimize(r.makespan_s);
-  }
-  const auto n = static_cast<std::int64_t>(trace.size());
-  state.SetItemsProcessed(state.iterations() * n);
-  state.SetComplexityN(n);
-}
-BENCHMARK(BM_EngineOverload)
-    ->Arg(450)
-    ->Arg(900)
-    ->Arg(1800)
-    ->Arg(3600)
-    ->Complexity(benchmark::oN)
-    ->Unit(benchmark::kMillisecond);
-
-// Router::run on a trace shaped like the end-to-end benchmark's
-// fleet_sessions (four A100-80GB replicas, Phi3-medium, Turbo at 3 bits,
-// prefix-affinity routing; 0.8 sessions/s of four turns each, 80% behind
-// a shared 1,024-token system prompt) lasting range(0) seconds. The fleet
-// runs below capacity, so no backlog builds: an arrival costs its radix
-// scoring on every replica, its prefix attach and its engine steps, and
-// the O(N) fit shows how far that stays flat as the trace grows.
-void BM_FleetSessions(benchmark::State& state) {
-  fleet::FleetConfig cfg;
-  cfg.engine.device = sim::a100_sxm_80gb();
-  cfg.engine.geometry = sim::phi3_medium_geometry();
-  cfg.engine.method = sim::AttnMethod::kTurbo;
-  cfg.engine.attention.kv_bits = 3.0;
-  cfg.replicas = 4;
-  cfg.route = fleet::RoutePolicy::kAffinity;
-  serving::TraceConfig t;
-  t.arrival_rate = 0.8;
-  t.duration_s = static_cast<double>(state.range(0));
-  t.class_mix = {0.3, 0.5, 0.2};
-  t.ttft_deadline_s = {2.0, 10.0, 0.0};
-  t.session_turns = 4;
-  t.shared_prefix_tokens = 1024;
-  t.shared_prefix_fraction = 0.8;
-  t.session_gap_s = 5.0;
-  t.agentic_fraction = 0.25;
-  t.seed = 336;
-  const std::vector<serving::Request> trace = serving::generate_trace(t);
-  for (auto _ : state) {
-    const fleet::FleetResult r = fleet::run_fleet(cfg, trace);
-    benchmark::DoNotOptimize(r.makespan_s);
-  }
-  const auto n = static_cast<std::int64_t>(trace.size());
-  state.SetItemsProcessed(state.iterations() * n);
-  state.SetComplexityN(n);
-}
-BENCHMARK(BM_FleetSessions)
-    ->Arg(250)
-    ->Arg(500)
-    ->Arg(1000)
-    ->Arg(2000)
-    ->Complexity(benchmark::oN)
-    ->Unit(benchmark::kMillisecond);
 
 // One admission-time walk of the prefix index: range(0) sessions, each a
 // 1,024-token shared prefix plus 512 tokens of its own, indexed at the

@@ -3,8 +3,6 @@
 #include <bit>
 #include <cstring>
 
-#include "common/check.h"
-
 namespace turbo {
 
 std::uint16_t float_to_half_bits(float f) {
@@ -81,16 +79,6 @@ void round_span_to_fp16(std::span<float> values) {
   for (float& v : values) {
     v = round_to_fp16(v);
   }
-}
-
-float fp16_dot_fp32_accumulate(std::span<const float> a,
-                               std::span<const float> b) {
-  TURBO_CHECK(a.size() == b.size());
-  float acc = 0.0f;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    acc += round_to_fp16(a[i]) * round_to_fp16(b[i]);
-  }
-  return acc;
 }
 
 }  // namespace turbo

@@ -4,10 +4,9 @@
 // the FlashAttention baseline, exponentiation in FP32 on CUDA cores. On a
 // CPU-only substrate we reproduce the *numerics* of those choices by
 // rounding values through binary16 at exactly the points where the GPU
-// kernels would hold them in half precision. Fp16 stores the raw 16-bit
-// pattern; arithmetic is performed by converting to float and rounding the
-// result back (matching the behaviour of FP16 FMA units with FP32
-// accumulate when used via fp16_accumulate() helpers).
+// kernels would hold them in half precision. There is no half value type:
+// the functions below round a float, or a buffer of them, through binary16
+// and the arithmetic around them stays in FP32.
 #pragma once
 
 #include <cstdint>
@@ -27,41 +26,10 @@ inline float round_to_fp16(float f) {
   return half_bits_to_float(float_to_half_bits(f));
 }
 
-// Value type wrapping a binary16 bit pattern.
-class Fp16 {
- public:
-  Fp16() = default;
-  explicit Fp16(float f) : bits_(float_to_half_bits(f)) {}
-
-  static Fp16 from_bits(std::uint16_t bits) {
-    Fp16 h;
-    h.bits_ = bits;
-    return h;
-  }
-
-  float to_float() const { return half_bits_to_float(bits_); }
-  std::uint16_t bits() const { return bits_; }
-
-  Fp16 operator+(Fp16 o) const { return Fp16(to_float() + o.to_float()); }
-  Fp16 operator-(Fp16 o) const { return Fp16(to_float() - o.to_float()); }
-  Fp16 operator*(Fp16 o) const { return Fp16(to_float() * o.to_float()); }
-  Fp16 operator/(Fp16 o) const { return Fp16(to_float() / o.to_float()); }
-
-  bool operator==(const Fp16&) const = default;
-
- private:
-  std::uint16_t bits_ = 0;
-};
-
 // Round every element of a buffer through binary16 in place. Used to model
 // tensors that a GPU kernel would store in half precision (e.g. Q/K/V tiles
 // loaded into shared memory as FP16).
 void round_span_to_fp16(std::span<float> values);
-
-// Dot product computed the way an FP16 tensor-core MMA does: inputs rounded
-// to binary16, products and accumulation carried in FP32.
-float fp16_dot_fp32_accumulate(std::span<const float> a,
-                               std::span<const float> b);
 
 // Largest finite binary16 value.
 inline constexpr float kFp16Max = 65504.0f;

@@ -87,21 +87,6 @@ double relative_error(std::span<const float> a, std::span<const float> b) {
   return std::sqrt(num / den);
 }
 
-double cosine_similarity(std::span<const float> a, std::span<const float> b) {
-  TURBO_CHECK(a.size() == b.size());
-  double dot = 0.0;
-  double na = 0.0;
-  double nb = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    dot += static_cast<double>(a[i]) * static_cast<double>(b[i]);
-    na += static_cast<double>(a[i]) * static_cast<double>(a[i]);
-    nb += static_cast<double>(b[i]) * static_cast<double>(b[i]);
-  }
-  if (na == 0.0 && nb == 0.0) return 1.0;
-  if (na == 0.0 || nb == 0.0) return 0.0;
-  return dot / (std::sqrt(na) * std::sqrt(nb));
-}
-
 double histogram_entropy(std::span<const float> values, std::size_t bins) {
   TURBO_CHECK(bins > 0);
   if (values.empty()) return 0.0;

@@ -40,9 +40,6 @@ double max_abs_error(std::span<const float> a, std::span<const float> b);
 // ||a - b|| / ||b||  (relative Frobenius error with b as reference).
 double relative_error(std::span<const float> a, std::span<const float> b);
 
-// Cosine similarity; returns 1 when either vector is all-zero and equal.
-double cosine_similarity(std::span<const float> a, std::span<const float> b);
-
 // Shannon entropy (nats) of |values| binned into `bins` equal-width buckets
 // over [min, max]. Used by the "Entropy" head-selection baseline (Fig. 7b).
 double histogram_entropy(std::span<const float> values, std::size_t bins);

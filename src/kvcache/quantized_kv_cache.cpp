@@ -44,10 +44,6 @@ void QuantizedKvCache::append_token(std::span<const float> k,
   if (k_buffer_.full()) flush_buffers_to_block();
 }
 
-void QuantizedKvCache::flush() {
-  if (!k_buffer_.empty()) flush_buffers_to_block();
-}
-
 void QuantizedKvCache::flush_buffers_to_block() {
   TURBO_CHECK(k_buffer_.size() == v_buffer_.size());
   const float k_scale = k_buffer_.scale();
@@ -58,23 +54,6 @@ void QuantizedKvCache::flush_buffers_to_block() {
   block.k = progressive_compress(k_q1, k_scale, bits_);
   block.v = progressive_compress(v_q1, v_scale, bits_);
   blocks_.push_back(std::move(block));
-}
-
-std::size_t QuantizedKvCache::evict_blocks_before(
-    std::size_t keep_last_tokens) {
-  const std::size_t total = token_count();
-  if (total <= keep_last_tokens) return 0;
-  const std::size_t cut = total - keep_last_tokens;  // first kept position
-  std::size_t dropped = 0;
-  std::size_t pos = 0;
-  while (dropped < blocks_.size() &&
-         pos + blocks_[dropped].tokens() <= cut) {
-    pos += blocks_[dropped].tokens();
-    ++dropped;
-  }
-  blocks_.erase(blocks_.begin(),
-                blocks_.begin() + static_cast<std::ptrdiff_t>(dropped));
-  return dropped;
 }
 
 std::size_t QuantizedKvCache::token_count() const {

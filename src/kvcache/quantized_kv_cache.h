@@ -53,15 +53,6 @@ class QuantizedKvCache {
   // packed block when it reaches capacity.
   void append_token(std::span<const float> k, std::span<const float> v);
 
-  // Force-compress whatever is buffered (e.g. at end of generation).
-  void flush();
-
-  // Sliding-window eviction: drop leading packed blocks that are entirely
-  // outside the last `keep_last_tokens` positions. Returns the number of
-  // blocks dropped (their memory is freed). With window attention this
-  // bounds the cache at window + one block of slack.
-  std::size_t evict_blocks_before(std::size_t keep_last_tokens);
-
   // --- Introspection ------------------------------------------------------
   std::size_t token_count() const;
   std::size_t block_count() const { return blocks_.size(); }

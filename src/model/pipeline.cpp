@@ -69,81 +69,4 @@ MethodFidelity measure_fidelity(const QkvGenerator& generator,
   return out;
 }
 
-MethodFidelity measure_fidelity_gqa(const QkvGenerator& generator,
-                                    const KvAttentionFactory& factory,
-                                    const PipelineConfig& config,
-                                    std::size_t group_size) {
-  TURBO_CHECK(group_size >= 1);
-  const ModelProfile& profile = generator.profile();
-  AttentionConfig exact_cfg;
-
-  MethodFidelity out;
-  double prefill_err_sum = 0.0;
-  double decode_err_sum = 0.0;
-  std::size_t decode_count = 0;
-  double bytes_sum = 0.0;
-
-  for (std::size_t h = 0; h < profile.heads; ++h) {
-    HeadTensors t = generator.generate_head(
-        h, config.prefill_tokens + config.decode_steps);
-    // Per-query-head variations of the shared-KV queries: deterministic
-    // perturbations of the base query stream.
-    Rng q_rng(config.seed + 1000 + h);
-    std::vector<MatrixF> group_q(group_size, t.q);
-    for (std::size_t g = 1; g < group_size; ++g) {
-      for (float& x : group_q[g].flat()) {
-        x += static_cast<float>(q_rng.normal(0.0, 0.3));
-      }
-    }
-
-    auto method = factory(profile.head_dim);
-    ExactAttention exact(profile.head_dim, exact_cfg);
-    const MatrixF k_pre = t.k.block_rows(0, config.prefill_tokens);
-    const MatrixF v_pre = t.v.block_rows(0, config.prefill_tokens);
-
-    // Prefill with the group-leader queries; other groups' prefill outputs
-    // share the same cache state, so scoring the leader suffices for the
-    // cache-quality signal.
-    const MatrixF q_pre = group_q[0].block_rows(0, config.prefill_tokens);
-    prefill_err_sum += relative_error(method->prefill(q_pre, k_pre, v_pre),
-                                      exact.prefill(q_pre, k_pre, v_pre));
-
-    for (std::size_t s = 0; s < config.decode_steps; ++s) {
-      const std::size_t row = config.prefill_tokens + s;
-      // Group leader appends the shared k/v.
-      decode_err_sum += relative_error(
-          method->decode(group_q[0].row(row), t.k.row(row), t.v.row(row)),
-          exact.decode(group_q[0].row(row), t.k.row(row), t.v.row(row)));
-      ++decode_count;
-      // Remaining query heads attend the shared cache.
-      for (std::size_t g = 1; g < group_size; ++g) {
-        decode_err_sum += relative_error(method->attend(group_q[g].row(row)),
-                                         exact.attend(group_q[g].row(row)));
-        ++decode_count;
-      }
-    }
-    bytes_sum += static_cast<double>(method->kv_cache_bytes()) /
-                 static_cast<double>(method->token_count());
-  }
-
-  out.prefill_rel_err = prefill_err_sum / static_cast<double>(profile.heads);
-  out.decode_rel_err =
-      decode_count == 0 ? 0.0
-                        : decode_err_sum / static_cast<double>(decode_count);
-  out.bytes_per_token = bytes_sum / static_cast<double>(profile.heads);
-  return out;
-}
-
-std::vector<HeadStats> collect_head_stats(const QkvGenerator& generator,
-                                          std::size_t tokens) {
-  const ModelProfile& profile = generator.profile();
-  std::vector<HeadStats> stats(profile.heads);
-  for (std::size_t h = 0; h < profile.heads; ++h) {
-    const HeadTensors t = generator.generate_head(h, tokens);
-    stats[h] = combine_head_stats(compute_head_stats(t.k),
-                                  compute_head_stats(t.v));
-  }
-  return stats;
-}
-
 }  // namespace turbo::model

@@ -2,13 +2,11 @@
 // head of a profile on generated Q/K/V and scores its outputs against the
 // FP32 exact method. This is the numeric backbone for ablations that do
 // not need the full proxy tasks (Table 5 composition, Fig. 10 adjacent
-// sweeps) and for head-stats collection.
+// sweeps).
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
-#include "attention/headwise.h"
 #include "attention/method.h"
 #include "model/generator.h"
 
@@ -33,20 +31,5 @@ struct MethodFidelity {
 MethodFidelity measure_fidelity(const QkvGenerator& generator,
                                 const KvAttentionFactory& factory,
                                 const PipelineConfig& config);
-
-// Per-head K/V statistics over a generated prefill (input to the headwise
-// selector and the Figure 7b ablation).
-std::vector<HeadStats> collect_head_stats(const QkvGenerator& generator,
-                                          std::size_t tokens);
-
-// Grouped-query attention fidelity: one KV cache (and method instance) per
-// generated head serves `group_size` query heads — the group's first query
-// drives decode() (appending the shared k/v), the rest attend(). This is
-// the LLaMA-3/Qwen-2/Phi-3-medium cache layout; KV quantization error hits
-// every query head of the group.
-MethodFidelity measure_fidelity_gqa(const QkvGenerator& generator,
-                                    const KvAttentionFactory& factory,
-                                    const PipelineConfig& config,
-                                    std::size_t group_size);
 
 }  // namespace turbo::model

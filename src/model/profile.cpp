@@ -48,14 +48,6 @@ ModelProfile phi3_mini_profile() {
   return p;
 }
 
-ModelProfile phi3_medium_profile() {
-  ModelProfile p = phi3_mini_profile();
-  p.name = "Phi3-medium-14B";
-  p.heads = 10;
-  p.outliers.head_variability = 0.7;
-  return p;
-}
-
 std::vector<float> channel_scales(const ModelProfile& profile,
                                   std::size_t head, TensorKind kind,
                                   std::uint64_t seed) {

@@ -39,7 +39,6 @@ struct ModelProfile {
 ModelProfile llama3_8b_profile();
 ModelProfile qwen2_7b_profile();
 ModelProfile phi3_mini_profile();
-ModelProfile phi3_medium_profile();
 
 // Deterministic per-(head, channel) magnitude multipliers for one tensor.
 // `kind` selects the Q/K metric channels or the V channels.

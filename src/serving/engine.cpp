@@ -55,6 +55,12 @@ struct Paused {
 // instant make progress.
 constexpr double kDeadlineSlack = 1e-9;
 
+// Fraction of the page pool fresh admissions must leave free for decode
+// growth (re-admissions of preempted requests ignore it).
+constexpr double kAdmitReserve = 0.1;
+// Ceiling of the exponential re-admission backoff.
+constexpr double kBackoffCapS = 8.0;
+
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -100,8 +106,7 @@ DerivedConfig derive_config(const EngineConfig& config) {
   TURBO_CHECK_MSG(kv_budget > 0.0, "weights alone exceed device memory");
   TURBO_CHECK(config.page_tokens > 0);
   TURBO_CHECK(config.backoff_base_s > 0.0);
-  TURBO_CHECK(config.backoff_cap_s >= config.backoff_base_s);
-  TURBO_CHECK(config.admit_reserve >= 0.0 && config.admit_reserve < 1.0);
+  TURBO_CHECK(config.backoff_base_s <= kBackoffCapS);
   TURBO_CHECK_MSG(config.backoff_jitter >= 0.0,
                   "backoff_jitter must be >= 0");
   {
@@ -158,7 +163,7 @@ DerivedConfig derive_config(const EngineConfig& config) {
   d.tpp_normal = config.page_tokens;
   d.tpp_degraded = tokens_per_page_at(d.bits_degraded);
   d.reserve_pages = static_cast<std::size_t>(
-      static_cast<double>(d.page_count) * config.admit_reserve);
+      static_cast<double>(d.page_count) * kAdmitReserve);
   return d;
 }
 
@@ -1315,7 +1320,7 @@ class EngineImpl {
     const std::size_t n = r.preemptions;
     const std::size_t exp = std::min<std::size_t>(n > 0 ? n - 1 : 0, 16);
     double delay =
-        std::min(config_.backoff_cap_s,
+        std::min(kBackoffCapS,
                  config_.backoff_base_s *
                      static_cast<double>(std::size_t{1} << exp));
     if (config_.backoff_jitter > 0.0) {

@@ -130,9 +130,10 @@ struct ClassPolicy {
 // Tiered swap-store configuration (PreemptMode::kSwap only). The engine
 // builds a TieredSwapStore (serving/swap.h) with tier 0 = host DRAM at
 // the device's PCIe bandwidth and, when `tiers == 2`, tier 1 = local
-// disk at the device's disk_bandwidth. Capacities of 0 are unbounded;
-// with the defaults the hierarchy degenerates to the legacy single-tier
-// host store (same costs, same fault-draw sequence).
+// disk at the device's disk_bandwidth. Capacities of 0 are unbounded, so
+// with the defaults every stream lands in host DRAM, and the disk tier
+// takes a stream only when an injected fault makes the host tier
+// unavailable.
 struct TieredSwapConfig {
   std::size_t tiers = 2;                  // 1 = host only, 2 = host + disk
   std::size_t host_capacity_bytes = 0;    // 0 = unbounded
@@ -192,11 +193,9 @@ struct EngineConfig {
   // --- Pressure / robustness policy ---------------------------------------
   PreemptMode preempt_mode = PreemptMode::kSwap;
   std::size_t page_tokens = 64;      // scheduler page granularity
-  // Fraction of the page pool fresh admissions must leave free for decode
-  // growth (re-admissions of preempted requests ignore it).
-  double admit_reserve = 0.1;
-  double backoff_base_s = 0.25;      // first re-admission delay
-  double backoff_cap_s = 8.0;        // exponential backoff ceiling
+  // First re-admission delay. The backoff doubles per eviction up to
+  // kBackoffCapS (8 s, engine.cpp), which this must not exceed.
+  double backoff_base_s = 0.25;
   // Deterministic re-admission jitter: the computed backoff is stretched
   // by up to this fraction, keyed by (jitter_seed, request id, eviction
   // count), so victims evicted together spread over distinct re-admission

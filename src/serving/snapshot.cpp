@@ -16,6 +16,12 @@ namespace {
 constexpr std::uint32_t kSnapshotMagic = 0x504e5354u;
 constexpr std::uint32_t kSnapshotVersion = 2;
 
+// Fewest bytes one entry takes: a request with no prompt ids is 18
+// eight-byte fields and two u32 enums, and the entry adds five eight-byte
+// fields. A count of more entries than the bytes left can hold is
+// hostile, and is rejected before anything is allocated for it.
+constexpr std::size_t kMinEntryBytes = 23 * 8 + 2 * 4;
+
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
     // Little-endian byte extraction: the truncation is the point.
@@ -60,6 +66,7 @@ struct Reader {
   }
   double f64() { return std::bit_cast<double>(u64()); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
+  std::size_t left() const { return bytes.size() - pos; }
 };
 
 void put_request(std::vector<std::uint8_t>& out, const Request& r) {
@@ -95,14 +102,17 @@ Request read_request(Reader& in) {
   r.prompt_tokens = in.u64();
   r.max_new_tokens = in.u64();
   const std::uint64_t n_ids = in.u64();
-  TURBO_CHECK_MSG(n_ids <= in.bytes.size(),
+  TURBO_CHECK_MSG(n_ids <= in.left() / 4,
                   "snapshot prompt_ids length exceeds stream");
   r.prompt_ids.resize(n_ids);
   for (std::uint64_t i = 0; i < n_ids; ++i) {
     r.prompt_ids[i] = static_cast<std::int32_t>(in.u32());
   }
   r.priority = static_cast<int>(in.i64());
-  r.service_class = static_cast<ServiceClass>(in.u32());
+  const std::uint32_t service_class = in.u32();
+  TURBO_CHECK_MSG(service_class < kServiceClassCount,
+                  "snapshot service class out of range");
+  r.service_class = static_cast<ServiceClass>(service_class);
   r.ttft_deadline_s = in.f64();
   r.e2e_deadline_s = in.f64();
   r.prefill_start_s = in.f64();
@@ -114,7 +124,10 @@ Request read_request(Reader& in) {
   r.recomputed_tokens = in.u64();
   r.tier_failovers = in.u64();
   r.replica_failovers = in.u64();
-  r.outcome = static_cast<Outcome>(in.u32());
+  const std::uint32_t outcome = in.u32();
+  TURBO_CHECK_MSG(outcome <= static_cast<std::uint32_t>(Outcome::kShed),
+                  "snapshot outcome out of range");
+  r.outcome = static_cast<Outcome>(outcome);
   r.kv_bits_used = in.f64();
   return r;
 }
@@ -162,6 +175,8 @@ ReplicaSnapshot deserialize_snapshot(std::span<const std::uint8_t> bytes) {
   snap.replica = in.u64();
   snap.taken_at_s = in.f64();
   const std::uint64_t n = in.u64();
+  TURBO_CHECK_MSG(n <= in.left() / kMinEntryBytes,
+                  "snapshot entry count exceeds stream");
   snap.entries.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     SnapshotEntry e;

@@ -53,8 +53,10 @@ struct ReplicaSnapshot {
 // Binary round trip in the stream-format-v2 style (magic, version,
 // little-endian payload, trailing CRC-32 over everything before it).
 // deserialize_snapshot throws IntegrityError when the CRC does not match
-// its payload and CheckError when the stream is malformed — exposed so
-// tests can drive the detect-and-recover path byte by byte.
+// its payload and CheckError when the stream is malformed (truncated, an
+// entry count the remaining bytes cannot hold, an out-of-range service
+// class or outcome) — exposed so tests can drive the detect-and-recover
+// path byte by byte.
 std::vector<std::uint8_t> serialize_snapshot(const ReplicaSnapshot& snap);
 ReplicaSnapshot deserialize_snapshot(std::span<const std::uint8_t> bytes);
 

@@ -247,13 +247,4 @@ double throughput_tokens_per_second(const DeviceSpec& dev,
          static_cast<double>(cfg.generate) / decode;
 }
 
-double end_to_end_throughput(const DeviceSpec& dev,
-                             const ModelGeometry& geom,
-                             const InferenceConfig& cfg) {
-  if (!memory_use(dev, geom, cfg).fits) return 0.0;
-  const double latency = generation_latency(dev, geom, cfg);
-  return static_cast<double>(cfg.batch) *
-         static_cast<double>(cfg.generate) / latency;
-}
-
 }  // namespace turbo::sim

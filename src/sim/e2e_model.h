@@ -114,9 +114,4 @@ double throughput_tokens_per_second(const DeviceSpec& dev,
                                     const ModelGeometry& geom,
                                     const InferenceConfig& cfg);
 
-// End-to-end throughput including prefill (for Figure 1a-style analyses).
-double end_to_end_throughput(const DeviceSpec& dev,
-                             const ModelGeometry& geom,
-                             const InferenceConfig& cfg);
-
 }  // namespace turbo::sim

@@ -80,34 +80,4 @@ MemoryUse memory_use_tp(const DeviceSpec& dev, const ModelGeometry& geom,
   return memory_use(dev, shard, cfg);
 }
 
-std::size_t max_batch_tp(const DeviceSpec& dev, const ModelGeometry& geom,
-                         InferenceConfig cfg,
-                         const TensorParallelConfig& tp) {
-  const ModelGeometry shard = shard_geometry(geom, tp);
-  return max_batch(dev, shard, cfg);
-}
-
-double throughput_tokens_per_second_tp(const DeviceSpec& dev,
-                                       const ModelGeometry& geom,
-                                       const InferenceConfig& cfg,
-                                       const TensorParallelConfig& tp) {
-  if (!memory_use_tp(dev, geom, cfg, tp).fits) return 0.0;
-  // Average decode step over the generation, sampled like
-  // generation_latency does.
-  const std::size_t steps = cfg.generate;
-  if (steps == 0) return 0.0;
-  const std::size_t samples = std::min<std::size_t>(steps, 8);
-  double decode_sum = 0.0;
-  for (std::size_t i = 0; i < samples; ++i) {
-    const std::size_t step = steps < 2 ? 0 : i * (steps - 1) / (samples - 1);
-    decode_sum += decode_step_breakdown_tp(dev, geom, cfg,
-                                           cfg.prompt + step + 1, tp)
-                      .total();
-  }
-  const double decode =
-      decode_sum / static_cast<double>(samples) * static_cast<double>(steps);
-  return static_cast<double>(cfg.batch) * static_cast<double>(steps) /
-         decode;
-}
-
 }  // namespace turbo::sim

@@ -47,14 +47,4 @@ MemoryUse memory_use_tp(const DeviceSpec& dev, const ModelGeometry& geom,
                         const InferenceConfig& cfg,
                         const TensorParallelConfig& tp);
 
-std::size_t max_batch_tp(const DeviceSpec& dev, const ModelGeometry& geom,
-                         InferenceConfig cfg,
-                         const TensorParallelConfig& tp);
-
-// Decode-phase throughput under tensor parallelism (0 when OOM).
-double throughput_tokens_per_second_tp(const DeviceSpec& dev,
-                                       const ModelGeometry& geom,
-                                       const InferenceConfig& cfg,
-                                       const TensorParallelConfig& tp);
-
 }  // namespace turbo::sim

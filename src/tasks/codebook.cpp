@@ -1,7 +1,6 @@
 #include "tasks/codebook.h"
 
 #include <cmath>
-#include <limits>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -43,19 +42,6 @@ double Codebook::distance_sq(std::span<const float> v, std::size_t symbol,
     acc += d * d;
   }
   return acc;
-}
-
-std::size_t Codebook::nearest(std::span<const float> v) const {
-  std::size_t best = 0;
-  double best_d = std::numeric_limits<double>::infinity();
-  for (std::size_t s = 0; s < size(); ++s) {
-    const double d = distance_sq(v, s);
-    if (d < best_d) {
-      best_d = d;
-      best = s;
-    }
-  }
-  return best;
 }
 
 }  // namespace turbo::tasks

@@ -24,9 +24,6 @@ class Codebook {
 
   std::span<const float> embedding(std::size_t symbol) const;
 
-  // Symbol whose embedding is closest (L2) to `v`.
-  std::size_t nearest(std::span<const float> v) const;
-
   // Squared L2 distance from `v` to a symbol's embedding, optionally with
   // per-channel scaling of the embedding (values are stored channel-scaled
   // in the cache, so decode compares in the scaled space).

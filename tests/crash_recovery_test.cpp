@@ -19,6 +19,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/check.h"
+#include "common/crc32.h"
 #include "common/fault.h"
 #include "fleet/chaos.h"
 #include "fleet/metrics.h"
@@ -206,9 +208,101 @@ TEST(SnapshotCodecTest, RoundTripPreservesEveryField) {
 TEST(SnapshotCodecTest, FlippedByteFailsTheCrc) {
   std::vector<std::uint8_t> bytes =
       serving::serialize_snapshot(sample_snapshot());
-  // Flip one payload byte: the trailing CRC-32 must catch it.
-  bytes[bytes.size() / 2] ^= 0x01;
-  EXPECT_THROW(serving::deserialize_snapshot(bytes), turbo::IntegrityError);
+  // Every single-byte change, CRC bytes included, is a burst of at most
+  // 8 bits, which the trailing CRC-32 always catches.
+  std::size_t caught = 0;
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    for (unsigned mask = 1; mask < 256; ++mask) {
+      bytes[i] ^= static_cast<std::uint8_t>(mask);
+      try {
+        serving::deserialize_snapshot(bytes);
+      } catch (const IntegrityError&) {
+        ++caught;
+      }
+      bytes[i] ^= static_cast<std::uint8_t>(mask);
+    }
+  }
+  EXPECT_EQ(caught, bytes.size() * 255);
+}
+
+// Rewrites the trailing CRC-32 so a doctored payload passes the integrity
+// layer and reaches the parser.
+void reseal(std::vector<std::uint8_t>& bytes) {
+  const std::uint32_t crc = crc32(
+      std::span<const std::uint8_t>(bytes.data(), bytes.size() - 4));
+  for (std::size_t i = 0; i < 4; ++i) {
+    bytes[bytes.size() - 4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+}
+
+TEST(SnapshotCodecTest, EveryTruncationIsRejected) {
+  const std::vector<std::uint8_t> bytes =
+      serving::serialize_snapshot(sample_snapshot());
+  for (std::size_t n = 0; n < bytes.size(); ++n) {
+    EXPECT_THROW(serving::deserialize_snapshot(
+                     std::span<const std::uint8_t>(bytes.data(), n)),
+                 CheckError)
+        << "prefix of " << n << " bytes";
+  }
+}
+
+TEST(SnapshotCodecTest, HostileEntryCountWithAValidCrcIsACheckError) {
+  std::vector<std::uint8_t> bytes =
+      serving::serialize_snapshot(sample_snapshot());
+  // The entry count follows magic, version, replica and taken_at_s.
+  constexpr std::size_t kCountAt = 4 + 4 + 8 + 8;
+  const std::uint64_t hostile = std::uint64_t{1} << 40;
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[kCountAt + i] = static_cast<std::uint8_t>(hostile >> (8 * i));
+  }
+  reseal(bytes);
+  // A CheckError, not std::bad_alloc from reserving 2^40 entries.
+  EXPECT_THROW(serving::deserialize_snapshot(bytes), CheckError);
+}
+
+TEST(SnapshotCodecTest, OutOfRangeEnumsWithAValidCrcAreCheckErrors) {
+  ReplicaSnapshot snap = sample_snapshot();
+  snap.entries[0].request.service_class = serving::ServiceClass::kInteractive;
+  snap.entries[0].request.outcome = Outcome::kPending;
+  const std::vector<std::uint8_t> base = serving::serialize_snapshot(snap);
+  // Finds the one payload byte where `changed` serializes differently from
+  // `snap` (the enum's low byte), sets it to 200 and reseals the CRC.
+  auto expect_rejected = [&](const ReplicaSnapshot& changed) {
+    const std::vector<std::uint8_t> other =
+        serving::serialize_snapshot(changed);
+    ASSERT_EQ(other.size(), base.size());
+    std::vector<std::size_t> diff;
+    for (std::size_t i = 0; i + 4 < base.size(); ++i) {
+      if (base[i] != other[i]) diff.push_back(i);
+    }
+    ASSERT_EQ(diff.size(), 1u);
+    std::vector<std::uint8_t> bytes = base;
+    bytes[diff[0]] = 200;
+    reseal(bytes);
+    EXPECT_THROW(serving::deserialize_snapshot(bytes), CheckError);
+  };
+
+  ReplicaSnapshot other = snap;
+  other.entries[0].request.service_class = serving::ServiceClass::kStandard;
+  expect_rejected(other);
+  other = snap;
+  other.entries[0].request.outcome = Outcome::kCompleted;
+  expect_rejected(other);
+}
+
+TEST(SnapshotCodecTest, SmallestEntriesStillRoundTrip) {
+  // Entries with no prompt ids sit exactly at the decoder's per-entry
+  // size bound; a stream of nothing else must still parse.
+  ReplicaSnapshot snap;
+  snap.replica = 1;
+  snap.entries.resize(3);
+  for (std::size_t i = 0; i < snap.entries.size(); ++i) {
+    snap.entries[i].request.id = i;
+  }
+  const ReplicaSnapshot back =
+      serving::deserialize_snapshot(serving::serialize_snapshot(snap));
+  ASSERT_EQ(back.entries.size(), 3u);
+  EXPECT_EQ(back.entries[2].request.id, 2u);
 }
 
 // --- snapshot store fault hooks -------------------------------------------

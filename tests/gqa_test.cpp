@@ -1,11 +1,10 @@
-// Grouped-query attention: the attend() contract and the GQA pipeline.
+// Grouped-query attention: the attend() contract.
 #include <gtest/gtest.h>
 
 #include "attention/turbo_method.h"
 #include "baselines/fp16_method.h"
 #include "baselines/gear.h"
 #include "baselines/kivi.h"
-#include "model/pipeline.h"
 #include "tests/test_util.h"
 
 namespace turbo {
@@ -75,45 +74,6 @@ TEST(GqaTest, AttendContractGear) {
   cfg.chunk = 16;
   cfg.residual = 16;
   check_attend_contract<GearAttention>(cfg);
-}
-
-TEST(GqaTest, PipelineFidelityCloseToMha) {
-  // Sharing a cache across 4 query heads must not change the error scale:
-  // the cache is the same; only more queries read it.
-  model::QkvGenerator gen(model::llama3_8b_profile(), 9);
-  model::PipelineConfig cfg;
-  cfg.prefill_tokens = 96;
-  cfg.decode_steps = 8;
-  TurboMethodConfig tm;
-  tm.buffer_capacity = 16;
-  const auto mha = measure_fidelity(gen, make_turbo_factory(tm), cfg);
-  const auto gqa = measure_fidelity_gqa(gen, make_turbo_factory(tm), cfg, 4);
-  EXPECT_LT(gqa.decode_rel_err, mha.decode_rel_err * 2.0);
-  EXPECT_GT(gqa.decode_rel_err, 0.0);
-  EXPECT_NEAR(gqa.bytes_per_token, mha.bytes_per_token, 1.0);
-}
-
-TEST(GqaTest, GroupSizeOneMatchesMha) {
-  model::QkvGenerator gen(model::llama3_8b_profile(), 11);
-  model::PipelineConfig cfg;
-  cfg.prefill_tokens = 64;
-  cfg.decode_steps = 4;
-  TurboMethodConfig tm;
-  tm.buffer_capacity = 16;
-  const auto mha = measure_fidelity(gen, make_turbo_factory(tm), cfg);
-  const auto gqa = measure_fidelity_gqa(gen, make_turbo_factory(tm), cfg, 1);
-  EXPECT_DOUBLE_EQ(gqa.decode_rel_err, mha.decode_rel_err);
-  EXPECT_DOUBLE_EQ(gqa.prefill_rel_err, mha.prefill_rel_err);
-}
-
-TEST(GqaTest, ExactMethodZeroErrorUnderGqa) {
-  model::QkvGenerator gen(model::qwen2_7b_profile(), 13);
-  model::PipelineConfig cfg;
-  cfg.prefill_tokens = 64;
-  cfg.decode_steps = 4;
-  const auto f = measure_fidelity_gqa(gen, make_exact_factory({}), cfg, 7);
-  EXPECT_EQ(f.prefill_rel_err, 0.0);
-  EXPECT_EQ(f.decode_rel_err, 0.0);
 }
 
 }  // namespace

@@ -52,19 +52,6 @@ TEST(KvCacheTest, DecodeTokensBufferThenFlush) {
   EXPECT_EQ(cache.token_count(), 4u);
 }
 
-TEST(KvCacheTest, FlushCompressesPartialBuffer) {
-  QuantizedKvCache cache(4, BitWidth::kInt2, 64, 8);
-  std::vector<float> k{1.0f, 2.0f, 3.0f, 4.0f};
-  cache.append_token(k, k);
-  cache.append_token(k, k);
-  cache.flush();
-  EXPECT_EQ(cache.block_count(), 1u);
-  EXPECT_EQ(cache.block(0).tokens(), 2u);
-  EXPECT_EQ(cache.token_count(), 2u);
-  cache.flush();  // idempotent on empty buffer
-  EXPECT_EQ(cache.block_count(), 1u);
-}
-
 TEST(KvCacheTest, ReconstructionAccuracy) {
   QuantizedKvCache cache(16, BitWidth::kInt4, 64, 8);
   const MatrixF k = test::random_matrix(64, 16, 5);

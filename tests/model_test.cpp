@@ -148,13 +148,5 @@ TEST(PipelineTest, InputNoiseRaisesError) {
   (void)a;
 }
 
-TEST(PipelineTest, HeadStatsRankOutlierHeads) {
-  QkvGenerator gen(phi3_mini_profile(), 21);
-  const auto stats = collect_head_stats(gen, 256);
-  ASSERT_EQ(stats.size(), gen.profile().heads);
-  // The ramped severity must be visible in the priority metric.
-  EXPECT_GT(stats.back().priority(), stats.front().priority());
-}
-
 }  // namespace
 }  // namespace turbo::model

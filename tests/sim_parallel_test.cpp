@@ -59,16 +59,6 @@ TEST(ParallelTest, ShardingReducesPerGpuMemory) {
   EXPECT_LT(m4.kv_cache, m1.kv_cache);
 }
 
-TEST(ParallelTest, MoreGpusMoreBatch) {
-  const DeviceSpec dev = a100_sxm_80gb();
-  const ModelGeometry g = phi3_medium_geometry();
-  const InferenceConfig cfg =
-      config(AttnMethod::kFlashFp16, 16, 1, 1024, 125);
-  const std::size_t b1 = max_batch_tp(dev, g, cfg, tp(1));
-  const std::size_t b4 = max_batch_tp(dev, g, cfg, tp(4));
-  EXPECT_GT(b4, b1);
-}
-
 TEST(ParallelTest, PrefillSpeedsUpWithGpus) {
   // Prefill is compute-dominated: sharding 4 ways must cut latency
   // substantially even after paying the all-reduces.

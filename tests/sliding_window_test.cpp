@@ -1,4 +1,4 @@
-// Sliding-window attention across every kernel, plus window eviction.
+// Sliding-window attention across every kernel.
 #include <gtest/gtest.h>
 
 #include "attention/flash.h"
@@ -101,48 +101,6 @@ TEST(SlidingWindowTest, TurboDecodeWindowed) {
   EXPECT_LT(relative_error(o, ref), 0.1);
   // And the fused kernel agrees bit-exactly with the reference kernel.
   EXPECT_EQ(o, fused_turbo_decode(q, cache, cfg, sas));
-}
-
-TEST(SlidingWindowTest, WindowIgnoresEvictedHistory) {
-  // Decoding with a window must give the same result before and after
-  // evicting blocks that lie entirely outside the window.
-  const std::size_t d = 8;
-  const AttentionConfig cfg = windowed(10);
-  const Sas sas;
-  QuantizedKvCache cache(d, BitWidth::kInt4, 8, 8);
-  Rng rng(11);
-  for (int t = 0; t < 40; ++t) {
-    std::vector<float> kt(d);
-    std::vector<float> vt(d);
-    rng.fill_normal(kt, 0.0, 1.0);
-    rng.fill_normal(vt, 0.0, 1.0);
-    cache.append_token(kt, vt);
-  }
-  std::vector<float> q(d, 0.25f);
-  const auto before = turbo_attention_decode(q, cache, cfg, sas);
-  const std::size_t bytes_before = cache.memory_bytes();
-  const std::size_t dropped = cache.evict_blocks_before(cfg.window);
-  EXPECT_GT(dropped, 0u);
-  EXPECT_LT(cache.memory_bytes(), bytes_before);
-  // Window positions are relative to the (shrunk) tail; results identical
-  // because only out-of-window blocks were dropped.
-  const auto after = turbo_attention_decode(q, cache, cfg, sas);
-  EXPECT_EQ(before, after);
-}
-
-TEST(SlidingWindowTest, EvictKeepsEnoughTokens) {
-  QuantizedKvCache cache(8, BitWidth::kInt4, 8, 8);
-  Rng rng(12);
-  std::vector<float> t(8);
-  for (int i = 0; i < 33; ++i) {
-    rng.fill_normal(t, 0.0, 1.0);
-    cache.append_token(t, t);
-  }
-  EXPECT_EQ(cache.token_count(), 33u);
-  const std::size_t dropped = cache.evict_blocks_before(10);
-  EXPECT_EQ(dropped, 2u);  // blocks at positions [0,8) and [8,16)
-  EXPECT_EQ(cache.token_count(), 17u);
-  EXPECT_EQ(cache.evict_blocks_before(100), 0u);  // nothing to drop
 }
 
 TEST(SlidingWindowTest, NonCausalWindow) {

@@ -56,18 +56,6 @@ TEST(StatsTest, RelativeError) {
   EXPECT_DOUBLE_EQ(relative_error(b, b), 0.0);
 }
 
-TEST(StatsTest, CosineSimilarity) {
-  std::vector<float> a{1.0f, 0.0f};
-  std::vector<float> b{0.0f, 1.0f};
-  std::vector<float> c{2.0f, 0.0f};
-  EXPECT_DOUBLE_EQ(cosine_similarity(a, b), 0.0);
-  EXPECT_DOUBLE_EQ(cosine_similarity(a, c), 1.0);
-  EXPECT_DOUBLE_EQ(cosine_similarity(a, a), 1.0);
-  std::vector<float> zero{0.0f, 0.0f};
-  EXPECT_DOUBLE_EQ(cosine_similarity(zero, zero), 1.0);
-  EXPECT_DOUBLE_EQ(cosine_similarity(zero, a), 0.0);
-}
-
 TEST(StatsTest, HistogramEntropy) {
   // Uniform over two distinct values -> ln 2; constant -> 0.
   std::vector<float> bimodal{0.0f, 0.0f, 1.0f, 1.0f};
@@ -111,7 +99,6 @@ TEST(StatsTest, SizeMismatchThrows) {
   std::vector<float> b{1.0f, 2.0f};
   EXPECT_THROW(mse(a, b), CheckError);
   EXPECT_THROW(relative_error(a, b), CheckError);
-  EXPECT_THROW(cosine_similarity(a, b), CheckError);
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include "attention/turbo_method.h"
 #include "baselines/fp16_method.h"
-#include "common/rng.h"
 #include "model/profile.h"
 #include "tasks/codebook.h"
 #include "tasks/retrieval.h"
@@ -16,23 +15,6 @@ TEST(CodebookTest, EmbeddingsAreUnit) {
     double norm = 0.0;
     for (float v : cb.embedding(s)) norm += v * v;
     EXPECT_NEAR(norm, 1.0, 1e-5);
-  }
-}
-
-TEST(CodebookTest, NearestRecoversExactEmbedding) {
-  Codebook cb(32, 24, 2);
-  for (std::size_t s = 0; s < cb.size(); ++s) {
-    EXPECT_EQ(cb.nearest(cb.embedding(s)), s);
-  }
-}
-
-TEST(CodebookTest, NearestRobustToSmallNoise) {
-  Codebook cb(32, 24, 3);
-  turbo::Rng rng(4);
-  for (std::size_t s = 0; s < cb.size(); ++s) {
-    std::vector<float> v(cb.embedding(s).begin(), cb.embedding(s).end());
-    for (float& x : v) x += static_cast<float>(rng.normal(0.0, 0.05));
-    EXPECT_EQ(cb.nearest(v), s);
   }
 }
 

@@ -10,6 +10,9 @@
 #                             # identical output in all three builds
 #   tools/check.sh lint       # just turbo_lint
 #   tools/check.sh tidy       # just clang-tidy (skipped when not installed)
+#   tools/check.sh sweep      # dead-code sweep: every turbo:: function the
+#                             # library defines is in a shipped binary or
+#                             # in tools/sweep_allowlist.txt
 #
 # Each build's ctest run covers every label (fault, serving, slo, tier,
 # fleet, prefix, disagg, chaos, lint); `ctest --test-dir <build> -L <label>`
@@ -28,9 +31,9 @@ FAILED=0
 
 for s in "${STAGES[@]}"; do
   case "$s" in
-    all|release|asan|tsan|chaos|lint|tidy) ;;
+    all|release|asan|tsan|chaos|lint|tidy|sweep) ;;
     *)
-      echo "check.sh: unknown stage '$s' (expected: release asan tsan chaos lint tidy)" >&2
+      echo "check.sh: unknown stage '$s' (expected: release asan tsan chaos lint tidy sweep)" >&2
       exit 2
       ;;
   esac
@@ -50,14 +53,14 @@ run_release() {
   banner "release: -O3 -DNDEBUG -Werror build + ctest"
   cmake --preset release || return 1
   cmake --build --preset release -j "$JOBS" || return 1
-  ctest --preset release || return 1
+  ctest --preset release -j "$JOBS" || return 1
 }
 
 run_asan() {
   banner "asan: -fsanitize=address,undefined -fno-sanitize-recover=all"
   cmake --preset debug-asan-ubsan || return 1
   cmake --build --preset debug-asan-ubsan -j "$JOBS" || return 1
-  ctest --preset debug-asan-ubsan || return 1
+  ctest --preset debug-asan-ubsan -j "$JOBS" || return 1
 }
 
 run_tsan() {
@@ -67,7 +70,7 @@ run_tsan() {
   # shared state fails CI instead of flaking in production.
   cmake --preset debug-tsan || return 1
   cmake --build --preset debug-tsan -j "$JOBS" || return 1
-  ctest --preset debug-tsan || return 1
+  ctest --preset debug-tsan -j "$JOBS" || return 1
 }
 
 run_chaos() {
@@ -127,12 +130,69 @@ run_tidy() {
   fi
 }
 
+run_sweep() {
+  banner "sweep: library functions that no shipped binary contains"
+  # Every shipped binary (turbo_cli, the benches, the examples and
+  # bench/e2e's bench_e2e) is built at -O0, so no call is inlined away,
+  # with one section per function, and linked with --gc-sections, so each
+  # binary keeps exactly the library functions it can reach. A turbo::
+  # function that the library archives define and no binary keeps is
+  # dead, unless tools/sweep_allowlist.txt names it with its reason. An
+  # allowlist line whose function is no longer dead is stale.
+  local dir=build-sweep f
+  local cfg=(-DCMAKE_BUILD_TYPE=Debug
+             "-DCMAKE_CXX_FLAGS_DEBUG=-O0 -ffunction-sections -fdata-sections"
+             "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections")
+  local targets=(turbo_cli) bins=("$dir/tools/turbo_cli" "$dir/e2e/bench_e2e")
+  for f in bench/bench_*.cpp examples/*.cpp; do
+    f="${f%.cpp}"
+    targets+=("${f##*/}")
+    bins+=("$dir/$f")
+  done
+  cmake -S . -B "$dir" "${cfg[@]}" >/dev/null || return 1
+  cmake --build "$dir" -j "$JOBS" --target "${targets[@]}" || return 1
+  cmake -S bench/e2e -B "$dir/e2e" "${cfg[@]}" >/dev/null || return 1
+  cmake --build "$dir/e2e" -j "$JOBS" || return 1
+  for f in "${bins[@]}"; do
+    [[ -x "$f" ]] || { echo "sweep: no binary at $f" >&2; return 1; }
+  done
+
+  # Functions are matched on their mangled names, _ZN5turbo... (K, V, R
+  # or O after the N for qualified members), and compared demangled: a
+  # demangled std:: template that returns a turbo:: type also starts with
+  # "turbo::".
+  local defined kept dead allowed unlisted stale
+  defined="$(nm --defined-only "$dir"/src/*/libturbo_*.a |
+    sed -n 's/^[0-9a-f]* [TW] \(_ZN[KVRO]*5turbo.*\)$/\1/p' | c++filt |
+    LC_ALL=C sort -u)"
+  kept="$(nm --defined-only "${bins[@]}" |
+    sed -n 's/^[0-9a-f]* [TtWw] \(_ZN[KVRO]*5turbo.*\)$/\1/p' | c++filt |
+    LC_ALL=C sort -u)"
+  dead="$(LC_ALL=C comm -23 <(echo "$defined") <(echo "$kept"))"
+  allowed="$(sed -e '/^#/d' -e '/^[[:space:]]*$/d' -e 's/[[:space:]]*# .*$//' \
+    tools/sweep_allowlist.txt | LC_ALL=C sort -u)"
+  unlisted="$(LC_ALL=C comm -23 <(echo "$dead") <(echo "$allowed"))"
+  stale="$(LC_ALL=C comm -13 <(echo "$dead") <(echo "$allowed"))"
+  echo "sweep: $(grep -c . <<<"$dead") library functions in no shipped binary," \
+       "$(grep -c . <<<"$allowed") allowlisted"
+  if [[ -n "$unlisted" ]]; then
+    echo "sweep: in no shipped binary and not in tools/sweep_allowlist.txt:" >&2
+    sed 's/^/  /' <<<"$unlisted" >&2
+  fi
+  if [[ -n "$stale" ]]; then
+    echo "sweep: allowlisted but not dead (drop the line):" >&2
+    sed 's/^/  /' <<<"$stale" >&2
+  fi
+  [[ -z "$unlisted" && -z "$stale" ]]
+}
+
 if want release; then run_release || FAILED=1; fi
 if [[ $FAILED -eq 0 ]] && want asan; then run_asan || FAILED=1; fi
 if [[ $FAILED -eq 0 ]] && want tsan; then run_tsan || FAILED=1; fi
 if [[ $FAILED -eq 0 ]] && want chaos; then run_chaos || FAILED=1; fi
 if [[ $FAILED -eq 0 ]] && want lint; then run_lint || FAILED=1; fi
 if [[ $FAILED -eq 0 ]] && want tidy; then run_tidy || FAILED=1; fi
+if [[ $FAILED -eq 0 ]] && want sweep; then run_sweep || FAILED=1; fi
 
 if [[ $FAILED -ne 0 ]]; then
   echo
