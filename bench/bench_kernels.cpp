@@ -330,14 +330,10 @@ BENCHMARK(BM_TurboDecodeFused)
     ->Args({1024, 128})
     ->Args({4096, 128});
 
-void BM_TurboDecodeFusedEntry(benchmark::State& state) {
-  // {entry, context, head_dim}: BM_TurboDecodeFused's workload through one
-  // compiled entry (0 baseline, 1 avx2, 2 avx512vnni).
-  const detail::FusedEntry* e = entry_arg(state);
-  if (e == nullptr) return;
-  const std::size_t ctx = static_cast<std::size_t>(state.range(1));
-  const std::size_t d = static_cast<std::size_t>(state.range(2));
-  const QuantizedKvCache cache = decode_cache(ctx, d);
+// One compiled entry's decode over `cache`, the query 0.3 everywhere.
+void run_decode_entry(benchmark::State& state, const detail::FusedEntry& e,
+                      const QuantizedKvCache& cache) {
+  const std::size_t d = cache.head_dim();
   std::vector<const KvBlock*> blocks;
   for (std::size_t j = 0; j < cache.block_count(); ++j) {
     blocks.push_back(&cache.block(j));
@@ -346,14 +342,49 @@ void BM_TurboDecodeFusedEntry(benchmark::State& state) {
   const Sas sas;
   std::vector<float> q(d, 0.3f);
   for (auto _ : state) {
-    auto o = e->decode(q, blocks, cache.key_buffer(), cache.value_buffer(),
-                       cfg, sas);
+    auto o = e.decode(q, blocks, cache.key_buffer(), cache.value_buffer(),
+                      cfg, sas);
     benchmark::DoNotOptimize(o.data());
   }
-  state.SetItemsProcessed(state.iterations() * ctx * d);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(cache.token_count() * d));
+}
+
+void BM_TurboDecodeFusedEntry(benchmark::State& state) {
+  // {entry, context, head_dim}: BM_TurboDecodeFused's workload through one
+  // compiled entry (0 baseline, 1 avx2, 2 avx512vnni).
+  if (const detail::FusedEntry* e = entry_arg(state)) {
+    run_decode_entry(state, *e,
+                     decode_cache(static_cast<std::size_t>(state.range(1)),
+                                  static_cast<std::size_t>(state.range(2))));
+  }
 }
 BENCHMARK(BM_TurboDecodeFusedEntry)
     ->ArgsProduct({{0, 1, 2}, {1024, 4096}, {128}});
+
+void BM_TurboDecodeFusedEntryAppended(benchmark::State& state) {
+  // {entry, prompt, appended, head_dim}: a cache built like decode_512's,
+  // a prefill, then tokens appended through the decode buffer, whose
+  // flushes are the blocks where a channel's second stage can clamp
+  // (tokens past the buffer's universal scale hold +-127), so P~V's table
+  // fallback runs. {256, 512} gives 12 blocks, 8 of them flushes; every
+  // channel of a prefill block, and so of BM_TurboDecodeFusedEntry's
+  // cache, is clamp-free.
+  const detail::FusedEntry* e = entry_arg(state);
+  if (e == nullptr) return;
+  const auto appended = static_cast<std::size_t>(state.range(2));
+  const auto d = static_cast<std::size_t>(state.range(3));
+  QuantizedKvCache cache =
+      decode_cache(static_cast<std::size_t>(state.range(1)), d);
+  const MatrixF k = random_matrix(appended, d, 16);
+  const MatrixF v = random_matrix(appended, d, 17);
+  for (std::size_t t = 0; t < appended; ++t) {
+    cache.append_token(k.row(t), v.row(t));
+  }
+  run_decode_entry(state, *e, cache);
+}
+BENCHMARK(BM_TurboDecodeFusedEntryAppended)
+    ->ArgsProduct({{0, 1, 2}, {256}, {512}, {128}});
 
 void BM_GroupedQuantChannelwise(benchmark::State& state) {
   const MatrixF m = random_matrix(512, 64, 15);

@@ -83,6 +83,20 @@ class Matrix {
     ++rows_;
   }
 
+  // Append a row of `cols` T{} and return it, for the caller to fill in
+  // place. Room for `reserve` rows in all is kept when the matrix has
+  // none, so appending up to that many allocates once.
+  std::span<T> append_zero_row(std::size_t cols, std::size_t reserve) {
+    TURBO_CHECK(cols_ == cols || rows_ == 0);
+    if (rows_ == 0) {
+      cols_ = cols;
+      data_.reserve(reserve * cols);
+    }
+    data_.resize(data_.size() + cols);
+    ++rows_;
+    return row(rows_ - 1);
+  }
+
   bool operator==(const Matrix&) const = default;
 
  private:

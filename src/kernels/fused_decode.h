@@ -5,13 +5,17 @@
 // matmuls — clear, but slow. This kernel is what TurboKvAttention runs:
 // per block it
 //
-//   * unpacks the INT4/2 codes and reverses the integer second stage
+//   * unpacks the INT4/2 codes and reverses K's integer second stage
 //     (q2 * s_int + z_int) through a 16-entry table per channel, the CPU
 //     analogue of expanding INT -> INT8 in registers (Algorithm 2);
-//   * computes q.K as exact int32 dot products and P~ with the batch SAS
-//     (Sas::apply);
+//   * computes q.K as exact int32 dot products, and P~ and the rescale
+//     factor with one batch SAS call (Sas::apply);
 //   * runs P~V as an integer matmul: each channel sums p_q * v exactly in
-//     int32 over the block, then adds float(sum) * o_scale once.
+//     int32 over the block, then adds float(sum) * o_scale once. V's
+//     second stage folds into that sum: where a channel's table is linear
+//     it is s_int * sum(p_q * q2) + z_int * sum(p_q), so V's raw codes go
+//     straight into the integer products, and tables serve only K and the
+//     few V channels that clamp.
 //
 // Its output is bit-identical to the reference (same arithmetic; integer
 // sums in any order); fused_decode_test pins that for every compiled entry.

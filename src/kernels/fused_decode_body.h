@@ -13,7 +13,7 @@
 // The result is bit-identical to turbo_attention_decode, the reference in
 // attention/turbo_decode.cpp. Every build runs the reference's arithmetic:
 //
-//   * the second stage is reversed through a per-channel table of
+//   * K's second stage is reversed through a per-channel table of
 //     clamp(code * s_int + z_int, -127, 127), the values
 //     progressive_decompress_int8 produces (the SIMD builds expand 32 or
 //     64 codes per shuffle). The AVX-512 build reads an INT4 block whose
@@ -22,12 +22,19 @@
 //     channel by channel (four at a time on vpdpbusd), the buffered tail
 //     row by row;
 //   * the scores, SAS (Sas::apply, bit-identical to exp_neg), the running
-//     sum and the P~ quantization follow the reference token by token;
+//     sum and the P~ quantization follow the reference token by token. The
+//     rescale factor alpha = exp_neg(m_old - m_new) goes through the same
+//     Sas::apply call, in front of the scores;
 //   * P~V is an exact int32 sum too, so its order and lanes are free: each
 //     channel sums p_q * v over the chunk, then adds float(sum) * o_scale
-//     once, when some p_q is not 0. A packed block's V is read channel by
-//     channel (one vpdpbusd per channel and 64 tokens, then a reduction
-//     tree over 16 channels), the buffered tail through a quad-major copy.
+//     once, when some p_q is not 0. Over a packed block, V's second stage
+//     folds into that sum: where a channel's table is linear (it clamps
+//     no code), sum p_q * (s_int * code + z_int) is s_int * sum p_q * code
+//     + z_int * sum p_q, so each channel sums its raw codes (one vpdpbusd
+//     per channel and 64 tokens, then a reduction tree over 16 channels)
+//     and one affine step per 16 channels gives the sums. The few channels
+//     that clamp are redone through their table (table_pv). The buffered
+//     tail is read through a quad-major copy.
 //
 // The stage-1 quantizer (stage1), row_dots, p_codes, v_quads and pv_rows
 // also serve the prefill body (kernels/fused_prefill_body.h), included
@@ -54,15 +61,19 @@ struct DecodeState {
 // Buffers reused by every chunk of one call.
 struct Scratch {
   std::vector<std::uint8_t> codes;     // one tile's codes, channel-major
-  std::vector<std::int8_t> tables;     // [channel][kTable] code -> INT8
+  std::vector<std::int8_t> tables;     // K's [channel][kTable] code -> INT8
   std::vector<std::int32_t> dots;      // q.k per token
-  std::vector<float> p;                // scores, then P~
+  // The rescale argument m_old - m_new, then the scores, then P~ (one
+  // Sas::apply turns the first two into alpha and P~).
+  std::vector<float> p;
   // The chunk's P~ codes, four bytes per dword (the quad P~V reads a
   // dword at a time), zero past its last token.
   std::vector<std::uint32_t> p_q;
+  // The AVX-512 in-place INT4 P~V's copy of p_q: per 64 tokens, the 32
+  // even tokens' codes, then the 32 odd tokens'.
+  std::vector<std::uint8_t> p_split;
   std::vector<std::uint32_t> v_quads;  // the buffered V rows, quad-major
   std::vector<std::int32_t> sums;      // per channel: the scalar P~V sums
-  std::vector<std::int8_t> values;     // one channel's V (scalar P~V)
 };
 
 // One tile's codes, channel-major: channel c's token t is
@@ -79,6 +90,53 @@ inline std::int32_t q_sum(const std::int8_t* q, std::size_t n) {
   std::int32_t sum = 0;
   for (std::size_t c = 0; c < n; ++c) sum += q[c];
   return sum;
+}
+
+// Channel ch's code of token t.
+inline std::int32_t tile_code(const TileCodes& tc, std::size_t ch,
+                              std::size_t t) {
+  const std::size_t i = ch * tc.stride + t;
+  if (!tc.nibbles) return tc.codes[i];
+  return (tc.codes[i / 2] >> (i % 2 * 4)) & 0x0F;
+}
+
+// Whether a channel's table clamp(i * s_int + z_int, -127, 127) differs
+// from i * s_int + z_int for some code i <= top (the width's largest):
+// z_int = -128 (a restored buffer's -128 flushed into a block) lifts code
+// 0, and top * s_int + z_int > 127 cuts the top codes. The SIMD builds
+// test max(top * s_int + z_int, -z_int) > 127, the same condition.
+inline bool clamps(ChannelParams cp, std::int32_t top) {
+  return cp.z_int < -127 || top * cp.s_int + cp.z_int > 127;
+}
+
+// P~V of a channel that clamps: sum over t < tokens of p_q[t] times the
+// channel's table entry for its code, the reference's value.
+inline std::int32_t table_pv(const std::uint8_t* p_q, const TileCodes& tc,
+                             std::size_t ch, std::size_t tokens,
+                             ChannelParams cp) {
+  std::int32_t table[kTable] = {};
+  for (std::size_t i = 0; i < kTable; ++i) {
+    table[i] =
+        clamp_to_i8(static_cast<std::int32_t>(i) * cp.s_int + cp.z_int);
+  }
+  std::int32_t sum = 0;
+  for (std::size_t t = 0; t < tokens; ++t) {
+    sum += p_q[t] * table[tile_code(tc, ch, t)];
+  }
+  return sum;
+}
+
+// Every lane j < 16 of sums whose bit is set in `clamped` (channel c0 + j
+// clamps) redone through table_pv.
+inline void redo_clamped(std::uint32_t clamped, std::int32_t* sums,
+                         const std::uint8_t* p_q, const TileCodes& tc,
+                         const ChannelParams* channels, std::size_t c0,
+                         std::size_t tokens) {
+  for (std::size_t j = 0; j < 16; ++j) {
+    if ((clamped >> j & 1u) != 0) {
+      sums[j] = table_pv(p_q, tc, c0 + j, tokens, channels[c0 + j]);
+    }
+  }
 }
 
 #if defined(__x86_64__)
@@ -271,14 +329,53 @@ inline void reduce8_avx2(const __m256i* a, __m256i* out) {
                           _mm256_permute2x128_si256(c0, c1, 0x31));
 }
 
+// *sums: eight channels [c0, c0 + 8)'s codes' sums, sum p_q * code, in;
+// their exact P~V sums out: s_int * raw + z_int * p_total where the
+// channel's table is linear, table_pv where it clamps. The (s_int, z_int)
+// pairs, read as int16 words, sign-extend to int32 lanes; one compare of
+// max(top * s_int + z_int, -z_int) against 127 finds the clamping
+// channels. Lanes past d read the default pairs of `tail`.
+inline void fold_pv_avx2(__m256i* sums, const ChannelParams* channels,
+                         std::size_t c0, std::size_t d, std::int32_t top,
+                         std::int32_t p_total, const std::uint8_t* p_q,
+                         const TileCodes& tc, std::size_t tokens) {
+  ChannelParams tail[8] = {};
+  const ChannelParams* cp = channels + c0;
+  if (c0 + 8 > d) {
+    std::copy(channels + c0, channels + d, tail);
+    cp = tail;
+  }
+  const __m256i w = _mm256_cvtepi16_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(cp)));
+  const __m256i s = _mm256_srai_epi32(_mm256_slli_epi32(w, 24), 24);
+  const __m256i z = _mm256_srai_epi32(w, 8);
+  *sums = _mm256_add_epi32(
+      _mm256_mullo_epi32(s, *sums),
+      _mm256_mullo_epi32(z, _mm256_set1_epi32(p_total)));
+  const __m256i high = _mm256_max_epi32(
+      _mm256_add_epi32(_mm256_mullo_epi32(s, _mm256_set1_epi32(top)), z),
+      _mm256_sub_epi32(_mm256_setzero_si256(), z));
+  const auto clamped = static_cast<std::uint32_t>(_mm256_movemask_ps(
+      _mm256_castsi256_ps(
+          _mm256_cmpgt_epi32(high, _mm256_set1_epi32(127)))));
+  if (clamped != 0) {
+    alignas(32) std::int32_t lanes[16] = {};
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), *sums);
+    redo_clamped(clamped, lanes, p_q, tc, channels, c0, tokens);
+    *sums = _mm256_load_si256(reinterpret_cast<const __m256i*>(lanes));
+  }
+}
+
 // P~V over a packed tile, channel-major: o[c] += float(sum) * o_scale,
 // sum over tokens t < padded (a multiple of 32) of p_q[t] * V[t][c]. Per
-// channel, 32 codes go through its table and maddubs multiplies them by
-// the 32 P~ codes (unsigned, at most 127, so a pair sum is at most
-// 2 * 127^2 and never saturates); madd by ones widens the pairs to int32.
+// channel, maddubs multiplies 32 raw codes (at most 15) by the 32 P~
+// codes (at most 127), and madd by ones widens the pairs to int32;
+// fold_pv_avx2 turns each eight channels' code sums into V's.
 inline void tile_pv_avx2(const std::uint8_t* p_q, const TileCodes& tc,
-                         std::size_t d, const std::int8_t* tables,
-                         std::size_t padded, float o_scale, float* o) {
+                         const ChannelParams* channels, std::size_t d,
+                         std::int32_t top, std::int32_t p_total,
+                         std::size_t tokens, std::size_t padded,
+                         float o_scale, float* o) {
   const __m256i ones = _mm256_set1_epi16(1);
   const __m256 os = _mm256_set1_ps(o_scale);
   for (std::size_t c0 = 0; c0 < d; c0 += 8) {
@@ -289,17 +386,15 @@ inline void tile_pv_avx2(const std::uint8_t* p_q, const TileCodes& tc,
       for (std::size_t j = 0; j < 8; ++j) {
         // A group past d repeats channel d - 1; its lanes are dropped.
         const std::size_t ch = std::min(c0 + j, d - 1);
-        const __m256i table = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(tables + ch * kTable)));
-        const __m256i v = _mm256_shuffle_epi8(
-            table, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-                       tc.codes + ch * tc.stride + t0)));
+        const __m256i v = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i*>(tc.codes + ch * tc.stride + t0));
         acc[j] = _mm256_add_epi32(
-            acc[j], _mm256_madd_epi16(_mm256_maddubs_epi16(p, v), ones));
+            acc[j], _mm256_madd_epi16(_mm256_maddubs_epi16(v, p), ones));
       }
     }
     __m256i sum = _mm256_setzero_si256();
     reduce8_avx2(acc, &sum);
+    fold_pv_avx2(&sum, channels, c0, d, top, p_total, p_q, tc, tokens);
     const __m256 sums = _mm256_cvtepi32_ps(sum);
     if (c0 + 8 <= d) {
       _mm256_storeu_ps(o + c0, _mm256_add_ps(_mm256_loadu_ps(o + c0),
@@ -548,15 +643,77 @@ inline void reduce16_vnni(const __m512i* a, __m512i* out) {
                           _mm512_shuffle_i32x4(e0, e1, 0xDD));
 }
 
-// tile_pv_avx2 on vpdpbusd: per channel, its 64 codes through its table,
-// then one vpdpbusd against the 64 P~ codes leaves sixteen partial sums;
-// sixteen channels at a time reduce in one tree. padded is a multiple of
-// 64.
-template <bool kNibbles>
+// Eight vectors that each hold two channels' partial sums, channel 2k in
+// the low eight lanes of a[k] and 2k + 1 in the high eight, reduced into
+// *out in channel order. Block shuffles of each pair of vectors (0x88
+// takes blocks 0 and 2 of each operand, 0xDD blocks 1 and 3) add the two
+// blocks of each channel, leaving channels 4m .. 4m + 3 in blocks 0 .. 3
+// of b[m]; interleaving dwords, then qwords, adds within blocks and
+// leaves channel 4m + L in lane 4L + m, which one permute puts in order.
+inline void reduce_pairs_vnni(const __m512i* a, __m512i* out) {
+  __m512i b[4] = {};
+  for (std::size_t m = 0; m < 4; ++m) {
+    b[m] = _mm512_add_epi32(_mm512_shuffle_i32x4(a[2 * m], a[2 * m + 1], 0x88),
+                            _mm512_shuffle_i32x4(a[2 * m], a[2 * m + 1], 0xDD));
+  }
+  const __m512i c0 = _mm512_add_epi32(_mm512_unpacklo_epi32(b[0], b[1]),
+                                      _mm512_unpackhi_epi32(b[0], b[1]));
+  const __m512i c1 = _mm512_add_epi32(_mm512_unpacklo_epi32(b[2], b[3]),
+                                      _mm512_unpackhi_epi32(b[2], b[3]));
+  const __m512i e = _mm512_add_epi32(_mm512_unpacklo_epi64(c0, c1),
+                                     _mm512_unpackhi_epi64(c0, c1));
+  *out = _mm512_permutexvar_epi32(
+      _mm512_setr_epi32(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15),
+      e);
+}
+
+// fold_pv_avx2 for sixteen channels [c0, c0 + 16), the pairs loaded
+// masked at d.
+inline void fold_pv_vnni(__m512i* sums, const ChannelParams* channels,
+                         std::size_t c0, std::size_t d, std::int32_t top,
+                         std::int32_t p_total, const std::uint8_t* p_q,
+                         const TileCodes& tc, std::size_t tokens) {
+  const __mmask16 lanes = lane_mask(d - c0);
+  const __m512i w = _mm512_cvtepi16_epi32(
+      _mm256_maskz_loadu_epi16(lanes, channels + c0));
+  const __m512i s = _mm512_srai_epi32(_mm512_slli_epi32(w, 24), 24);
+  const __m512i z = _mm512_srai_epi32(w, 8);
+  *sums = _mm512_add_epi32(
+      _mm512_mullo_epi32(s, *sums),
+      _mm512_mullo_epi32(z, _mm512_set1_epi32(p_total)));
+  const __m512i high = _mm512_max_epi32(
+      _mm512_add_epi32(_mm512_mullo_epi32(s, _mm512_set1_epi32(top)), z),
+      _mm512_sub_epi32(_mm512_setzero_si512(), z));
+  const __mmask16 clamped = _mm512_mask_cmpgt_epi32_mask(
+      lanes, high, _mm512_set1_epi32(127));
+  if (clamped != 0) {
+    alignas(64) std::int32_t lanes16[16] = {};
+    _mm512_store_si512(lanes16, *sums);
+    redo_clamped(clamped, lanes16, p_q, tc, channels, c0, tokens);
+    *sums = _mm512_load_si512(lanes16);
+  }
+}
+
+// o[c0 + j] += float(sums[j]) * o_scale for the lanes j with c0 + j < d.
+inline void add_pv_vnni(const __m512i* sums, std::size_t c0, std::size_t d,
+                        float o_scale, float* o) {
+  const __mmask16 lanes = lane_mask(d - c0);
+  _mm512_mask_storeu_ps(
+      o + c0, lanes,
+      _mm512_add_ps(_mm512_maskz_loadu_ps(lanes, o + c0),
+                    _mm512_mul_ps(_mm512_cvtepi32_ps(*sums),
+                                  _mm512_set1_ps(o_scale))));
+}
+
+// tile_pv_avx2 on vpdpbusd over unpacked codes: per channel, one vpdpbusd
+// of its 64 raw codes against the 64 P~ codes leaves sixteen partial
+// sums; sixteen channels at a time reduce in one tree, then fold. padded
+// is a multiple of 64.
 inline void tile_pv_vnni(const std::uint8_t* p_q, const TileCodes& tc,
-                         std::size_t d, const std::int8_t* tables,
-                         std::size_t padded, float o_scale, float* o) {
-  const __m512 os = _mm512_set1_ps(o_scale);
+                         const ChannelParams* channels, std::size_t d,
+                         std::int32_t top, std::int32_t p_total,
+                         std::size_t tokens, std::size_t padded,
+                         float o_scale, float* o) {
   for (std::size_t c0 = 0; c0 < d; c0 += 16) {
     __m512i acc[16] = {};
     for (std::size_t t0 = 0; t0 < padded; t0 += kVnniChunk) {
@@ -564,22 +721,88 @@ inline void tile_pv_vnni(const std::uint8_t* p_q, const TileCodes& tc,
       for (std::size_t j = 0; j < 16; ++j) {
         // A group past d repeats channel d - 1; its lanes are dropped.
         const std::size_t ch = std::min(c0 + j, d - 1);
-        const __m512i table = _mm512_broadcast_i32x4(_mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(tables + ch * kTable)));
-        __m512i codes = _mm512_setzero_si512();
-        codes64<kNibbles>(tc, ch, t0, &codes);
-        acc[j] = _mm512_dpbusd_epi32(acc[j], p,
-                                     _mm512_shuffle_epi8(table, codes));
+        acc[j] = _mm512_dpbusd_epi32(
+            acc[j], _mm512_loadu_si512(tc.codes + ch * tc.stride + t0), p);
       }
     }
-    const __mmask16 lanes = lane_mask(d - c0);
-    __m512i sum = _mm512_setzero_si512();
-    reduce16_vnni(acc, &sum);
-    const __m512 sums = _mm512_cvtepi32_ps(sum);
-    _mm512_mask_storeu_ps(
-        o + c0, lanes,
-        _mm512_add_ps(_mm512_maskz_loadu_ps(lanes, o + c0),
-                      _mm512_mul_ps(sums, os)));
+    __m512i sums = _mm512_setzero_si512();
+    reduce16_vnni(acc, &sums);
+    fold_pv_vnni(&sums, channels, c0, d, top, p_total, p_q, tc, tokens);
+    add_pv_vnni(&sums, c0, d, o_scale, o);
+  }
+}
+
+// p_split for n P~ codes (a multiple of 64): per 64, the even tokens'
+// codes, then the odd tokens'. Words keep their low byte (even) or shift
+// down their high byte (odd); packus interleaves the two eight bytes at a
+// time, and a qword permute gathers each half.
+inline void split_p_vnni(const std::uint8_t* p_q, std::size_t n,
+                         std::uint8_t* out) {
+  const __m512i low8 = _mm512_set1_epi16(0x00FF);
+  const __m512i order = _mm512_setr_epi64(0, 2, 4, 6, 1, 3, 5, 7);
+  for (std::size_t t0 = 0; t0 < n; t0 += kVnniChunk) {
+    const __m512i p = _mm512_loadu_si512(p_q + t0);
+    const __m512i packed = _mm512_packus_epi16(_mm512_and_si512(p, low8),
+                                               _mm512_srli_epi16(p, 8));
+    _mm512_storeu_si512(out + t0, _mm512_permutexvar_epi64(order, packed));
+  }
+}
+
+// *out = channels ch and ch2's packed INT4 bytes for tokens [t0, t0 +
+// 64), 32 each, in the low and high halves.
+inline void code_pair(const TileCodes& tc, std::size_t ch, std::size_t ch2,
+                      std::size_t t0, __m512i* out) {
+  const std::uint8_t* a = tc.codes + (ch * tc.stride + t0) / 2;
+  const std::uint8_t* b = tc.codes + (ch2 * tc.stride + t0) / 2;
+  *out = _mm512_inserti64x4(
+      _mm512_castsi256_si512(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a))),
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b)), 1);
+}
+
+// tile_pv_vnni over an INT4 block read in place (rows a multiple of 64).
+// The sum over a channel's tokens takes them in any order, so no nibble
+// is put back in token order: each 64-byte read holds two channels'
+// packed bytes (one load where a 64-row block's channels lie back to
+// back, else code_pair's two), their low nibbles (even tokens) go in one
+// vpdpbusd against the even tokens' P~ codes and their high nibbles (odd
+// tokens) in another against the odd tokens', each half broadcast from
+// p_split. Accumulator k then holds channel 2k's partial sums in its low
+// lanes and 2k + 1's in its high ones.
+inline void tile_pv_nibbles_vnni(const std::uint8_t* p_split,
+                                 const std::uint8_t* p_q, const TileCodes& tc,
+                                 const ChannelParams* channels, std::size_t d,
+                                 std::int32_t top, std::int32_t p_total,
+                                 std::size_t tokens, float o_scale, float* o) {
+  const __m512i low4 = _mm512_set1_epi8(0x0F);
+  for (std::size_t c0 = 0; c0 < d; c0 += 16) {
+    // In a 64-row block a whole group's codes lie back to back, 64 bytes
+    // per pair of channels.
+    const bool back_to_back = tc.stride == kVnniChunk && c0 + 16 <= d;
+    __m512i acc[8] = {};
+    for (std::size_t t0 = 0; t0 < tokens; t0 += kVnniChunk) {
+      const __m512i even = _mm512_broadcast_i64x4(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p_split + t0)));
+      const __m512i odd = _mm512_broadcast_i64x4(_mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(p_split + t0 + 32)));
+      for (std::size_t k = 0; k < 8; ++k) {
+        __m512i x = _mm512_setzero_si512();
+        if (back_to_back) {
+          x = _mm512_loadu_si512(tc.codes + c0 * kVnniChunk / 2 + 64 * k);
+        } else {
+          // Channels past d repeat channel d - 1; their lanes are dropped.
+          code_pair(tc, std::min(c0 + 2 * k, d - 1),
+                    std::min(c0 + 2 * k + 1, d - 1), t0, &x);
+        }
+        acc[k] = _mm512_dpbusd_epi32(acc[k], _mm512_and_si512(x, low4), even);
+        acc[k] = _mm512_dpbusd_epi32(
+            acc[k], _mm512_and_si512(_mm512_srli_epi16(x, 4), low4), odd);
+      }
+    }
+    __m512i sums = _mm512_setzero_si512();
+    reduce_pairs_vnni(acc, &sums);
+    fold_pv_vnni(&sums, channels, c0, d, top, p_total, p_q, tc, tokens);
+    add_pv_vnni(&sums, c0, d, o_scale, o);
   }
 }
 
@@ -671,11 +894,8 @@ inline float stage1(std::span<const float> x, std::span<std::int8_t> out) {
 
 // Build each channel's table of second-stage values, clamp(code * s_int +
 // z_int, -127, 127) (the values progressive_decompress_int8 produces),
-// and return the tile's codes: the packed bytes themselves for an INT4
-// block the AVX-512 build reads in place (a multiple of 64 rows, so every
-// 64-token step starts on a byte and ends inside the channel), else the
-// codes unpacked into w.codes.
-inline TileCodes load_tile(const ProgressiveBlock& block, Scratch& w) {
+// for K's q.k.
+inline void load_tables(const ProgressiveBlock& block, Scratch& w) {
   w.tables.resize(block.cols * kTable);
   std::size_t c0 = 0;
 #if defined(__x86_64__)
@@ -692,6 +912,13 @@ inline TileCodes load_tile(const ProgressiveBlock& block, Scratch& w) {
           clamp_to_i8(static_cast<std::int32_t>(i) * s + z);
     }
   }
+}
+
+// The tile's codes: the packed bytes themselves for an INT4 block the
+// AVX-512 build reads in place (a multiple of 64 rows, so every 64-token
+// step starts on a byte and ends inside the channel), else the codes
+// unpacked into w.codes.
+inline TileCodes load_codes(const ProgressiveBlock& block, Scratch& w) {
   if (kAvx512 && block.bits == BitWidth::kInt4 &&
       block.rows % kVnniChunk == 0) {
     return {block.packed.data(), block.rows, true};
@@ -703,9 +930,9 @@ inline TileCodes load_tile(const ProgressiveBlock& block, Scratch& w) {
   return {w.codes.data(), block.rows, false};
 }
 
-// w.dots[t] = q . K[t] for the tile load_tile loaded, read channel by
-// channel. q_lanes holds the SIMD build's broadcast operands (see
-// fused_decode).
+// w.dots[t] = q . K[t] for the tile load_tables and load_codes loaded,
+// read channel by channel. q_lanes holds the SIMD build's broadcast
+// operands (see fused_decode).
 inline void tile_dots(const TileCodes& tc, std::span<const std::int8_t> q_q1,
                       std::span<const std::int32_t> q_lanes,
                       std::int32_t q_total, std::size_t tokens,
@@ -866,33 +1093,53 @@ inline void pv_rows(float* o, const std::uint32_t* p4, std::size_t lo,
 }
 
 // o[c] += float(sum) * o_scale for every channel c < d, sum the exact
-// int32 sum of p_q[t] * V[t][c] over the tile load_tile loaded, read
-// channel by channel; p_q holds `padded` codes, zero past the tile.
-inline void tile_pv(const TileCodes& tc, const std::uint8_t* p_q,
-                    std::size_t tokens, std::size_t padded, std::size_t d,
-                    float o_scale, float* o, Scratch& w) {
+// int32 sum of p_q[t] * V[t][c] over the packed block `v`, whose codes
+// load_codes loaded, read channel by channel; p_q holds `padded` codes,
+// zero past the tile. V's second stage folds into the sum: a channel
+// whose table is linear sums its raw codes, then takes s_int * that +
+// z_int * sum p_q; one that clamps goes through table_pv.
+inline void tile_pv(const ProgressiveBlock& v, const TileCodes& tc,
+                    const std::uint8_t* p_q, std::size_t tokens,
+                    std::size_t padded, float o_scale, float* o,
+                    Scratch& w) {
+  const std::size_t d = v.cols;
+  const ChannelParams* channels = v.channels.data();
+  const std::int32_t top = max_code(v.bits);
+  std::int32_t p_total = 0;
+  for (std::size_t t = 0; t < tokens; ++t) p_total += p_q[t];
 #if defined(__x86_64__)
   if constexpr (kAvx512) {
     if (tc.nibbles) {
-      tile_pv_vnni<true>(p_q, tc, d, w.tables.data(), padded, o_scale, o);
+      w.p_split.resize(tokens);
+      split_p_vnni(p_q, tokens, w.p_split.data());
+      tile_pv_nibbles_vnni(w.p_split.data(), p_q, tc, channels, d, top,
+                           p_total, tokens, o_scale, o);
     } else {
-      tile_pv_vnni<false>(p_q, tc, d, w.tables.data(), padded, o_scale, o);
+      tile_pv_vnni(p_q, tc, channels, d, top, p_total, tokens, padded,
+                   o_scale, o);
     }
     return;
   } else if constexpr (kSimd) {
-    tile_pv_avx2(p_q, tc, d, w.tables.data(), padded, o_scale, o);
+    tile_pv_avx2(p_q, tc, channels, d, top, p_total, tokens, padded, o_scale,
+                 o);
     return;
   }
 #endif
-  // One channel's values at a time: the lookups, then a dot product the
-  // compiler vectorizes.
-  w.values.resize(tokens);
+  (void)padded, (void)w;
   for (std::size_t c = 0; c < d; ++c) {
-    const std::int8_t* table = w.tables.data() + c * kTable;
-    const std::uint8_t* codes = tc.codes + c * tc.stride;
-    for (std::size_t t = 0; t < tokens; ++t) w.values[t] = table[codes[t]];
+    const ChannelParams cp = channels[c];
     std::int32_t sum = 0;
-    for (std::size_t t = 0; t < tokens; ++t) sum += p_q[t] * w.values[t];
+    if (clamps(cp, top)) {
+      sum = table_pv(p_q, tc, c, tokens, cp);
+    } else {
+      // A dot product the compiler vectorizes, then the affine step in 64
+      // bits: s_int * raw alone may reach twice the largest sum.
+      const std::uint8_t* codes = tc.codes + c * tc.stride;
+      std::int32_t raw = 0;
+      for (std::size_t t = 0; t < tokens; ++t) raw += p_q[t] * codes[t];
+      sum = saturate_cast<std::int32_t>(std::int64_t{cp.s_int} * raw +
+                                        std::int64_t{cp.z_int} * p_total);
+    }
     o[c] += static_cast<float>(sum) * o_scale;
   }
 }
@@ -913,22 +1160,27 @@ inline void absorb_chunk(DecodeState& st, float q_scale, float k_scale,
                          float attn_scale, const Sas& sas,
                          std::size_t mask_before, Scratch& w) {
   const float s_scale = q_scale * k_scale * attn_scale;
-  w.p.resize(tokens);
+  // w.p[0] holds the rescale argument, first so that it takes a vector
+  // lane of Sas::apply (the AVX2 path runs its n % 8 tail scalar); the
+  // scores follow.
+  w.p.resize(tokens + 1);
+  const std::span<float> p(w.p.data() + 1, tokens);
   for (std::size_t t = 0; t < tokens; ++t) {
-    w.p[t] = t < mask_before ? kNegInf
-                             : static_cast<float>(w.dots[t]) * s_scale;
+    p[t] = t < mask_before ? kNegInf
+                           : static_cast<float>(w.dots[t]) * s_scale;
   }
 
   // Online-softmax update with SAS.
   float block_max = kNegInf;
-  for (const float v : w.p) block_max = std::max(block_max, v);
+  for (const float v : p) block_max = std::max(block_max, v);
   const float m_new = std::max(st.m, block_max);
-  const float alpha = st.m == kNegInf ? 0.0f : sas.exp_neg(st.m - m_new);
-  for (float& v : w.p) v -= m_new;
+  w.p[0] = st.m - m_new;
+  for (float& v : p) v -= m_new;
   sas.apply(w.p);
+  const float alpha = st.m == kNegInf ? 0.0f : w.p[0];
   float p_max = 0.0f;
   float row_sum = 0.0f;
-  for (const float v : w.p) {
+  for (const float v : p) {
     row_sum += v;
     p_max = std::max(p_max, v);
   }
@@ -947,12 +1199,12 @@ inline void absorb_chunk(DecodeState& st, float q_scale, float k_scale,
   const std::size_t padded = (tokens + step - 1) / step * step;
   w.p_q.assign(padded / 4, 0);
   auto* codes = reinterpret_cast<std::uint8_t*>(w.p_q.data());
-  if (!p_codes(w.p.data(), tokens, inv_p, codes)) return;
+  if (!p_codes(p.data(), tokens, inv_p, codes)) return;
 
   // O += o_scale * P~ V, summed in int32.
   if (vs.packed != nullptr) {
-    const TileCodes tc = load_tile(*vs.packed, w);
-    tile_pv(tc, codes, tokens, padded, d, o_scale, st.o.data(), w);
+    const TileCodes tc = load_codes(*vs.packed, w);
+    tile_pv(*vs.packed, tc, codes, tokens, padded, o_scale, st.o.data(), w);
     return;
   }
   if constexpr (kSimd) {
@@ -1015,7 +1267,8 @@ std::vector<float> fused_decode(std::span<const float> q,
     TURBO_CHECK(block->k.cols == d && block->v.cols == d &&
                 block->v.rows == block->k.rows);
     const std::size_t mask = win_start > pos ? win_start - pos : 0;
-    const TileCodes k_codes = load_tile(block->k, w);
+    load_tables(block->k, w);
+    const TileCodes k_codes = load_codes(block->k, w);
     tile_dots(k_codes, q_q1, q_lanes, q_total, block->tokens(), d, w);
     absorb_chunk(st, q_scale, block->k.fp_scale,
                  VSource{nullptr, &block->v, block->v.fp_scale},

@@ -28,16 +28,21 @@ void DecodeBuffer::push(std::span<const float> token) {
     for (float v : token) max_abs = std::max(max_abs, std::abs(v));
     seed_scale(max_abs);
   }
-  std::vector<std::int8_t> q(dim_);
+  // Straight into the new row, one rounding per element: a value that
+  // rounds past +-127 clamps to it and marks the token clamped; NaN is 0.
+  const std::span<std::int8_t> q = tokens_.append_zero_row(dim_, capacity_);
   bool clamped = false;
   const float inv = 1.0f / scale_;
   for (std::size_t i = 0; i < dim_; ++i) {
     const float scaled = std::nearbyint(token[i] * inv);
-    if (scaled > 127.0f || scaled < -127.0f) clamped = true;
-    q[i] = clamp_to_i8(scaled);
+    if (scaled > 127.0f || scaled < -127.0f) {
+      clamped = true;
+      q[i] = clamp_to_i8(scaled > 0.0f ? 127 : -127);
+    } else {
+      q[i] = saturate_cast<std::int8_t>(scaled);
+    }
   }
   if (clamped) ++clamped_tokens_;
-  tokens_.append_row(std::span<const std::int8_t>(q));
 }
 
 void DecodeBuffer::restore_scale(float scale) {

@@ -1,11 +1,15 @@
 #include "kvcache/decode_buffer.h"
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/check.h"
+#include "common/numeric.h"
 #include "common/rng.h"
+#include "quant/symmetric.h"
 
 namespace turbo {
 namespace {
@@ -89,6 +93,46 @@ TEST(DecodeBufferTest, TakeResetsClampCounter) {
   // from zero for the new flush window.
   buf.push(token({-700.0f, 700.0f}));
   EXPECT_EQ(buf.clamped_token_count(), 1u);
+}
+
+TEST(DecodeBufferTest, PushMatchesRoundingTwiceAtTheEdges) {
+  // push rounds each element once; it used to round twice, through
+  // std::nearbyint and again inside clamp_to_i8(float), and to count a
+  // token clamped when the first rounding passed +-127. Codes and count
+  // must match that arithmetic, one value per token and all in one.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> values = {126.5f, -126.5f, 127.5f, -127.5f,
+                                     128.0f, -128.0f, nan,    inf,
+                                     -inf,   1e30f,   -0.0f};
+  const auto twice = [](float x) { return clamp_to_i8(std::nearbyint(x)); };
+  const auto clamped = [](float x) {
+    const float r = std::nearbyint(x);
+    return r > 127.0f || r < -127.0f;
+  };
+  const std::size_t n = values.size();
+  DecodeBuffer buf(n + 1, n);
+  buf.seed_scale(kSymmetricHeadroom);  // scale 1
+  std::size_t expected = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<float> t(n, 0.0f);
+    t[i] = values[i];
+    buf.push(t);
+    if (clamped(values[i])) ++expected;
+    EXPECT_EQ(buf.clamped_token_count(), expected) << "value " << values[i];
+    for (std::size_t c = 0; c < n; ++c) {
+      EXPECT_EQ(buf.tokens()(i, c), twice(t[c])) << "value " << values[i];
+    }
+  }
+  buf.push(values);
+  EXPECT_EQ(buf.clamped_token_count(), expected + 1);
+  const std::vector<int> codes = {126, -126, 127, -127, 127, -127,
+                                  0,   127,  -127, 127, 0};
+  for (std::size_t c = 0; c < n; ++c) {
+    EXPECT_EQ(buf.tokens()(n, c), twice(values[c])) << "value " << values[c];
+    EXPECT_EQ(buf.tokens()(n, c), codes[c]) << "value " << values[c];
+  }
+  EXPECT_EQ(expected, 7u);  // all but +-126.5, NaN and -0
 }
 
 TEST(DecodeBufferTest, RoundTripErrorWithinHalfScale) {

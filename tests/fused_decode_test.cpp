@@ -147,6 +147,19 @@ void make_clamping(MatrixI8& m, std::size_t c, Rng& rng) {
   m(m.rows() - 1, c) = 127;
 }
 
+// `tail` random normal tokens pushed into b's buffers.
+void push_tail(Blocks& b, std::size_t tail, Rng& rng) {
+  const std::size_t d = b.keys.dim();
+  for (std::size_t t = 0; t < tail; ++t) {
+    std::vector<float> kt(d);
+    std::vector<float> vt(d);
+    rng.fill_normal(kt, 0.0, 1.0);
+    rng.fill_normal(vt, 0.0, 1.0);
+    b.keys.push(kt);
+    b.values.push(vt);
+  }
+}
+
 Blocks make_blocks(std::size_t d, BitWidth bits,
                    const std::vector<std::size_t>& block_rows,
                    std::size_t tail, std::uint64_t seed) {
@@ -163,14 +176,7 @@ Blocks make_blocks(std::size_t d, BitWidth bits,
     b.view.push_back(block.get());
     b.owned.push_back(std::move(block));
   }
-  for (std::size_t t = 0; t < tail; ++t) {
-    std::vector<float> kt(d);
-    std::vector<float> vt(d);
-    rng.fill_normal(kt, 0.0, 1.0);
-    rng.fill_normal(vt, 0.0, 1.0);
-    b.keys.push(kt);
-    b.values.push(vt);
-  }
+  push_tail(b, tail, rng);
   return b;
 }
 
@@ -364,6 +370,151 @@ TEST(FusedDecodeParity, Int4BlocksReadInPlaceOrUnpacked) {
     AttentionConfig window;
     window.window = 150;  // starts inside the 128-row block
     expect_entries_match(mixed, window, 79, what + " mixed, window");
+  }
+}
+
+// --- V's second stage folded into P~V --------------------------------------
+//
+// Over a packed block every entry sums a channel's raw codes and takes one
+// affine step, s_int * sum(p * code) + z_int * sum(p), wherever the
+// channel's table is linear; a channel whose table clamps a code goes
+// through the table. The cases below put both kinds in one 16-channel
+// group, with the clamped codes in use, and check the reference's bits.
+
+// Channel c spans [86, 127]: the gap of 41 gets s_int 14 / 6 / 3 at INT2
+// / INT3 / INT4, under which 127 takes the code that maps to 128, so the
+// second stage clamps a code in use at every width (top * s_int + z_int
+// > 127).
+void make_top_clamping(MatrixI8& m, std::size_t c, Rng& rng) {
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    m(r, c) = static_cast<std::int8_t>(
+        r % 3 == 0 ? 127 : 86 + static_cast<int>(rng.uniform_index(42)));
+  }
+  m(1, c) = 86;
+}
+
+// Rows of d values in [-100, 100], which no width's second stage clamps.
+MatrixI8 linear_i8(std::size_t rows, std::size_t d, Rng& rng) {
+  MatrixI8 m(rows, d);
+  for (std::int8_t& x : m.flat()) {
+    x = static_cast<std::int8_t>(static_cast<int>(rng.uniform_index(201)) -
+                                 100);
+  }
+  return m;
+}
+
+// Packed blocks of the given row counts whose V mixes linear channels with
+// top-clamping ones (channels 0, 5, 6 and 11 of every 16, and the last),
+// plus a buffered tail.
+Blocks mixed_v_blocks(std::size_t d, BitWidth bits,
+                      const std::vector<std::size_t>& block_rows,
+                      std::size_t tail, std::uint64_t seed) {
+  const auto clamping = [d](std::size_t c) {
+    const std::size_t j = c % 16;
+    return j == 0 || j == 5 || j == 6 || j == 11 || c == d - 1;
+  };
+  Rng rng(seed);
+  Blocks b(d, 64);
+  for (const std::size_t rows : block_rows) {
+    MatrixI8 v = linear_i8(rows, d, rng);
+    for (std::size_t c = 0; c < d; ++c) {
+      if (clamping(c)) make_top_clamping(v, c, rng);
+    }
+    auto block = std::make_unique<KvBlock>();
+    block->k = progressive_compress(random_i8(rows, d, rng), 0.02f, bits);
+    block->v = progressive_compress(v, 0.03f, bits);
+    const int top = max_code(bits);
+    for (std::size_t c = 0; c < d; ++c) {
+      const ChannelParams cp = block->v.channels[c];
+      EXPECT_EQ(top * cp.s_int + cp.z_int > 127, clamping(c)) << "c=" << c;
+      EXPECT_GE(cp.z_int, -127) << "c=" << c;
+    }
+    b.view.push_back(block.get());
+    b.owned.push_back(std::move(block));
+  }
+  push_tail(b, tail, rng);
+  return b;
+}
+
+TEST(FusedDecodeFoldedPv, ClampingAndLinearChannelsInOneGroup) {
+  // 64-row blocks (the AVX-512 entry's paired INT4 read takes two
+  // channels in one load), a 128-row one (two loads per pair) and a
+  // ragged 33-row one (unpacked codes); d = 72 ends in a group of eight
+  // channels, the tail of the paired read.
+  test::record_fused_entries();
+  for (const std::size_t d : {std::size_t{128}, std::size_t{72}}) {
+    for (const BitWidth bits :
+         {BitWidth::kInt2, BitWidth::kInt3, BitWidth::kInt4}) {
+      const std::string what =
+          "d=" + std::to_string(d) + " bits=" + std::to_string(bit_count(bits));
+      const Blocks b = mixed_v_blocks(d, bits, {64, 128, 64, 33}, 5, 111 + d);
+      expect_entries_match(b, AttentionConfig{}, 112, what);
+    }
+  }
+}
+
+TEST(FusedDecodeFoldedPv, FlushedRowsHoldingMinus128) {
+  // A restored buffer takes raw INT8 rows, -128 included, and flushes them
+  // into a block like any other. A V channel whose minimum is -128 gets
+  // z_int = -128, and its table lifts code 0 to -127: no top code clamps
+  // (the channel spans [-128, 100]), so only the z_int half of the test
+  // sends it through the table.
+  test::record_fused_entries();
+  for (const std::size_t d : {std::size_t{128}, std::size_t{72}}) {
+    for (const BitWidth bits :
+         {BitWidth::kInt2, BitWidth::kInt3, BitWidth::kInt4}) {
+      const std::string what =
+          "d=" + std::to_string(d) + " bits=" + std::to_string(bit_count(bits));
+      Rng rng(121 + d);
+      Blocks b(d, 64);
+      for (const std::size_t rows : {64, 128, 40}) {
+        DecodeBuffer keys(rows, d);
+        DecodeBuffer values(rows, d);
+        keys.restore_scale(0.05f);
+        values.restore_scale(0.04f);
+        const MatrixI8 k = random_i8(rows, d, rng);
+        MatrixI8 v = linear_i8(rows, d, rng);
+        for (std::size_t r = 0; r < rows; ++r) {
+          for (std::size_t c = 0; c < d; c += 3) {
+            if ((r + c) % 4 == 0) v(r, c) = -128;
+          }
+          keys.push_quantized(k.row(r));
+          values.push_quantized(v.row(r));
+        }
+        auto block = std::make_unique<KvBlock>();
+        block->k = progressive_compress(keys.take(), keys.scale(), bits);
+        block->v = progressive_compress(values.take(), values.scale(), bits);
+        for (std::size_t c = 0; c < d; ++c) {
+          const ChannelParams cp = block->v.channels[c];
+          EXPECT_EQ(cp.z_int == -128, c % 3 == 0) << what << " c=" << c;
+          EXPECT_LE(max_code(bits) * cp.s_int + cp.z_int, 127)
+              << what << " c=" << c;
+        }
+        b.view.push_back(block.get());
+        b.owned.push_back(std::move(block));
+      }
+      expect_entries_match(b, AttentionConfig{}, 122, what);
+    }
+  }
+}
+
+TEST(FusedDecodeFoldedPv, WindowStartsInsideAPairedBlock) {
+  // The paired INT4 read takes a 64-row block's even tokens apart from its
+  // odd ones; a sliding window that starts inside such a block, at an odd
+  // and at an even row, masks tokens of both.
+  test::record_fused_entries();
+  for (const std::size_t d : {std::size_t{128}, std::size_t{72}}) {
+    const Blocks b =
+        mixed_v_blocks(d, BitWidth::kInt4, {64, 64, 64}, 5, 131 + d);
+    // 197 tokens: the window starts at row 37, 20 or 13 of a block.
+    for (const std::size_t window :
+         {std::size_t{96}, std::size_t{113}, std::size_t{184}}) {
+      AttentionConfig cfg;
+      cfg.window = window;
+      expect_entries_match(b, cfg, 132,
+                           "d=" + std::to_string(d) +
+                               " window=" + std::to_string(window));
+    }
   }
 }
 
