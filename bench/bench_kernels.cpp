@@ -203,8 +203,11 @@ BENCHMARK(BM_ReferenceAttention)->Arg(256)->Arg(512);
 void BM_FlashAttentionFp16(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const MatrixF q = random_matrix(n, 64, 9);
-  const MatrixF k = random_matrix(n, 64, 10);
-  const MatrixF v = random_matrix(n, 64, 11);
+  // An FP16 cache holds K/V rounded; the kernel reads them as given.
+  MatrixF k = random_matrix(n, 64, 10);
+  MatrixF v = random_matrix(n, 64, 11);
+  round_span_to_fp16(k.flat());
+  round_span_to_fp16(v.flat());
   AttentionConfig cfg;
   for (auto _ : state) {
     FlashResult r = flash_attention(q, k, v, cfg);

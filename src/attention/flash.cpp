@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/check.h"
 #include "common/fp16.h"
@@ -12,12 +13,6 @@ namespace turbo {
 namespace {
 
 constexpr float kNegInf = -std::numeric_limits<float>::infinity();
-
-MatrixF maybe_round_fp16(const MatrixF& m, bool emulate) {
-  MatrixF out = m;
-  if (emulate) round_span_to_fp16(out.flat());
-  return out;
-}
 
 }  // namespace
 
@@ -41,16 +36,8 @@ FlashResult flash_attention(const MatrixF& q, const MatrixF& k,
     return options.exp_fn ? options.exp_fn(x) : std::exp(x);
   };
 
-  const bool round_kv = options.emulate_fp16 && !options.kv_prerounded;
-  const MatrixF qh = maybe_round_fp16(q, options.emulate_fp16);
-  MatrixF k_rounded;
-  MatrixF v_rounded;
-  if (round_kv) {
-    k_rounded = maybe_round_fp16(k, true);
-    v_rounded = maybe_round_fp16(v, true);
-  }
-  const MatrixF& kh = round_kv ? k_rounded : k;
-  const MatrixF& vh = round_kv ? v_rounded : v;
+  MatrixF qh = q;
+  if (options.emulate_fp16) round_span_to_fp16(qh.flat());
 
   FlashResult result;
   result.o = MatrixF(n_q, d, 0.0f);
@@ -89,7 +76,7 @@ FlashResult flash_attention(const MatrixF& q, const MatrixF& k,
             s_tile(r, c) = kNegInf;
             continue;
           }
-          auto kr = kh.row(kb + c);
+          auto kr = k.row(kb + c);
           float acc = 0.0f;
           for (std::size_t x = 0; x < d; ++x) acc += qr[x] * kr[x];
           s_tile(r, c) = acc * scale;
@@ -120,7 +107,7 @@ FlashResult flash_attention(const MatrixF& q, const MatrixF& k,
           row_sum += p;
           // P is cast to FP16 before the tensor-core P*V matmul.
           if (options.emulate_fp16) p = round_to_fp16(p);
-          auto vr = vh.row(kb + c);
+          auto vr = v.row(kb + c);
           for (std::size_t x = 0; x < d; ++x) orow[x] += p * vr[x];
         }
         l_run[r] = l_run[r] * alpha + row_sum;
@@ -149,6 +136,55 @@ std::vector<float> flash_decode(std::span<const float> q, const MatrixF& k,
   decode_cfg.causal = false;
   const FlashResult r = flash_attention(qm, k, v, decode_cfg, options);
   return {r.o.row(0).begin(), r.o.row(0).end()};
+}
+
+Fp16KvRows::Fp16KvRows(std::size_t head_dim)
+    : k_(0, head_dim), v_(0, head_dim) {}
+
+MatrixF Fp16KvRows::prefill(const MatrixF& q, const MatrixF& k,
+                            const MatrixF& v, const AttentionConfig& cfg,
+                            const FlashOptions& options) {
+  TURBO_CHECK_MSG(rows() == 0, "prefill must be the first call");
+  MatrixF k16 = k;
+  MatrixF v16 = v;
+  round_span_to_fp16(k16.flat());
+  round_span_to_fp16(v16.flat());
+  FlashResult r = flash_attention(q, k16, v16, cfg, options);
+  k_ = std::move(k16);
+  v_ = std::move(v16);
+  return std::move(r.o);
+}
+
+void Fp16KvRows::append(std::span<const float> k, std::span<const float> v) {
+  TURBO_CHECK(k.size() == head_dim() && v.size() == head_dim());
+  k_.append_row(k);
+  v_.append_row(v);
+  round_span_to_fp16(k_.row(rows() - 1));
+  round_span_to_fp16(v_.row(rows() - 1));
+}
+
+std::vector<float> Fp16KvRows::attend(std::span<const float> q,
+                                      const AttentionConfig& cfg,
+                                      const FlashOptions& options) const {
+  return flash_decode(q, k_, v_, cfg, options);
+}
+
+void Fp16KvRows::replace(std::size_t begin, const MatrixF& k,
+                         const MatrixF& v) {
+  TURBO_CHECK(k.cols() == head_dim() && v.cols() == head_dim());
+  TURBO_CHECK(k.rows() == v.rows() && begin <= rows() &&
+              k.rows() <= rows() - begin);
+  const std::span<float> kd = k_.flat().subspan(begin * head_dim(), k.size());
+  const std::span<float> vd = v_.flat().subspan(begin * head_dim(), v.size());
+  std::copy(k.flat().begin(), k.flat().end(), kd.begin());
+  std::copy(v.flat().begin(), v.flat().end(), vd.begin());
+  round_span_to_fp16(kd);
+  round_span_to_fp16(vd);
+}
+
+std::size_t Fp16KvRows::fp16_bytes(std::size_t from) const {
+  TURBO_CHECK(from <= rows());
+  return (rows() - from) * head_dim() * 2 * 2;
 }
 
 }  // namespace turbo

@@ -2,9 +2,7 @@
 
 #include <utility>
 
-#include "attention/flash.h"
 #include "common/check.h"
-#include "common/fp16.h"
 #include "kernels/fused_decode.h"
 #include "kernels/fused_prefill.h"
 
@@ -18,6 +16,13 @@ SasConfig effective_sas(const TurboMethodConfig& config) {
   return sas;
 }
 
+// The SAS-only ablation: FP16 FlashAttention with the SAS exponential.
+FlashOptions sas_exp(const Sas& sas) {
+  FlashOptions options;
+  options.exp_fn = [&sas](float x) { return sas.exp_neg(x); };
+  return options;
+}
+
 }  // namespace
 
 TurboKvAttention::TurboKvAttention(std::size_t head_dim,
@@ -25,7 +30,8 @@ TurboKvAttention::TurboKvAttention(std::size_t head_dim,
     : config_(config),
       sas_(effective_sas(config)),
       cache_(head_dim, config.kv_bits, config.attention.block_cols,
-             config.buffer_capacity) {}
+             config.buffer_capacity),
+      fp16_kv_(head_dim) {}
 
 MatrixF TurboKvAttention::prefill(const MatrixF& q, const MatrixF& k,
                                   const MatrixF& v) {
@@ -34,16 +40,7 @@ MatrixF TurboKvAttention::prefill(const MatrixF& q, const MatrixF& k,
               v.cols() == cache_.head_dim());
   TURBO_CHECK(k.rows() == v.rows());
   if (!config_.use_flashq) {
-    // SAS-only ablation: FP16 FlashAttention with the SAS exponential and
-    // an FP16 (uncompressed) cache.
-    FlashOptions options;
-    options.exp_fn = [this](float x) { return sas_.exp_neg(x); };
-    const FlashResult r = flash_attention(q, k, v, config_.attention, options);
-    k_fp16_ = k;
-    v_fp16_ = v;
-    round_span_to_fp16(k_fp16_.flat());
-    round_span_to_fp16(v_fp16_.flat());
-    return r.o;
+    return fp16_kv_.prefill(q, k, v, config_.attention, sas_exp(sas_));
   }
   TurboPrefillResult r =
       fused_turbo_prefill(q, k, v, config_.attention, sas_, &cache_);
@@ -56,16 +53,8 @@ std::vector<float> TurboKvAttention::decode(std::span<const float> q,
   TURBO_CHECK(q.size() == cache_.head_dim() && k.size() == cache_.head_dim() &&
               v.size() == cache_.head_dim());
   if (!config_.use_flashq) {
-    std::vector<float> k16(k.begin(), k.end());
-    std::vector<float> v16(v.begin(), v.end());
-    round_span_to_fp16(k16);
-    round_span_to_fp16(v16);
-    k_fp16_.append_row(std::span<const float>(k16));
-    v_fp16_.append_row(std::span<const float>(v16));
-    FlashOptions options;
-    options.exp_fn = [this](float x) { return sas_.exp_neg(x); };
-    options.kv_prerounded = true;  // rows were rounded on insertion
-    return flash_decode(q, k_fp16_, v_fp16_, config_.attention, options);
+    fp16_kv_.append(k, v);
+    return fp16_kv_.attend(q, config_.attention, sas_exp(sas_));
   }
   cache_.append_token(k, v);
   return fused_turbo_decode(q, cache_, config_.attention, sas_);
@@ -74,23 +63,18 @@ std::vector<float> TurboKvAttention::decode(std::span<const float> q,
 std::vector<float> TurboKvAttention::attend(std::span<const float> q) {
   TURBO_CHECK(q.size() == cache_.head_dim());
   if (!config_.use_flashq) {
-    FlashOptions options;
-    options.exp_fn = [this](float x) { return sas_.exp_neg(x); };
-    options.kv_prerounded = true;
-    return flash_decode(q, k_fp16_, v_fp16_, config_.attention, options);
+    return fp16_kv_.attend(q, config_.attention, sas_exp(sas_));
   }
   return fused_turbo_decode(q, cache_, config_.attention, sas_);
 }
 
 std::size_t TurboKvAttention::kv_cache_bytes() const {
-  if (!config_.use_flashq) {
-    return (k_fp16_.size() + v_fp16_.size()) * 2;  // FP16 payload
-  }
+  if (!config_.use_flashq) return fp16_kv_.fp16_bytes(0);
   return cache_.memory_bytes();
 }
 
 std::size_t TurboKvAttention::token_count() const {
-  if (!config_.use_flashq) return k_fp16_.rows();
+  if (!config_.use_flashq) return fp16_kv_.rows();
   return cache_.token_count();
 }
 

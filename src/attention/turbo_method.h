@@ -1,6 +1,10 @@
-// KvAttention adapter over the TurboAttention kernels.
+// KvAttention adapter over the TurboAttention kernels. The SAS-only
+// ablation (use_flashq = false) attends through an Fp16KvRows
+// (attention/flash.h) with the SAS exponential instead of the quantized
+// cache.
 #pragma once
 
+#include "attention/flash.h"
 #include "attention/method.h"
 #include "attention/turbo.h"
 #include "kvcache/quantized_kv_cache.h"
@@ -43,8 +47,7 @@ class TurboKvAttention final : public KvAttention {
   Sas sas_;
   QuantizedKvCache cache_;
   // SAS-only ablation keeps an FP16 cache instead of the quantized one.
-  MatrixF k_fp16_;
-  MatrixF v_fp16_;
+  Fp16KvRows fp16_kv_;
 };
 
 // Factory helper for the pipeline/tasks harness.

@@ -1,55 +1,38 @@
 #include "baselines/fp16_method.h"
 
-#include "attention/flash.h"
 #include "attention/reference.h"
 #include "common/check.h"
-#include "common/fp16.h"
 
 namespace turbo {
 
 Fp16FlashAttention::Fp16FlashAttention(std::size_t head_dim,
                                        AttentionConfig config)
-    : config_(config), k_(0, head_dim), v_(0, head_dim) {}
+    : config_(config), kv_(head_dim) {}
 
 MatrixF Fp16FlashAttention::prefill(const MatrixF& q, const MatrixF& k,
                                     const MatrixF& v) {
-  TURBO_CHECK_MSG(k_.rows() == 0, "prefill must be the first call");
-  TURBO_CHECK(q.cols() == k_.cols() && k.cols() == k_.cols() &&
-              v.cols() == k_.cols());
+  const std::size_t d = kv_.head_dim();
+  TURBO_CHECK(q.cols() == d && k.cols() == d && v.cols() == d);
   TURBO_CHECK(k.rows() == v.rows());
-  const FlashResult r = flash_attention(q, k, v, config_);
-  k_ = k;
-  v_ = v;
-  round_span_to_fp16(k_.flat());
-  round_span_to_fp16(v_.flat());
-  return r.o;
+  return kv_.prefill(q, k, v, config_);
 }
 
 std::vector<float> Fp16FlashAttention::decode(std::span<const float> q,
                                               std::span<const float> k,
                                               std::span<const float> v) {
-  TURBO_CHECK(q.size() == k_.cols() && k.size() == k_.cols() &&
-              v.size() == k_.cols());
-  std::vector<float> k16(k.begin(), k.end());
-  std::vector<float> v16(v.begin(), v.end());
-  round_span_to_fp16(k16);
-  round_span_to_fp16(v16);
-  k_.append_row(std::span<const float>(k16));
-  v_.append_row(std::span<const float>(v16));
-  FlashOptions options;
-  options.kv_prerounded = true;  // rows were rounded on insertion
-  return flash_decode(q, k_, v_, config_, options);
+  const std::size_t d = kv_.head_dim();
+  TURBO_CHECK(q.size() == d && k.size() == d && v.size() == d);
+  kv_.append(k, v);
+  return kv_.attend(q, config_);
 }
 
 std::vector<float> Fp16FlashAttention::attend(std::span<const float> q) {
-  TURBO_CHECK(q.size() == k_.cols());
-  FlashOptions options;
-  options.kv_prerounded = true;
-  return flash_decode(q, k_, v_, config_, options);
+  TURBO_CHECK(q.size() == kv_.head_dim());
+  return kv_.attend(q, config_);
 }
 
 std::size_t Fp16FlashAttention::kv_cache_bytes() const {
-  return (k_.size() + v_.size()) * 2;
+  return kv_.fp16_bytes(0);
 }
 
 ExactAttention::ExactAttention(std::size_t head_dim, AttentionConfig config)

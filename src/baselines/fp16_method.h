@@ -2,11 +2,13 @@
 //
 // Fp16FlashAttention is the paper's "FlashAttention" baseline: exact
 // attention with FP16 storage/matmuls and FP32 exponentiation — the method
-// every speedup/accuracy number is measured against. ExactAttention is the
-// all-FP32 ground truth used to score approximation error.
+// every speedup/accuracy number is measured against. It is an Fp16KvRows
+// (attention/flash.h) and the shape checks. ExactAttention is the all-FP32
+// ground truth used to score approximation error.
 #pragma once
 
 #include "attention/config.h"
+#include "attention/flash.h"
 #include "attention/method.h"
 
 namespace turbo {
@@ -23,12 +25,11 @@ class Fp16FlashAttention final : public KvAttention {
                             std::span<const float> v) override;
   std::vector<float> attend(std::span<const float> q) override;
   std::size_t kv_cache_bytes() const override;
-  std::size_t token_count() const override { return k_.rows(); }
+  std::size_t token_count() const override { return kv_.rows(); }
 
  private:
   AttentionConfig config_;
-  MatrixF k_;  // FP16-rounded rows
-  MatrixF v_;
+  Fp16KvRows kv_;
 };
 
 class ExactAttention final : public KvAttention {

@@ -1,102 +1,81 @@
 #include "baselines/gear.h"
 
-#include "attention/flash.h"
+#include <cstdint>
+
 #include "common/check.h"
-#include "common/fp16.h"
 
 namespace turbo {
 
+namespace {
+
+// Subspace-iteration sweeps and seed of the rank-r compensation.
+constexpr std::size_t kLowRankIters = 3;
+constexpr std::uint64_t kLowRankSeed = 0x6ea21e5;
+
+}  // namespace
+
 GearAttention::GearAttention(std::size_t head_dim, GearConfig config)
-    : config_(config),
-      head_dim_(head_dim),
-      k_all_(0, head_dim),
-      v_all_(0, head_dim) {
+    : config_(config), kv_(head_dim) {
   TURBO_CHECK(config_.chunk > 0);
   TURBO_CHECK(config_.rank > 0);
 }
 
 MatrixF GearAttention::prefill(const MatrixF& q, const MatrixF& k,
                                const MatrixF& v) {
-  TURBO_CHECK_MSG(k_all_.rows() == 0, "prefill must be the first call");
-  TURBO_CHECK(q.cols() == head_dim_ && k.cols() == head_dim_ &&
-              v.cols() == head_dim_);
+  const std::size_t d = kv_.head_dim();
+  TURBO_CHECK(q.cols() == d && k.cols() == d && v.cols() == d);
   TURBO_CHECK(k.rows() == v.rows());
-  const FlashResult r = flash_attention(q, k, v, config_.attention);
-  k_all_ = k;
-  v_all_ = v;
-  round_span_to_fp16(k_all_.flat());
-  round_span_to_fp16(v_all_.flat());
+  MatrixF o = kv_.prefill(q, k, v, config_.attention);
   compact();
-  return r.o;
+  return o;
 }
 
 std::vector<float> GearAttention::decode(std::span<const float> q,
                                          std::span<const float> k,
                                          std::span<const float> v) {
-  TURBO_CHECK(q.size() == head_dim_ && k.size() == head_dim_ &&
-              v.size() == head_dim_);
-  std::vector<float> k16(k.begin(), k.end());
-  std::vector<float> v16(v.begin(), v.end());
-  round_span_to_fp16(k16);
-  round_span_to_fp16(v16);
-  k_all_.append_row(std::span<const float>(k16));
-  v_all_.append_row(std::span<const float>(v16));
+  const std::size_t d = kv_.head_dim();
+  TURBO_CHECK(q.size() == d && k.size() == d && v.size() == d);
+  kv_.append(k, v);
   compact();
-
-  FlashOptions options;
-  options.kv_prerounded = true;
-  return flash_decode(q, k_all_, v_all_, config_.attention, options);
+  return kv_.attend(q, config_.attention);
 }
 
 std::vector<float> GearAttention::attend(std::span<const float> q) {
-  TURBO_CHECK(q.size() == head_dim_);
-  FlashOptions options;
-  options.kv_prerounded = true;
-  return flash_decode(q, k_all_, v_all_, config_.attention, options);
+  TURBO_CHECK(q.size() == kv_.head_dim());
+  return kv_.attend(q, config_.attention);
 }
 
 void GearAttention::compact() {
-  while (k_all_.rows() - quantized_rows_ >=
-         config_.residual + config_.chunk) {
+  const std::size_t d = kv_.head_dim();
+  while (kv_.rows() - quantized_rows_ >= config_.residual + config_.chunk) {
     const std::size_t begin = quantized_rows_;
-    const MatrixF k_chunk = k_all_.block_rows(begin, config_.chunk);
-    const MatrixF v_chunk = v_all_.block_rows(begin, config_.chunk);
+    const MatrixF k_chunk = kv_.k().block_rows(begin, config_.chunk);
+    const MatrixF v_chunk = kv_.v().block_rows(begin, config_.chunk);
 
     // Per-token quantization: one asymmetric group per token row.
-    GroupQuantized kq = quantize_grouped(k_chunk, config_.bits, head_dim_,
-                                         QuantAxis::kToken);
-    GroupQuantized vq = quantize_grouped(v_chunk, config_.bits, head_dim_,
-                                         QuantAxis::kToken);
+    GroupQuantized kq =
+        quantize_grouped(k_chunk, config_.bits, d, QuantAxis::kToken);
+    GroupQuantized vq =
+        quantize_grouped(v_chunk, config_.bits, d, QuantAxis::kToken);
     MatrixF k_back = dequantize_grouped(kq);
     MatrixF v_back = dequantize_grouped(vq);
 
     // Rank-r compensation of the quantization residual.
-    MatrixF k_res(config_.chunk, head_dim_);
-    MatrixF v_res(config_.chunk, head_dim_);
+    MatrixF k_res(config_.chunk, d);
+    MatrixF v_res(config_.chunk, d);
     for (std::size_t i = 0; i < k_res.size(); ++i) {
       k_res.flat()[i] = k_chunk.flat()[i] - k_back.flat()[i];
       v_res.flat()[i] = v_chunk.flat()[i] - v_back.flat()[i];
     }
-    const std::uint64_t chunk_seed = config_.seed + k_chunks_.size();
-    LowRankFactors kf = low_rank_approximate(
-        k_res, config_.rank, config_.lowrank_iters, chunk_seed);
-    LowRankFactors vf = low_rank_approximate(
-        v_res, config_.rank, config_.lowrank_iters, chunk_seed + 1);
+    const std::uint64_t chunk_seed = kLowRankSeed + k_chunks_.size();
+    LowRankFactors kf =
+        low_rank_approximate(k_res, config_.rank, kLowRankIters, chunk_seed);
+    LowRankFactors vf = low_rank_approximate(v_res, config_.rank,
+                                             kLowRankIters, chunk_seed + 1);
     low_rank_add_to(kf, k_back);
     low_rank_add_to(vf, v_back);
 
-    round_span_to_fp16(k_back.flat());
-    round_span_to_fp16(v_back.flat());
-    for (std::size_t r = 0; r < config_.chunk; ++r) {
-      auto ks = k_back.row(r);
-      auto kd = k_all_.row(begin + r);
-      auto vs = v_back.row(r);
-      auto vd = v_all_.row(begin + r);
-      for (std::size_t c = 0; c < head_dim_; ++c) {
-        kd[c] = ks[c];
-        vd[c] = vs[c];
-      }
-    }
+    kv_.replace(begin, k_back, v_back);
     k_chunks_.push_back(std::move(kq));
     v_chunks_.push_back(std::move(vq));
     k_factors_.push_back(std::move(kf));
@@ -111,8 +90,7 @@ std::size_t GearAttention::kv_cache_bytes() const {
   for (const GroupQuantized& g : v_chunks_) bytes += g.memory_bytes();
   for (const LowRankFactors& f : k_factors_) bytes += f.memory_bytes();
   for (const LowRankFactors& f : v_factors_) bytes += f.memory_bytes();
-  bytes += (k_all_.rows() - quantized_rows_) * head_dim_ * 2 * 2;
-  return bytes;
+  return bytes + kv_.fp16_bytes(quantized_rows_);
 }
 
 KvAttentionFactory make_gear_factory(GearConfig config) {

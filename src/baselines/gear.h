@@ -6,12 +6,15 @@
 // approximated with rank-r factors (r = 4 in the paper's GEAR-L setting),
 // and the cache stores codes + factors. Reconstruction is X^ + L R^T,
 // followed by FP16 FlashAttention — like KIVI, GEAR pays a decompression
-// cost before attention, plus the extra low-rank matmul.
+// cost before attention, plus the extra low-rank matmul. As in KIVI, the
+// tokens live in one Fp16KvRows (attention/flash.h), and a compressed
+// chunk's rows are overwritten with its rounded reconstruction.
 #pragma once
 
 #include <vector>
 
 #include "attention/config.h"
+#include "attention/flash.h"
 #include "attention/method.h"
 #include "baselines/lowrank.h"
 #include "quant/asymmetric.h"
@@ -24,8 +27,6 @@ struct GearConfig {
   std::size_t rank = 4;          // low-rank compensation rank
   std::size_t residual = 64;     // n_b FP16 window
   std::size_t chunk = 64;        // tokens quantized per flush
-  std::size_t lowrank_iters = 3; // subspace-iteration sweeps
-  std::uint64_t seed = 0x6ea21e5;
 };
 
 class GearAttention final : public KvAttention {
@@ -40,20 +41,16 @@ class GearAttention final : public KvAttention {
                             std::span<const float> v) override;
   std::vector<float> attend(std::span<const float> q) override;
   std::size_t kv_cache_bytes() const override;
-  std::size_t token_count() const override { return k_all_.rows(); }
+  std::size_t token_count() const override { return kv_.rows(); }
 
-  std::size_t residual_tokens() const {
-    return k_all_.rows() - quantized_rows_;
-  }
+  std::size_t residual_tokens() const { return kv_.rows() - quantized_rows_; }
 
  private:
   void compact();
 
   GearConfig config_;
-  std::size_t head_dim_;
 
-  MatrixF k_all_;  // reconstruction for [0, quantized_rows_), FP16 tail
-  MatrixF v_all_;
+  Fp16KvRows kv_;  // reconstruction for [0, quantized_rows_), FP16 tail
   std::size_t quantized_rows_ = 0;
 
   std::vector<GroupQuantized> k_chunks_;

@@ -1,93 +1,57 @@
 #include "baselines/kivi.h"
 
-#include "attention/flash.h"
 #include "common/check.h"
-#include "common/fp16.h"
 
 namespace turbo {
 
 KiviAttention::KiviAttention(std::size_t head_dim, KiviConfig config)
-    : config_(config),
-      head_dim_(head_dim),
-      k_all_(0, head_dim),
-      v_all_(0, head_dim) {
+    : config_(config), kv_(head_dim) {
   TURBO_CHECK(config_.group > 0);
 }
 
 MatrixF KiviAttention::prefill(const MatrixF& q, const MatrixF& k,
                                const MatrixF& v) {
-  TURBO_CHECK_MSG(k_all_.rows() == 0, "prefill must be the first call");
-  TURBO_CHECK(q.cols() == head_dim_ && k.cols() == head_dim_ &&
-              v.cols() == head_dim_);
+  const std::size_t d = kv_.head_dim();
+  TURBO_CHECK(q.cols() == d && k.cols() == d && v.cols() == d);
   TURBO_CHECK(k.rows() == v.rows());
   // Prefill attention runs on the uncompressed K/V (the prompt is present
   // in full precision at prefill time); compression happens afterwards.
-  const FlashResult r = flash_attention(q, k, v, config_.attention);
-  k_all_ = k;
-  v_all_ = v;
-  round_span_to_fp16(k_all_.flat());
-  round_span_to_fp16(v_all_.flat());
+  MatrixF o = kv_.prefill(q, k, v, config_.attention);
   compact();
-  return r.o;
+  return o;
 }
 
 std::vector<float> KiviAttention::decode(std::span<const float> q,
                                          std::span<const float> k,
                                          std::span<const float> v) {
-  TURBO_CHECK(q.size() == head_dim_ && k.size() == head_dim_ &&
-              v.size() == head_dim_);
-  std::vector<float> k16(k.begin(), k.end());
-  std::vector<float> v16(v.begin(), v.end());
-  round_span_to_fp16(k16);
-  round_span_to_fp16(v16);
-  k_all_.append_row(std::span<const float>(k16));
-  v_all_.append_row(std::span<const float>(v16));
+  const std::size_t d = kv_.head_dim();
+  TURBO_CHECK(q.size() == d && k.size() == d && v.size() == d);
+  kv_.append(k, v);
   compact();
-
-  FlashOptions options;
-  options.kv_prerounded = true;
-  return flash_decode(q, k_all_, v_all_, config_.attention, options);
+  return kv_.attend(q, config_.attention);
 }
 
 std::vector<float> KiviAttention::attend(std::span<const float> q) {
-  TURBO_CHECK(q.size() == head_dim_);
-  FlashOptions options;
-  options.kv_prerounded = true;
-  return flash_decode(q, k_all_, v_all_, config_.attention, options);
+  TURBO_CHECK(q.size() == kv_.head_dim());
+  return kv_.attend(q, config_.attention);
 }
 
 void KiviAttention::compact() {
   // A chunk leaves the window only when the n_b most recent tokens can
   // remain resident afterwards.
-  while (k_all_.rows() - quantized_rows_ >= config_.residual + config_.group) {
+  while (kv_.rows() - quantized_rows_ >= config_.residual + config_.group) {
     const std::size_t begin = quantized_rows_;
-    const MatrixF k_chunk = k_all_.block_rows(begin, config_.group);
-    const MatrixF v_chunk = v_all_.block_rows(begin, config_.group);
-
     // Keys per-channel: one group spans the chunk's g tokens of a channel.
-    GroupQuantized kq = quantize_grouped(k_chunk, config_.bits,
-                                         config_.group, QuantAxis::kChannel);
+    GroupQuantized kq =
+        quantize_grouped(kv_.k().block_rows(begin, config_.group),
+                         config_.bits, config_.group, QuantAxis::kChannel);
     // Values per-token: groups of g channels within each token row.
-    GroupQuantized vq = quantize_grouped(v_chunk, config_.bits,
-                                         config_.group, QuantAxis::kToken);
-
-    // Replace the in-place rows with the reconstruction the attention
-    // kernel will actually see (rounded to FP16, as the dequant kernel
-    // materializes FP16 tiles).
-    MatrixF k_back = dequantize_grouped(kq);
-    MatrixF v_back = dequantize_grouped(vq);
-    round_span_to_fp16(k_back.flat());
-    round_span_to_fp16(v_back.flat());
-    for (std::size_t r = 0; r < config_.group; ++r) {
-      auto ks = k_back.row(r);
-      auto kd = k_all_.row(begin + r);
-      auto vs = v_back.row(r);
-      auto vd = v_all_.row(begin + r);
-      for (std::size_t c = 0; c < head_dim_; ++c) {
-        kd[c] = ks[c];
-        vd[c] = vs[c];
-      }
-    }
+    GroupQuantized vq =
+        quantize_grouped(kv_.v().block_rows(begin, config_.group),
+                         config_.bits, config_.group, QuantAxis::kToken);
+    // The attention kernel sees the reconstruction, rounded to FP16 as the
+    // dequant kernel materializes FP16 tiles.
+    kv_.replace(begin, dequantize_grouped(kq), dequantize_grouped(vq));
     k_chunks_.push_back(std::move(kq));
     v_chunks_.push_back(std::move(vq));
     quantized_rows_ += config_.group;
@@ -98,9 +62,7 @@ std::size_t KiviAttention::kv_cache_bytes() const {
   std::size_t bytes = 0;
   for (const GroupQuantized& g : k_chunks_) bytes += g.memory_bytes();
   for (const GroupQuantized& g : v_chunks_) bytes += g.memory_bytes();
-  // FP16 residual window.
-  bytes += (k_all_.rows() - quantized_rows_) * head_dim_ * 2 * 2;
-  return bytes;
+  return bytes + kv_.fp16_bytes(quantized_rows_);  // FP16 residual window
 }
 
 KvAttentionFactory make_kivi_factory(KiviConfig config) {

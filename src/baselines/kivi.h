@@ -9,15 +9,17 @@
 // FP16 and fed through FlashAttention — the decompression overhead the
 // paper's latency figures charge KIVI for.
 //
-// Implementation note: quantized chunks are immutable, so their FP16
-// dequantization is computed once and written back in place into the
-// working K/V matrices the attention kernel reads; kv_cache_bytes() is
+// Implementation note: the tokens live in one Fp16KvRows
+// (attention/flash.h). Quantized chunks are immutable, so their FP16
+// dequantization is computed once and written over the chunk's rows of
+// that store, which the attention kernel reads; kv_cache_bytes() is
 // accounted from the quantized representation the real system would hold.
 #pragma once
 
 #include <vector>
 
 #include "attention/config.h"
+#include "attention/flash.h"
 #include "attention/method.h"
 #include "quant/asymmetric.h"
 
@@ -42,11 +44,9 @@ class KiviAttention final : public KvAttention {
                             std::span<const float> v) override;
   std::vector<float> attend(std::span<const float> q) override;
   std::size_t kv_cache_bytes() const override;
-  std::size_t token_count() const override { return k_all_.rows(); }
+  std::size_t token_count() const override { return kv_.rows(); }
 
-  std::size_t residual_tokens() const {
-    return k_all_.rows() - quantized_rows_;
-  }
+  std::size_t residual_tokens() const { return kv_.rows() - quantized_rows_; }
   std::size_t quantized_chunk_count() const { return k_chunks_.size(); }
 
  private:
@@ -54,12 +54,10 @@ class KiviAttention final : public KvAttention {
   void compact();
 
   KiviConfig config_;
-  std::size_t head_dim_;
 
-  // Working tensors the attention kernel reads: rows [0, quantized_rows_)
-  // hold the dequantized reconstruction, the tail holds FP16 residuals.
-  MatrixF k_all_;
-  MatrixF v_all_;
+  // What the attention kernel reads: rows [0, quantized_rows_) hold the
+  // dequantized reconstruction, the tail holds FP16 residuals.
+  Fp16KvRows kv_;
   std::size_t quantized_rows_ = 0;
 
   // The authoritative quantized storage (memory accounting + tests).

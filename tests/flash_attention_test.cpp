@@ -1,10 +1,13 @@
 #include "attention/flash.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
 #include "attention/reference.h"
+#include "common/check.h"
 #include "common/fp16.h"
 #include "common/stats.h"
 #include "softmax/sas.h"
@@ -111,21 +114,6 @@ TEST(FlashAttentionTest, DecodeMatchesReferenceDecode) {
   }
 }
 
-TEST(FlashAttentionTest, PreroundedSkipsRecopy) {
-  MatrixF q = test::random_matrix(8, 8, 19);
-  MatrixF k = test::random_matrix(16, 8, 20);
-  MatrixF v = test::random_matrix(16, 8, 21);
-  round_span_to_fp16(k.flat());
-  round_span_to_fp16(v.flat());
-  const AttentionConfig cfg = config(8, 8, false);
-  FlashOptions pre;
-  pre.kv_prerounded = true;
-  FlashOptions full;
-  const FlashResult a = flash_attention(q, k, v, cfg, pre);
-  const FlashResult b = flash_attention(q, k, v, cfg, full);
-  EXPECT_LT(max_abs_error(a.o, b.o), 1e-7);
-}
-
 TEST(FlashAttentionTest, CustomExpFnIsUsed) {
   // With the SAS exponential plugged in, results match SAS-softmax
   // attention within its error band but differ (slightly) from exact.
@@ -155,6 +143,93 @@ TEST(FlashAttentionTest, LongContextNumericallyStable) {
   }
   const MatrixF ref = reference_attention(q, k, v, cfg);
   EXPECT_LT(relative_error(r.o, ref), 1e-2);
+}
+
+// --- Fp16KvRows: the FP16 K/V store ----------------------------------------
+
+MatrixF rounded(MatrixF m) {
+  round_span_to_fp16(m.flat());
+  return m;
+}
+
+bool all_binary16(const MatrixF& m) {
+  for (const float x : m.flat()) {
+    if (std::bit_cast<std::uint32_t>(round_to_fp16(x)) !=
+        std::bit_cast<std::uint32_t>(x)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(Fp16KvRowsTest, StoredRowsAreBinary16) {
+  const std::size_t d = 16;
+  const MatrixF k = test::random_matrix(40, d, 30, 3.0);
+  const MatrixF v = test::random_matrix(40, d, 31, 3.0);
+  Fp16KvRows kv(d);
+  kv.prefill(test::random_matrix(40, d, 32), k, v, config(16, 16, true));
+  ASSERT_FALSE(all_binary16(k));
+  EXPECT_EQ(kv.k(), rounded(k));
+  EXPECT_EQ(kv.v(), rounded(v));
+
+  const MatrixF kt = test::random_matrix(1, d, 33, 3.0);
+  const MatrixF vt = test::random_matrix(1, d, 34, 3.0);
+  kv.append(kt.row(0), vt.row(0));
+  ASSERT_EQ(kv.rows(), 41u);
+  EXPECT_EQ(kv.k().block_rows(40, 1), rounded(kt));
+  EXPECT_EQ(kv.v().block_rows(40, 1), rounded(vt));
+
+  const MatrixF kr = test::random_matrix(8, d, 35, 3.0);
+  const MatrixF vr = test::random_matrix(8, d, 36, 3.0);
+  kv.replace(16, kr, vr);
+  EXPECT_EQ(kv.k().block_rows(16, 8), rounded(kr));
+  EXPECT_EQ(kv.v().block_rows(16, 8), rounded(vr));
+  EXPECT_EQ(kv.k().block_rows(0, 16), rounded(k).block_rows(0, 16));
+  EXPECT_EQ(kv.k().block_rows(24, 16), rounded(k).block_rows(24, 16));
+  EXPECT_TRUE(all_binary16(kv.k()));
+  EXPECT_TRUE(all_binary16(kv.v()));
+  EXPECT_THROW(kv.replace(34, kr, vr), CheckError);
+}
+
+TEST(Fp16KvRowsTest, PrefillAndAttendMatchTheKernelsOverRoundedRows) {
+  const std::size_t d = 16;
+  const MatrixF q = test::random_matrix(48, d, 40);
+  const MatrixF k = test::random_matrix(48, d, 41);
+  const MatrixF v = test::random_matrix(48, d, 42);
+  AttentionConfig cfg = config(16, 16, true);
+  cfg.window = 20;
+  const Sas sas;
+  FlashOptions options;
+  options.exp_fn = [&sas](float x) { return sas.exp_neg(x); };
+  for (const FlashOptions& opt : {FlashOptions{}, options}) {
+    Fp16KvRows kv(d);
+    MatrixF k16 = rounded(k);
+    MatrixF v16 = rounded(v);
+    EXPECT_EQ(kv.prefill(q, k, v, cfg, opt),
+              flash_attention(q, k16, v16, cfg, opt).o);
+    EXPECT_THROW(kv.prefill(q, k, v, cfg, opt), CheckError);
+
+    const MatrixF kt = test::random_matrix(1, d, 43);
+    const MatrixF vt = test::random_matrix(1, d, 44);
+    kv.append(kt.row(0), vt.row(0));
+    k16.append_rows(rounded(kt));
+    v16.append_rows(rounded(vt));
+    const MatrixF qt = test::random_matrix(1, d, 45);
+    EXPECT_EQ(kv.attend(qt.row(0), cfg, opt),
+              flash_decode(qt.row(0), k16, v16, cfg, opt));
+  }
+}
+
+TEST(Fp16KvRowsTest, BytesCountFromAnyRow) {
+  const std::size_t d = 24;
+  Fp16KvRows kv(d);
+  EXPECT_EQ(kv.fp16_bytes(0), 0u);
+  const MatrixF m = test::random_matrix(10, d, 50);
+  kv.prefill(m, m, m, config(4, 4, true));
+  for (std::size_t from = 0; from <= 10; ++from) {
+    EXPECT_EQ(kv.fp16_bytes(from), (10 - from) * d * 2 * 2) << from;
+  }
+  EXPECT_THROW(kv.fp16_bytes(11), CheckError);
 }
 
 }  // namespace

@@ -1,6 +1,10 @@
 // Cross-module integration: every KvAttention method driven through the
-// same prefill + decode workload, scored against the FP32 exact method.
+// same prefill + decode workload, scored against the FP32 exact method,
+// and golden digests of every method's outputs.
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
 
 #include "attention/turbo_method.h"
 #include "baselines/fp16_method.h"
@@ -192,6 +196,121 @@ TEST(MethodIntegrationTest, PrefillTwiceThrows) {
   Fp16FlashAttention fp16(d, test_attention_config());
   fp16.prefill(m, m, m);
   EXPECT_THROW(fp16.prefill(m, m, m), CheckError);
+}
+
+// --- Golden output digests ---------------------------------------------------
+//
+// One digest per method over the bits of every float it returns, plus its
+// kv_cache_bytes() and token_count() after each call: a 200-token prefill,
+// then 150 decode steps with one attend() each, at head dims 64 and 128.
+// The tolerance tests above pass for any output close enough to exact; a
+// refactor that must not move a single bit fails here. The pins hold in
+// the Release, ASan+UBSan and TSan lanes. A deliberate numeric change
+// re-records them and says why.
+
+class OutputDigest {
+ public:
+  void mix(std::uint64_t v) {
+    h_ ^= v;
+    h_ *= 1099511628211ull;  // FNV-1a
+  }
+  void mix(std::span<const float> xs) {
+    for (const float x : xs) mix(std::bit_cast<std::uint32_t>(x));
+  }
+  void mix_cache(const KvAttention& m) {
+    mix(m.kv_cache_bytes());
+    mix(m.token_count());
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 1469598103934665603ull;
+};
+
+std::uint64_t golden_digest(const KvAttentionFactory& factory) {
+  OutputDigest h;
+  for (const std::size_t d : {std::size_t{64}, std::size_t{128}}) {
+    const Workload w = make_workload(200, 150, d, 700 + d);
+    Rng rng(900 + d);
+    std::vector<float> q(d);
+    const std::unique_ptr<KvAttention> m = factory(d);
+    h.mix(m->prefill(w.q, w.k, w.v).flat());
+    h.mix_cache(*m);
+    for (std::size_t t = 0; t < w.decode_q.size(); ++t) {
+      h.mix(m->decode(w.decode_q[t], w.decode_k[t], w.decode_v[t]));
+      h.mix_cache(*m);
+      rng.fill_normal(q, 0.0, 1.0);
+      h.mix(m->attend(q));
+      h.mix_cache(*m);
+    }
+  }
+  return h.value();
+}
+
+KiviConfig golden_kivi(BitWidth bits) {
+  KiviConfig cfg;
+  cfg.bits = bits;
+  cfg.group = 32;
+  cfg.residual = 32;
+  return cfg;
+}
+
+GearConfig golden_gear(BitWidth bits) {
+  GearConfig cfg;
+  cfg.bits = bits;
+  cfg.chunk = 32;
+  cfg.residual = 32;
+  return cfg;
+}
+
+TEST(MethodGoldenTest, Fp16) {
+  EXPECT_EQ(golden_digest(make_fp16_factory(AttentionConfig{})),
+            0x22aae69d238c832eull);
+}
+
+TEST(MethodGoldenTest, Fp16Window100) {
+  AttentionConfig cfg;
+  cfg.window = 100;
+  EXPECT_EQ(golden_digest(make_fp16_factory(cfg)), 0xf7aeae666276c79aull);
+}
+
+TEST(MethodGoldenTest, KiviInt2) {
+  EXPECT_EQ(golden_digest(make_kivi_factory(golden_kivi(BitWidth::kInt2))),
+            0x7d0a1fbd06ee2f08ull);
+}
+
+TEST(MethodGoldenTest, KiviInt4) {
+  EXPECT_EQ(golden_digest(make_kivi_factory(golden_kivi(BitWidth::kInt4))),
+            0xf12e655947403d7bull);
+}
+
+TEST(MethodGoldenTest, GearInt2) {
+  EXPECT_EQ(golden_digest(make_gear_factory(golden_gear(BitWidth::kInt2))),
+            0xcba0c756a250ca42ull);
+}
+
+TEST(MethodGoldenTest, GearInt4) {
+  EXPECT_EQ(golden_digest(make_gear_factory(golden_gear(BitWidth::kInt4))),
+            0xab62d099a660980bull);
+}
+
+TEST(MethodGoldenTest, Turbo) {
+  EXPECT_EQ(golden_digest(make_turbo_factory(TurboMethodConfig{})),
+            0x315e40bb9e54962full);
+}
+
+// Table 4's "SAS only" row: FP16 matmuls and cache, SAS exponential.
+TEST(MethodGoldenTest, TurboSasOnly) {
+  TurboMethodConfig cfg;
+  cfg.use_flashq = false;
+  EXPECT_EQ(golden_digest(make_turbo_factory(cfg)), 0x9210becc801cb5d7ull);
+}
+
+// Table 4's "FlashQ only" row: the quantized cache with exact exp.
+TEST(MethodGoldenTest, TurboFlashqOnly) {
+  TurboMethodConfig cfg;
+  cfg.use_sas = false;
+  EXPECT_EQ(golden_digest(make_turbo_factory(cfg)), 0x53922b0bbbad34edull);
 }
 
 }  // namespace
