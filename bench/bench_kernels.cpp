@@ -19,6 +19,7 @@
 #include "kernels/fused_prefill.h"
 #include "common/fp16.h"
 #include "common/rng.h"
+#include "kvcache/quantized_kv_cache.h"
 #include "kvcache/radix_index.h"
 #include "quant/asymmetric.h"
 #include "quant/packing.h"
@@ -388,6 +389,30 @@ void BM_TurboDecodeFusedEntryAppended(benchmark::State& state) {
 }
 BENCHMARK(BM_TurboDecodeFusedEntryAppended)
     ->ArgsProduct({{0, 1, 2}, {256}, {512}, {128}});
+
+void BM_KvCacheAppendToken(benchmark::State& state) {
+  // One decode step's KV write: QuantizedKvCache::append_token of a
+  // 128-wide K and V token into the decode buffers, and a flush (both
+  // second-stage compressions) every 64 tokens. The cache starts over
+  // every 4,096 tokens, so that it stays small; that costs a few frees,
+  // spread over those tokens. Items are tokens.
+  constexpr std::size_t kD = 128;
+  constexpr std::size_t kRows = 256;
+  constexpr std::size_t kRestart = 4096;
+  const MatrixF k = random_matrix(kRows, kD, 18);
+  const MatrixF v = random_matrix(kRows, kD, 19);
+  const auto fresh = [] {
+    return QuantizedKvCache(kD, BitWidth::kInt4, 64, 64);
+  };
+  QuantizedKvCache cache = fresh();
+  std::size_t t = 0;
+  for (auto _ : state) {
+    cache.append_token(k.row(t % kRows), v.row(t % kRows));
+    if (++t % kRestart == 0) cache = fresh();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_KvCacheAppendToken);
 
 void BM_GroupedQuantChannelwise(benchmark::State& state) {
   const MatrixF m = random_matrix(512, 64, 15);

@@ -5,17 +5,21 @@
 // matmuls — clear, but slow. This kernel is what TurboKvAttention runs:
 // per block it
 //
-//   * unpacks the INT4/2 codes and reverses K's integer second stage
-//     (q2 * s_int + z_int) through a 16-entry table per channel, the CPU
-//     analogue of expanding INT -> INT8 in registers (Algorithm 2);
-//   * computes q.K as exact int32 dot products, and P~ and the rescale
-//     factor with one batch SAS call (Sas::apply);
+//   * computes q.K as exact int32 dot products with K's integer second
+//     stage (q2 * s_int + z_int, Algorithm 2) folded in: where a channel's
+//     table clamp(q2 * s_int + z_int, -127, 127) is linear, q.k is
+//     sum_c (q_c * s_int) * q2 + sum_c q_c * z_int, so the raw INT4/2 codes
+//     go straight into the products against per-block weights (split into
+//     two int8 halves, 128 h + l, for vpdpbusd), plus one constant;
+//   * computes P~ and the rescale factor with one batch SAS call
+//     (Sas::apply);
 //   * runs P~V as an integer matmul: each channel sums p_q * v exactly in
 //     int32 over the block, then adds float(sum) * o_scale once. V's
-//     second stage folds into that sum: where a channel's table is linear
-//     it is s_int * sum(p_q * q2) + z_int * sum(p_q), so V's raw codes go
-//     straight into the integer products, and tables serve only K and the
-//     few V channels that clamp.
+//     second stage folds into that sum the same way: s_int * sum(p_q *
+//     q2) + z_int * sum(p_q).
+//
+// The few K and V channels whose table clamps a code (one vector compare
+// finds them) go through a 16-entry table, per channel.
 //
 // Its output is bit-identical to the reference (same arithmetic; integer
 // sums in any order); fused_decode_test pins that for every compiled entry.

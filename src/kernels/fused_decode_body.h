@@ -13,14 +13,20 @@
 // The result is bit-identical to turbo_attention_decode, the reference in
 // attention/turbo_decode.cpp. Every build runs the reference's arithmetic:
 //
-//   * K's second stage is reversed through a per-channel table of
-//     clamp(code * s_int + z_int, -127, 127), the values
-//     progressive_decompress_int8 produces (the SIMD builds expand 32 or
-//     64 codes per shuffle). The AVX-512 build reads an INT4 block whose
-//     row count is a multiple of 64 in place, two codes per packed byte;
-//   * q.k is an exact int32 dot product, so its order is free: K is read
-//     channel by channel (four at a time on vpdpbusd), the buffered tail
-//     row by row;
+//   * q.k is an exact int32 dot product, so its order is free, and K's
+//     second stage folds into it. The reference reverses that stage
+//     through each channel's table clamp(code * s_int + z_int, -127, 127),
+//     the values progressive_decompress_int8 produces. Where the table is
+//     linear (it clamps no code), q_c times it is w_c * code + q_c * z_int
+//     with w_c = q_c * s_int, so q.k_t = sum_c w_c * code_tc + sum_c q_c *
+//     z_int: the raw codes against per-block weights, plus one constant
+//     (k_weights). The AVX-512 build splits each weight into two int8
+//     halves, w_c = 128 h_c + l_c, and runs one vpdpbusd against each per
+//     four channels and sixteen tokens; it reads an INT4 block whose row
+//     count is a multiple of 64 in place, even tokens from the low
+//     nibbles and odd ones from the high. The few channels that clamp
+//     get weight 0 and are added through their table (table_dots). The
+//     buffered tail is read row by row;
 //   * the scores, SAS (Sas::apply, bit-identical to exp_neg), the running
 //     sum and the P~ quantization follow the reference token by token. The
 //     rescale factor alpha = exp_neg(m_old - m_new) goes through the same
@@ -33,7 +39,9 @@
 //     + z_int * sum p_q, so each channel sums its raw codes (one vpdpbusd
 //     per channel and 64 tokens, then a reduction tree over 16 channels)
 //     and one affine step per 16 channels gives the sums. The few channels
-//     that clamp are redone through their table (table_pv). The buffered
+//     that clamp are redone through their table (table_pv). K and V find
+//     those channels with one vector compare per 8 or 16 channels, and
+//     build their tables with one helper (channel_table). The buffered
 //     tail is read through a quad-major copy.
 //
 // The stage-1 quantizer (stage1), row_dots, p_codes, v_quads and pv_rows
@@ -44,7 +52,7 @@
 
 constexpr float kNegInf = -std::numeric_limits<float>::infinity();
 
-// Tokens per step of the AVX2 passes over a tile (one table shuffle).
+// Tokens per step of the AVX2 passes over a tile (one 32-byte code read).
 constexpr std::size_t kChunk = 32;
 // Tokens per step of the AVX-512 passes, whose 64-byte code reads run up
 // to 63 bytes past the last channel: the slack after Scratch::codes.
@@ -61,7 +69,10 @@ struct DecodeState {
 // Buffers reused by every chunk of one call.
 struct Scratch {
   std::vector<std::uint8_t> codes;     // one tile's codes, channel-major
-  std::vector<std::int8_t> tables;     // K's [channel][kTable] code -> INT8
+  // One K block's folded weights, in the layout the build's q.K reads
+  // (k_weights), and its channels that clamp.
+  std::vector<std::int32_t> weights;
+  std::vector<std::size_t> clamped;
   std::vector<std::int32_t> dots;      // q.k per token
   // The rescale argument m_old - m_new, then the scores, then P~ (one
   // Sas::apply turns the first two into alpha and P~).
@@ -109,21 +120,40 @@ inline bool clamps(ChannelParams cp, std::int32_t top) {
   return cp.z_int < -127 || top * cp.s_int + cp.z_int > 127;
 }
 
+// A channel's table of second-stage values: clamp(i * s_int + z_int, -127,
+// 127) for every code i, the values progressive_decompress_int8 produces.
+// K and V read the few channels that clamp through it.
+inline void channel_table(ChannelParams cp, std::int32_t* table) {
+  for (std::size_t i = 0; i < kTable; ++i) {
+    table[i] =
+        clamp_to_i8(static_cast<std::int32_t>(i) * cp.s_int + cp.z_int);
+  }
+}
+
 // P~V of a channel that clamps: sum over t < tokens of p_q[t] times the
 // channel's table entry for its code, the reference's value.
 inline std::int32_t table_pv(const std::uint8_t* p_q, const TileCodes& tc,
                              std::size_t ch, std::size_t tokens,
                              ChannelParams cp) {
   std::int32_t table[kTable] = {};
-  for (std::size_t i = 0; i < kTable; ++i) {
-    table[i] =
-        clamp_to_i8(static_cast<std::int32_t>(i) * cp.s_int + cp.z_int);
-  }
+  channel_table(cp, table);
   std::int32_t sum = 0;
   for (std::size_t t = 0; t < tokens; ++t) {
     sum += p_q[t] * table[tile_code(tc, ch, t)];
   }
   return sum;
+}
+
+// q.K's share of a K channel that clamps: dots[t] += q_c times the
+// channel's table entry for its code, for t < tokens.
+inline void table_dots(std::int32_t q_c, const TileCodes& tc, std::size_t ch,
+                       std::size_t tokens, ChannelParams cp,
+                       std::int32_t* dots) {
+  std::int32_t table[kTable] = {};
+  channel_table(cp, table);
+  for (std::size_t t = 0; t < tokens; ++t) {
+    dots[t] += q_c * table[tile_code(tc, ch, t)];
+  }
 }
 
 // Every lane j < 16 of sums whose bit is set in `clamped` (channel c0 + j
@@ -141,57 +171,98 @@ inline void redo_clamped(std::uint32_t clamped, std::int32_t* sums,
 
 #if defined(__x86_64__)
 
-// tables[c * kTable + i] = clamp(i * s_int + z_int, -127, 127) for every
-// channel: exact in int16 (|i * s + z| <= 2048), then saturated to int8
-// and raised to -127.
-inline void tables_avx2(const ChannelParams* channels, std::size_t d,
-                        std::int8_t* tables) {
-  const __m128i lo = _mm_setr_epi16(0, 1, 2, 3, 4, 5, 6, 7);
-  const __m128i hi = _mm_setr_epi16(8, 9, 10, 11, 12, 13, 14, 15);
-  const __m128i floor = _mm_set1_epi8(-127);
-  for (std::size_t c = 0; c < d; ++c) {
-    const __m128i s = _mm_set1_epi16(channels[c].s_int);
-    const __m128i z = _mm_set1_epi16(channels[c].z_int);
-    const __m128i v =
-        _mm_packs_epi16(_mm_add_epi16(_mm_mullo_epi16(lo, s), z),
-                        _mm_add_epi16(_mm_mullo_epi16(hi, s), z));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(tables + c * kTable),
-                     _mm_max_epi8(v, floor));
+// Eight channels [c0, c0 + 8)'s s_int and z_int as int32 lanes, and all
+// ones in the lanes of *clamp whose table clamps; returns those lanes'
+// bits. The (s_int, z_int) pairs, read as int16 words, sign-extend to
+// int32 lanes; one compare of max(top * s_int + z_int, -z_int) against
+// 127 finds the clamping channels. Lanes past d read the default pair
+// (1, 0), which never clamps.
+inline std::uint32_t channel_pairs_avx2(const ChannelParams* channels,
+                                        std::size_t c0, std::size_t d,
+                                        std::int32_t top, __m256i* s,
+                                        __m256i* z, __m256i* clamp) {
+  ChannelParams tail[8] = {};
+  const ChannelParams* cp = channels + c0;
+  if (c0 + 8 > d) {
+    std::copy(channels + c0, channels + d, tail);
+    cp = tail;
   }
+  const __m256i w = _mm256_cvtepi16_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(cp)));
+  *s = _mm256_srai_epi32(_mm256_slli_epi32(w, 24), 24);
+  *z = _mm256_srai_epi32(w, 8);
+  const __m256i high = _mm256_max_epi32(
+      _mm256_add_epi32(_mm256_mullo_epi32(*s, _mm256_set1_epi32(top)), *z),
+      _mm256_sub_epi32(_mm256_setzero_si256(), *z));
+  *clamp = _mm256_cmpgt_epi32(high, _mm256_set1_epi32(127));
+  return static_cast<std::uint32_t>(
+      _mm256_movemask_ps(_mm256_castsi256_ps(*clamp)));
 }
 
-// dots[t] = q . K[t] for t < padded (a multiple of 32), K read channel
-// by channel: 32 codes through the channel's table, their int8 values
-// split into even and odd tokens' int16, and multiplied by q (q_pairs
-// holds q in the low, then the high, half of a 32-bit lane). Accumulator
-// r, lane i collects token 4i + r of the chunk.
-inline void tile_dots_avx2(const std::int32_t* q_pairs,
+// k_weights for the AVX2 build: eight channels' weights per step, 0 past
+// d (q holds zeros there). Returns sum q_c * z_int over the linear
+// channels.
+inline std::int32_t k_weights_avx2(const ChannelParams* channels,
+                                   const std::int8_t* q, std::size_t d,
+                                   std::int32_t top, std::int32_t* weights,
+                                   std::vector<std::size_t>& clamped) {
+  __m256i q_z = _mm256_setzero_si256();
+  for (std::size_t c0 = 0; c0 < d; c0 += 8) {
+    __m256i s = _mm256_setzero_si256();
+    __m256i z = _mm256_setzero_si256();
+    __m256i clamp = _mm256_setzero_si256();
+    const std::uint32_t bits =
+        channel_pairs_avx2(channels, c0, d, top, &s, &z, &clamp);
+    const __m256i qv = _mm256_cvtepi8_epi32(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(q + c0)));
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(weights + c0),
+        _mm256_andnot_si256(clamp, _mm256_mullo_epi32(qv, s)));
+    q_z = _mm256_add_epi32(
+        q_z, _mm256_andnot_si256(clamp, _mm256_mullo_epi32(qv, z)));
+    for (std::uint32_t m = bits; m != 0; m &= m - 1) {
+      clamped.push_back(c0 + static_cast<std::size_t>(__builtin_ctz(m)));
+    }
+  }
+  alignas(32) std::int32_t lanes[8] = {};
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), q_z);
+  std::int32_t sum = 0;
+  for (const std::int32_t v : lanes) sum += v;
+  return sum;
+}
+
+// dots[t] = q_z + sum_c w_c * K's code for t < padded (a multiple of 32),
+// read channel by channel: 32 raw codes zero-extended into even and odd
+// tokens' int16 and multiplied by the channel's weight (from
+// k_weights_avx2, |w_c| < 2^15) in the low, then the high, half of a
+// 32-bit lane. Accumulator r, lane i collects token 4i + r of the chunk.
+inline void tile_dots_avx2(const std::int32_t* weights, std::int32_t q_z,
                            const std::uint8_t* codes, std::size_t stride,
-                           std::size_t d, const std::int8_t* tables,
-                           std::int32_t* dots, std::size_t padded) {
+                           std::size_t d, std::int32_t* dots,
+                           std::size_t padded) {
+  const __m256i low8 = _mm256_set1_epi16(0x00FF);
   alignas(32) std::int32_t lanes[4][8] = {};
   for (std::size_t t0 = 0; t0 < padded; t0 += kChunk) {
     __m256i acc[4] = {};
     for (std::size_t c = 0; c < d; ++c) {
-      const __m256i table = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(tables + c * kTable)));
-      const __m256i k8 = _mm256_shuffle_epi8(
-          table, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-                     codes + c * stride + t0)));
-      const __m256i even = _mm256_srai_epi16(_mm256_slli_epi16(k8, 8), 8);
-      const __m256i odd = _mm256_srai_epi16(k8, 8);
-      const __m256i q_lo = _mm256_set1_epi32(q_pairs[2 * c]);
-      const __m256i q_hi = _mm256_set1_epi32(q_pairs[2 * c + 1]);
-      acc[0] = _mm256_add_epi32(acc[0], _mm256_madd_epi16(even, q_lo));
-      acc[1] = _mm256_add_epi32(acc[1], _mm256_madd_epi16(odd, q_lo));
-      acc[2] = _mm256_add_epi32(acc[2], _mm256_madd_epi16(even, q_hi));
-      acc[3] = _mm256_add_epi32(acc[3], _mm256_madd_epi16(odd, q_hi));
+      const __m256i k8 = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(codes + c * stride + t0));
+      const __m256i even = _mm256_and_si256(k8, low8);
+      const __m256i odd = _mm256_srli_epi16(k8, 8);
+      const __m256i w_lo = _mm256_set1_epi32(weights[c] & 0xFFFF);
+      const __m256i w_hi = _mm256_set1_epi32(weights[c] * 65536);
+      acc[0] = _mm256_add_epi32(acc[0], _mm256_madd_epi16(even, w_lo));
+      acc[1] = _mm256_add_epi32(acc[1], _mm256_madd_epi16(odd, w_lo));
+      acc[2] = _mm256_add_epi32(acc[2], _mm256_madd_epi16(even, w_hi));
+      acc[3] = _mm256_add_epi32(acc[3], _mm256_madd_epi16(odd, w_hi));
     }
     for (std::size_t r = 0; r < 4; ++r) {
       _mm256_store_si256(reinterpret_cast<__m256i*>(lanes[r]), acc[r]);
     }
     for (std::size_t i = 0; i < 8; ++i) {
-      for (std::size_t r = 0; r < 4; ++r) dots[t0 + 4 * i + r] = lanes[r][i];
+      for (std::size_t r = 0; r < 4; ++r) {
+        dots[t0 + 4 * i + r] = lanes[r][i] + q_z;
+      }
     }
   }
 }
@@ -331,33 +402,19 @@ inline void reduce8_avx2(const __m256i* a, __m256i* out) {
 
 // *sums: eight channels [c0, c0 + 8)'s codes' sums, sum p_q * code, in;
 // their exact P~V sums out: s_int * raw + z_int * p_total where the
-// channel's table is linear, table_pv where it clamps. The (s_int, z_int)
-// pairs, read as int16 words, sign-extend to int32 lanes; one compare of
-// max(top * s_int + z_int, -z_int) against 127 finds the clamping
-// channels. Lanes past d read the default pairs of `tail`.
+// channel's table is linear, table_pv where it clamps.
 inline void fold_pv_avx2(__m256i* sums, const ChannelParams* channels,
                          std::size_t c0, std::size_t d, std::int32_t top,
                          std::int32_t p_total, const std::uint8_t* p_q,
                          const TileCodes& tc, std::size_t tokens) {
-  ChannelParams tail[8] = {};
-  const ChannelParams* cp = channels + c0;
-  if (c0 + 8 > d) {
-    std::copy(channels + c0, channels + d, tail);
-    cp = tail;
-  }
-  const __m256i w = _mm256_cvtepi16_epi32(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(cp)));
-  const __m256i s = _mm256_srai_epi32(_mm256_slli_epi32(w, 24), 24);
-  const __m256i z = _mm256_srai_epi32(w, 8);
+  __m256i s = _mm256_setzero_si256();
+  __m256i z = _mm256_setzero_si256();
+  __m256i clamp = _mm256_setzero_si256();
+  const std::uint32_t clamped =
+      channel_pairs_avx2(channels, c0, d, top, &s, &z, &clamp);
   *sums = _mm256_add_epi32(
       _mm256_mullo_epi32(s, *sums),
       _mm256_mullo_epi32(z, _mm256_set1_epi32(p_total)));
-  const __m256i high = _mm256_max_epi32(
-      _mm256_add_epi32(_mm256_mullo_epi32(s, _mm256_set1_epi32(top)), z),
-      _mm256_sub_epi32(_mm256_setzero_si256(), z));
-  const auto clamped = static_cast<std::uint32_t>(_mm256_movemask_ps(
-      _mm256_castsi256_ps(
-          _mm256_cmpgt_epi32(high, _mm256_set1_epi32(127)))));
   if (clamped != 0) {
     alignas(32) std::int32_t lanes[16] = {};
     _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), *sums);
@@ -539,81 +596,193 @@ inline void quad_dots_vnni(const std::int32_t* q4, std::int32_t q_total,
   }
 }
 
-// *out = channel ch's 64 codes from token t0, in token order. In place
-// (kNibbles), they come from 32 packed bytes: the two 128-bit halves are
-// copied to blocks (0, 1) and (2, 3), the nibbles masked and shifted
-// apart, and bytes of the two interleaved, low then high, which puts
-// token 2i's code before token 2i + 1's; the unpack takes the low eight
-// bytes of blocks 0 and 2 and the high eight of blocks 1 and 3.
+// Sixteen channels [c0, c0 + 16)'s s_int and z_int as int32 lanes (the
+// pairs loaded masked at d, so 0 past it), and the mask of those whose
+// table clamps: channel_pairs_avx2's compare on sixteen lanes.
+inline __mmask16 channel_pairs_vnni(const ChannelParams* channels,
+                                    std::size_t c0, std::size_t d,
+                                    std::int32_t top, __m512i* s,
+                                    __m512i* z) {
+  const __mmask16 lanes = lane_mask(d - c0);
+  const __m512i w = _mm512_cvtepi16_epi32(
+      _mm256_maskz_loadu_epi16(lanes, channels + c0));
+  *s = _mm512_srai_epi32(_mm512_slli_epi32(w, 24), 24);
+  *z = _mm512_srai_epi32(w, 8);
+  const __m512i high = _mm512_max_epi32(
+      _mm512_add_epi32(_mm512_mullo_epi32(*s, _mm512_set1_epi32(top)), *z),
+      _mm512_sub_epi32(_mm512_setzero_si512(), *z));
+  return _mm512_mask_cmpgt_epi32_mask(lanes, high, _mm512_set1_epi32(127));
+}
+
+// k_weights for the AVX-512 build. A linear channel's weight w_c = q_c *
+// s_int lies within +-127 * 84 (s_int is at most 84 where top * s_int +
+// z_int <= 127 and z_int >= -127), so it splits into two int8 halves,
+// w_c = 128 h_c + l_c with h_c = w_c >> 7 (at least -84) and l_c = w_c &
+// 127. h holds the h bytes of each channel quad as one dword, in the
+// order (c, c + 2, c + 1, c + 3) of quad_codes' bytes, l the l bytes;
+// both are 0 for a channel that clamps and past d. Returns sum q_c *
+// z_int over the linear channels.
+inline std::int32_t k_weights_vnni(const ChannelParams* channels,
+                                   const std::int8_t* q, std::size_t d,
+                                   std::int32_t top, std::uint32_t* h,
+                                   std::uint32_t* l,
+                                   std::vector<std::size_t>& clamped) {
+  const __m512i order = _mm512_setr_epi32(0, 2, 1, 3, 4, 6, 5, 7, 8, 10, 9,
+                                          11, 12, 14, 13, 15);
+  __m512i q_z = _mm512_setzero_si512();
+  for (std::size_t c0 = 0; c0 < d; c0 += 16) {
+    __m512i s = _mm512_setzero_si512();
+    __m512i z = _mm512_setzero_si512();
+    const __mmask16 clamp = channel_pairs_vnni(channels, c0, d, top, &s, &z);
+    const auto linear = static_cast<__mmask16>(lane_mask(d - c0) & ~clamp);
+    const __m512i qv = _mm512_cvtepi8_epi32(_mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(q + c0)));
+    const __m512i w = _mm512_permutexvar_epi32(
+        order, _mm512_maskz_mullo_epi32(linear, qv, s));
+    q_z = _mm512_mask_add_epi32(q_z, linear, q_z, _mm512_mullo_epi32(qv, z));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(h + c0 / 4),
+                     _mm512_cvtepi32_epi8(_mm512_srai_epi32(w, 7)));
+    _mm_storeu_si128(
+        reinterpret_cast<__m128i*>(l + c0 / 4),
+        _mm512_cvtepi32_epi8(_mm512_and_si512(w, _mm512_set1_epi32(127))));
+    for (std::uint32_t bits = clamp; bits != 0; bits &= bits - 1) {
+      clamped.push_back(c0 + static_cast<std::size_t>(__builtin_ctz(bits)));
+    }
+  }
+  return _mm512_reduce_add_epi32(q_z);
+}
+
+// *out = channels ch and ch2's packed INT4 bytes for tokens [t0, t0 +
+// 64), 32 each, in the low and high halves.
+inline void code_pair(const TileCodes& tc, std::size_t ch, std::size_t ch2,
+                      std::size_t t0, __m512i* out) {
+  const std::uint8_t* a = tc.codes + (ch * tc.stride + t0) / 2;
+  const std::uint8_t* b = tc.codes + (ch2 * tc.stride + t0) / 2;
+  *out = _mm512_inserti64x4(
+      _mm512_castsi256_si512(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a))),
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b)), 1);
+}
+
+// Channels c .. c + 3's codes for tokens [t0, t0 + 64), byte-transposed:
+// each dword of x[0 .. 3] holds one token's four codes in the order (c,
+// c + 2, c + 1, c + 3). Channels past d repeat channel d - 1, whose
+// weight bytes are 0.
+//
+// Unpacked codes: bytes of (c, c + 2) and of (c + 1, c + 3) interleave,
+// then words of the two, which leaves tokens 16 L + 4 k .. + 3 in lane L
+// of x[k].
+//
+// In place (kNibbles, an INT4 block read two codes per packed byte): the
+// same two interleaves run on the four channels' packed bytes i = 0 ..
+// 31, with two block shuffles between them that line up a byte's (c, c +
+// 2) word with its (c + 1, c + 3) word. Lane L of the two transposed
+// vectors then holds bytes b + 0 .. 3 and b + 4 .. 7, b = 0, 16, 8, 24
+// for L = 0 .. 3. Their low nibbles (tokens 2 i) go to x[0] and x[1],
+// their high nibbles (tokens 2 i + 1) to x[2] and x[3].
 template <bool kNibbles>
-inline void codes64(const TileCodes& tc, std::size_t ch, std::size_t t0,
-                    __m512i* out) {
+inline void quad_codes(const TileCodes& tc, std::size_t c, std::size_t d,
+                       std::size_t t0, __m512i* x) {
+  const auto ch = [&](std::size_t j) { return std::min(c + j, d - 1); };
   if constexpr (kNibbles) {
+    __m512i x01 = _mm512_setzero_si512();
+    __m512i x23 = _mm512_setzero_si512();
+    if (tc.stride == kVnniChunk && c + 4 <= d) {
+      // A 64-row block's channels lie back to back, 32 bytes each.
+      x01 = _mm512_loadu_si512(tc.codes + c * kVnniChunk / 2);
+      x23 = _mm512_loadu_si512(tc.codes + (c + 2) * kVnniChunk / 2);
+    } else {
+      code_pair(tc, ch(0), ch(1), t0, &x01);
+      code_pair(tc, ch(2), ch(3), t0, &x23);
+    }
+    // Blocks of lo: (c, c + 2) bytes 0 .. 7, then 16 .. 23, then (c + 1,
+    // c + 3) bytes 0 .. 7 and 16 .. 23; hi holds bytes 8 .. 15 and 24 ..
+    // 31 likewise.
+    const __m512i lo = _mm512_unpacklo_epi8(x01, x23);
+    const __m512i hi = _mm512_unpackhi_epi8(x01, x23);
+    const __m512i c02 = _mm512_shuffle_i64x2(lo, hi, 0x44);
+    const __m512i c13 = _mm512_shuffle_i64x2(lo, hi, 0xEE);
+    const __m512i p0 = _mm512_unpacklo_epi16(c02, c13);
+    const __m512i p1 = _mm512_unpackhi_epi16(c02, c13);
     const __m512i low4 = _mm512_set1_epi8(0x0F);
-    const __m512i half = _mm512_castsi256_si512(_mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(tc.codes + (ch * tc.stride + t0) / 2)));
-    const __m512i x = _mm512_shuffle_i64x2(half, half, 0x50);
-    const __m512i lo = _mm512_and_si512(x, low4);
-    const __m512i hi = _mm512_and_si512(_mm512_srli_epi16(x, 4), low4);
-    *out = _mm512_mask_unpackhi_epi8(_mm512_unpacklo_epi8(lo, hi),
-                                     __mmask64{0xFFFF0000FFFF0000ull}, lo, hi);
+    x[0] = _mm512_and_si512(p0, low4);
+    x[1] = _mm512_and_si512(p1, low4);
+    x[2] = _mm512_and_si512(_mm512_srli_epi16(p0, 4), low4);
+    x[3] = _mm512_and_si512(_mm512_srli_epi16(p1, 4), low4);
   } else {
-    *out = _mm512_loadu_si512(tc.codes + ch * tc.stride + t0);
+    const auto load = [&](std::size_t j) {
+      return _mm512_loadu_si512(tc.codes + ch(j) * tc.stride + t0);
+    };
+    const __m512i k0 = load(0);
+    const __m512i k1 = load(1);
+    const __m512i k2 = load(2);
+    const __m512i k3 = load(3);
+    const __m512i lo02 = _mm512_unpacklo_epi8(k0, k2);
+    const __m512i hi02 = _mm512_unpackhi_epi8(k0, k2);
+    const __m512i lo13 = _mm512_unpacklo_epi8(k1, k3);
+    const __m512i hi13 = _mm512_unpackhi_epi8(k1, k3);
+    x[0] = _mm512_unpacklo_epi16(lo02, lo13);
+    x[1] = _mm512_unpackhi_epi16(lo02, lo13);
+    x[2] = _mm512_unpacklo_epi16(hi02, hi13);
+    x[3] = _mm512_unpackhi_epi16(hi02, hi13);
   }
 }
 
-// tile_dots_avx2 with vpdpbusd: dots[t] = q . K[t] for t < padded (a
-// multiple of 64), K read four channels at a time. Each channel's 64
-// codes go through its table and become k + 128; interleaving bytes, then
-// words, leaves one token's four channels in each 32-bit lane, against
-// those channels' q bytes (q_quads holds them, zero past d). Accumulator
-// j, lane (L, i) then holds token 16L + 4j + i, and four 128-bit block
-// shuffles put the tokens in order. A group past d repeats channel d - 1
-// under a zero q byte.
+// tile_dots_avx2 on vpdpbusd: dots[t] = q_z + sum_c w_c * K's code for t
+// < padded (a multiple of 64), K read four channels at a time. Each
+// quad's byte-transposed codes (quad_codes, at most 15: the unsigned
+// operand) go into one vpdpbusd against the quad's h bytes and one
+// against its l bytes (the signed operand, from k_weights_vnni); then
+// 128 * sum(code * h) + sum(code * l) + q_z is the exact dot. In place,
+// dwords of the even and odd tokens' sums interleave first. Lane L of
+// y[k] then holds tokens start + 4 k, and a 4 x 4 transpose of 128-bit
+// blocks puts each lane's sixteen tokens in one vector.
 template <bool kNibbles>
-inline void tile_dots_vnni(const std::int32_t* q_quads, std::int32_t q_total,
-                           const TileCodes& tc, std::size_t d,
-                           const std::int8_t* tables, std::int32_t* dots,
+inline void tile_dots_vnni(const std::uint32_t* h, const std::uint32_t* l,
+                           std::int32_t q_z, const TileCodes& tc,
+                           std::size_t d, std::int32_t* dots,
                            std::size_t padded) {
-  const __m512i flip = _mm512_set1_epi8(-128);
-  const __m512i offset = _mm512_set1_epi32(128 * q_total);
+  // Lane L's first token: 16 L, or in place 2 i for its first byte i.
+  constexpr std::size_t kStart[4] = {0, kNibbles ? 32u : 16u,
+                                     kNibbles ? 16u : 32u, 48};
+  const __m512i offset = _mm512_set1_epi32(q_z);
   for (std::size_t t0 = 0; t0 < padded; t0 += kVnniChunk) {
-    __m512i acc[4] = {};
+    __m512i acc_h[4] = {};
+    __m512i acc_l[4] = {};
     for (std::size_t c = 0; c < d; c += 4) {
-      __m512i k[4] = {};
-      for (std::size_t j = 0; j < 4; ++j) {
-        const std::size_t ch = std::min(c + j, d - 1);
-        const __m512i table = _mm512_broadcast_i32x4(_mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(tables + ch * kTable)));
-        __m512i codes = _mm512_setzero_si512();
-        codes64<kNibbles>(tc, ch, t0, &codes);
-        k[j] = _mm512_xor_si512(_mm512_shuffle_epi8(table, codes), flip);
+      __m512i x[4] = {};
+      quad_codes<kNibbles>(tc, c, d, t0, x);
+      const __m512i hv = _mm512_set1_epi32(static_cast<std::int32_t>(h[c / 4]));
+      const __m512i lv = _mm512_set1_epi32(static_cast<std::int32_t>(l[c / 4]));
+      for (std::size_t k = 0; k < 4; ++k) {
+        acc_h[k] = _mm512_dpbusd_epi32(acc_h[k], x[k], hv);
+        acc_l[k] = _mm512_dpbusd_epi32(acc_l[k], x[k], lv);
       }
-      const __m512i qv = _mm512_set1_epi32(q_quads[c / 4]);
-      const __m512i lo01 = _mm512_unpacklo_epi8(k[0], k[1]);
-      const __m512i hi01 = _mm512_unpackhi_epi8(k[0], k[1]);
-      const __m512i lo23 = _mm512_unpacklo_epi8(k[2], k[3]);
-      const __m512i hi23 = _mm512_unpackhi_epi8(k[2], k[3]);
-      acc[0] = _mm512_dpbusd_epi32(acc[0], _mm512_unpacklo_epi16(lo01, lo23),
-                                   qv);
-      acc[1] = _mm512_dpbusd_epi32(acc[1], _mm512_unpackhi_epi16(lo01, lo23),
-                                   qv);
-      acc[2] = _mm512_dpbusd_epi32(acc[2], _mm512_unpacklo_epi16(hi01, hi23),
-                                   qv);
-      acc[3] = _mm512_dpbusd_epi32(acc[3], _mm512_unpackhi_epi16(hi01, hi23),
-                                   qv);
     }
-    const __m512i t01a = _mm512_shuffle_i32x4(acc[0], acc[1], 0x44);
-    const __m512i t01b = _mm512_shuffle_i32x4(acc[0], acc[1], 0xEE);
-    const __m512i t23a = _mm512_shuffle_i32x4(acc[2], acc[3], 0x44);
-    const __m512i t23b = _mm512_shuffle_i32x4(acc[2], acc[3], 0xEE);
+    __m512i y[4] = {};
+    for (std::size_t k = 0; k < 4; ++k) {
+      y[k] = _mm512_add_epi32(
+          _mm512_add_epi32(_mm512_slli_epi32(acc_h[k], 7), acc_l[k]), offset);
+    }
+    if constexpr (kNibbles) {
+      // Tokens 2i (y[0], y[1]) and 2i + 1 (y[2], y[3]) side by side.
+      const __m512i e0 = y[0];
+      const __m512i e1 = y[1];
+      y[0] = _mm512_unpacklo_epi32(e0, y[2]);
+      y[1] = _mm512_unpackhi_epi32(e0, y[2]);
+      y[2] = _mm512_unpacklo_epi32(e1, y[3]);
+      y[3] = _mm512_unpackhi_epi32(e1, y[3]);
+    }
+    const __m512i t01a = _mm512_shuffle_i32x4(y[0], y[1], 0x44);
+    const __m512i t01b = _mm512_shuffle_i32x4(y[0], y[1], 0xEE);
+    const __m512i t23a = _mm512_shuffle_i32x4(y[2], y[3], 0x44);
+    const __m512i t23b = _mm512_shuffle_i32x4(y[2], y[3], 0xEE);
     const __m512i ordered[4] = {_mm512_shuffle_i32x4(t01a, t23a, 0x88),
                                 _mm512_shuffle_i32x4(t01a, t23a, 0xDD),
                                 _mm512_shuffle_i32x4(t01b, t23b, 0x88),
                                 _mm512_shuffle_i32x4(t01b, t23b, 0xDD)};
     for (std::size_t L = 0; L < 4; ++L) {
-      _mm512_storeu_si512(dots + t0 + 16 * L,
-                          _mm512_sub_epi32(ordered[L], offset));
+      _mm512_storeu_si512(dots + t0 + kStart[L], ordered[L]);
     }
   }
 }
@@ -667,25 +836,17 @@ inline void reduce_pairs_vnni(const __m512i* a, __m512i* out) {
       e);
 }
 
-// fold_pv_avx2 for sixteen channels [c0, c0 + 16), the pairs loaded
-// masked at d.
+// fold_pv_avx2 for sixteen channels [c0, c0 + 16).
 inline void fold_pv_vnni(__m512i* sums, const ChannelParams* channels,
                          std::size_t c0, std::size_t d, std::int32_t top,
                          std::int32_t p_total, const std::uint8_t* p_q,
                          const TileCodes& tc, std::size_t tokens) {
-  const __mmask16 lanes = lane_mask(d - c0);
-  const __m512i w = _mm512_cvtepi16_epi32(
-      _mm256_maskz_loadu_epi16(lanes, channels + c0));
-  const __m512i s = _mm512_srai_epi32(_mm512_slli_epi32(w, 24), 24);
-  const __m512i z = _mm512_srai_epi32(w, 8);
+  __m512i s = _mm512_setzero_si512();
+  __m512i z = _mm512_setzero_si512();
+  const __mmask16 clamped = channel_pairs_vnni(channels, c0, d, top, &s, &z);
   *sums = _mm512_add_epi32(
       _mm512_mullo_epi32(s, *sums),
       _mm512_mullo_epi32(z, _mm512_set1_epi32(p_total)));
-  const __m512i high = _mm512_max_epi32(
-      _mm512_add_epi32(_mm512_mullo_epi32(s, _mm512_set1_epi32(top)), z),
-      _mm512_sub_epi32(_mm512_setzero_si512(), z));
-  const __mmask16 clamped = _mm512_mask_cmpgt_epi32_mask(
-      lanes, high, _mm512_set1_epi32(127));
   if (clamped != 0) {
     alignas(64) std::int32_t lanes16[16] = {};
     _mm512_store_si512(lanes16, *sums);
@@ -746,18 +907,6 @@ inline void split_p_vnni(const std::uint8_t* p_q, std::size_t n,
                                                _mm512_srli_epi16(p, 8));
     _mm512_storeu_si512(out + t0, _mm512_permutexvar_epi64(order, packed));
   }
-}
-
-// *out = channels ch and ch2's packed INT4 bytes for tokens [t0, t0 +
-// 64), 32 each, in the low and high halves.
-inline void code_pair(const TileCodes& tc, std::size_t ch, std::size_t ch2,
-                      std::size_t t0, __m512i* out) {
-  const std::uint8_t* a = tc.codes + (ch * tc.stride + t0) / 2;
-  const std::uint8_t* b = tc.codes + (ch2 * tc.stride + t0) / 2;
-  *out = _mm512_inserti64x4(
-      _mm512_castsi256_si512(
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a))),
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b)), 1);
 }
 
 // tile_pv_vnni over an INT4 block read in place (rows a multiple of 64).
@@ -892,28 +1041,6 @@ inline float stage1(std::span<const float> x, std::span<std::int8_t> out) {
   return scale;
 }
 
-// Build each channel's table of second-stage values, clamp(code * s_int +
-// z_int, -127, 127) (the values progressive_decompress_int8 produces),
-// for K's q.k.
-inline void load_tables(const ProgressiveBlock& block, Scratch& w) {
-  w.tables.resize(block.cols * kTable);
-  std::size_t c0 = 0;
-#if defined(__x86_64__)
-  if constexpr (kSimd) {
-    c0 = block.cols;
-    tables_avx2(block.channels.data(), block.cols, w.tables.data());
-  }
-#endif
-  for (std::size_t c = c0; c < block.cols; ++c) {
-    const std::int32_t s = block.channels[c].s_int;
-    const std::int32_t z = block.channels[c].z_int;
-    for (std::size_t i = 0; i < kTable; ++i) {
-      w.tables[c * kTable + i] =
-          clamp_to_i8(static_cast<std::int32_t>(i) * s + z);
-    }
-  }
-}
-
 // The tile's codes: the packed bytes themselves for an INT4 block the
 // AVX-512 build reads in place (a multiple of 64 rows, so every 64-token
 // step starts on a byte and ends inside the channel), else the codes
@@ -930,38 +1057,81 @@ inline TileCodes load_codes(const ProgressiveBlock& block, Scratch& w) {
   return {w.codes.data(), block.rows, false};
 }
 
-// w.dots[t] = q . K[t] for the tile load_tables and load_codes loaded,
-// read channel by channel. q_lanes holds the SIMD build's broadcast
-// operands (see fused_decode).
-inline void tile_dots(const TileCodes& tc, std::span<const std::int8_t> q_q1,
-                      std::span<const std::int32_t> q_lanes,
-                      std::int32_t q_total, std::size_t tokens,
-                      std::size_t d, Scratch& w) {
-  const std::size_t step = kAvx512 ? kVnniChunk : kChunk;
-  w.dots.assign((tokens + step - 1) / step * step, 0);
+// K's second stage folded into q.k for one block: w.weights gets each
+// channel's weight w_c = q_c * s_int where its table is linear, 0 where
+// it clamps (w.clamped lists those channels), in the layout the build's
+// tile_dots reads. Returns the constant sum q_c * z_int over the linear
+// channels. q holds zeros from d up to a multiple of 16.
+inline std::int32_t k_weights(const ProgressiveBlock& k, const std::int8_t* q,
+                              Scratch& w) {
+  const std::size_t d = k.cols;
+  const std::int32_t top = max_code(k.bits);
+  w.clamped.clear();
 #if defined(__x86_64__)
   if constexpr (kAvx512) {
-    if (tc.nibbles) {
-      tile_dots_vnni<true>(q_lanes.data(), q_total, tc, d, w.tables.data(),
-                           w.dots.data(), w.dots.size());
-    } else {
-      tile_dots_vnni<false>(q_lanes.data(), q_total, tc, d, w.tables.data(),
-                            w.dots.data(), w.dots.size());
-    }
-    return;
+    // The h dwords of each quad, then the l dwords.
+    const std::size_t quads = (d + 15) / 16 * 4;
+    w.weights.resize(2 * quads);
+    auto* h = reinterpret_cast<std::uint32_t*>(w.weights.data());
+    return k_weights_vnni(k.channels.data(), q, d, top, h, h + quads,
+                          w.clamped);
   } else if constexpr (kSimd) {
-    tile_dots_avx2(q_lanes.data(), tc.codes, tc.stride, d, w.tables.data(),
-                   w.dots.data(), w.dots.size());
-    return;
+    w.weights.resize((d + 7) / 8 * 8);
+    return k_weights_avx2(k.channels.data(), q, d, top, w.weights.data(),
+                          w.clamped);
   }
 #endif
+  w.weights.assign(d, 0);
+  std::int32_t q_z = 0;
   for (std::size_t c = 0; c < d; ++c) {
-    const std::int32_t qx = q_q1[c];
-    if (qx == 0) continue;
-    const std::int8_t* table = w.tables.data() + c * kTable;
-    const std::uint8_t* codes = tc.codes + c * tc.stride;
-    for (std::size_t t = 0; t < tokens; ++t) {
-      w.dots[t] += qx * static_cast<std::int32_t>(table[codes[t]]);
+    const ChannelParams cp = k.channels[c];
+    if (clamps(cp, top)) {
+      w.clamped.push_back(c);
+    } else {
+      w.weights[c] = q[c] * cp.s_int;
+      q_z += q[c] * cp.z_int;
+    }
+  }
+  return q_z;
+}
+
+// w.dots[t] = q . K[t] for the packed block k, whose codes load_codes
+// loaded: the folded weights against the raw codes, channel by channel,
+// plus the constant (k_weights), then each channel that clamps through
+// its table.
+inline void tile_dots(const ProgressiveBlock& k, const TileCodes& tc,
+                      const std::int8_t* q, Scratch& w) {
+  const std::size_t d = k.cols;
+  const std::size_t tokens = k.rows;
+  const std::size_t step = kAvx512 ? kVnniChunk : kChunk;
+  w.dots.resize((tokens + step - 1) / step * step);
+  const std::int32_t q_z = k_weights(k, q, w);
+#if defined(__x86_64__)
+  if constexpr (kAvx512) {
+    const auto* h = reinterpret_cast<const std::uint32_t*>(w.weights.data());
+    const std::uint32_t* l = h + w.weights.size() / 2;
+    if (tc.nibbles) {
+      tile_dots_vnni<true>(h, l, q_z, tc, d, w.dots.data(), w.dots.size());
+    } else {
+      tile_dots_vnni<false>(h, l, q_z, tc, d, w.dots.data(), w.dots.size());
+    }
+  } else if constexpr (kSimd) {
+    tile_dots_avx2(w.weights.data(), q_z, tc.codes, tc.stride, d,
+                   w.dots.data(), w.dots.size());
+  }
+#endif
+  if constexpr (!kSimd) {
+    std::fill(w.dots.begin(), w.dots.end(), q_z);
+    for (std::size_t c = 0; c < d; ++c) {
+      const std::int32_t wc = w.weights[c];
+      if (wc == 0) continue;
+      const std::uint8_t* codes = tc.codes + c * tc.stride;
+      for (std::size_t t = 0; t < tokens; ++t) w.dots[t] += wc * codes[t];
+    }
+  }
+  for (const std::size_t c : w.clamped) {
+    if (q[c] != 0) {
+      table_dots(q[c], tc, c, tokens, k.channels[c], w.dots.data());
     }
   }
 }
@@ -1226,26 +1396,10 @@ std::vector<float> fused_decode(std::span<const float> q,
                   "decode against an empty cache");
   const float attn_scale = cfg.effective_scale(d);
 
-  std::vector<std::int8_t> q_q1(d);
-  const float q_scale = stage1(q, q_q1);
-  std::vector<std::int32_t> q_lanes;
-  std::int32_t q_total = 0;
-  if constexpr (kAvx512) {
-    // Per group of four channels, their q bytes in one 32-bit lane (zero
-    // past d), and the sum tile_dots_vnni's +128 offset takes back.
-    // (x86-64 is little-endian: byte j of a lane is channel 4i + j.)
-    q_lanes.assign((d + 3) / 4, 0);
-    std::memcpy(q_lanes.data(), q_q1.data(), d);
-    q_total = q_sum(q_q1.data(), d);
-  } else {
-    // Per channel, q in the low (then the high) 16 bits of a 32-bit lane:
-    // multiplier pairs that pick even (odd) tokens' int16 values.
-    q_lanes.resize(2 * d);
-    for (std::size_t c = 0; c < d; ++c) {
-      q_lanes[2 * c] = static_cast<std::uint16_t>(q_q1[c]);
-      q_lanes[2 * c + 1] = static_cast<std::int32_t>(q_q1[c]) * 65536;
-    }
-  }
+  // Zero past d up to a whole group of sixteen channels, which the SIMD
+  // k_weights read.
+  std::vector<std::int8_t> q_q1((d + 15) / 16 * 16, 0);
+  const float q_scale = stage1(q, std::span(q_q1).first(d));
 
   DecodeState st;
   st.o.assign(d, 0.0f);
@@ -1267,9 +1421,7 @@ std::vector<float> fused_decode(std::span<const float> q,
     TURBO_CHECK(block->k.cols == d && block->v.cols == d &&
                 block->v.rows == block->k.rows);
     const std::size_t mask = win_start > pos ? win_start - pos : 0;
-    load_tables(block->k, w);
-    const TileCodes k_codes = load_codes(block->k, w);
-    tile_dots(k_codes, q_q1, q_lanes, q_total, block->tokens(), d, w);
+    tile_dots(block->k, load_codes(block->k, w), q_q1.data(), w);
     absorb_chunk(st, q_scale, block->k.fp_scale,
                  VSource{nullptr, &block->v, block->v.fp_scale},
                  block->tokens(), d, attn_scale, sas, mask, w);

@@ -36,7 +36,9 @@ class DecodeBuffer {
 
   // Quantize one token vector into the buffer (clamping outliers to the
   // INT8 range under the universal scale). Seeds the scale from this token
-  // if none was established. Precondition: !full().
+  // if none was established. Precondition: !full(). Each element rounds
+  // once, in the current direction; on x86-64 eight at a time with SSE2,
+  // the tail and other hosts through std::nearbyint, to the same codes.
   void push(std::span<const float> token);
 
   // Buffered INT8 token rows, oldest first.

@@ -1,7 +1,9 @@
 #include "kvcache/decode_buffer.h"
 
+#include <cfenv>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -95,11 +97,29 @@ TEST(DecodeBufferTest, TakeResetsClampCounter) {
   EXPECT_EQ(buf.clamped_token_count(), 1u);
 }
 
+// Sets the rounding direction for one scope and restores the old one.
+class RoundingDirection {
+ public:
+  explicit RoundingDirection(int mode) : saved_(std::fegetround()) {
+    std::fesetround(mode);
+  }
+  ~RoundingDirection() { std::fesetround(saved_); }
+  RoundingDirection(const RoundingDirection&) = delete;
+  RoundingDirection& operator=(const RoundingDirection&) = delete;
+
+ private:
+  int saved_;
+};
+
 TEST(DecodeBufferTest, PushMatchesRoundingTwiceAtTheEdges) {
   // push rounds each element once; it used to round twice, through
   // std::nearbyint and again inside clamp_to_i8(float), and to count a
   // token clamped when the first rounding passed +-127. Codes and count
-  // must match that arithmetic, one value per token and all in one.
+  // must match that arithmetic, one value per token and all in one, in
+  // every rounding direction: x86-64 rounds eight elements at a time
+  // (_mm_cvtps_epi32) and the rest through std::nearbyint. Widths 11 and
+  // 131 end in a scalar tail, 128 does not; the edge values spread over
+  // the row, the first at column 0 and the last at column n - 1.
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const float inf = std::numeric_limits<float>::infinity();
   const std::vector<float> values = {126.5f, -126.5f, 127.5f, -127.5f,
@@ -110,29 +130,48 @@ TEST(DecodeBufferTest, PushMatchesRoundingTwiceAtTheEdges) {
     const float r = std::nearbyint(x);
     return r > 127.0f || r < -127.0f;
   };
-  const std::size_t n = values.size();
-  DecodeBuffer buf(n + 1, n);
-  buf.seed_scale(kSymmetricHeadroom);  // scale 1
-  std::size_t expected = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::vector<float> t(n, 0.0f);
-    t[i] = values[i];
-    buf.push(t);
-    if (clamped(values[i])) ++expected;
-    EXPECT_EQ(buf.clamped_token_count(), expected) << "value " << values[i];
-    for (std::size_t c = 0; c < n; ++c) {
-      EXPECT_EQ(buf.tokens()(i, c), twice(t[c])) << "value " << values[i];
+  const std::size_t m = values.size();
+  for (const int mode : {FE_TONEAREST, FE_UPWARD, FE_DOWNWARD, FE_TOWARDZERO}) {
+    const RoundingDirection direction(mode);
+    for (const std::size_t n : {std::size_t{11}, std::size_t{128},
+                                std::size_t{131}}) {
+      const std::string what =
+          "mode " + std::to_string(mode) + " width " + std::to_string(n);
+      const auto column = [&](std::size_t j) { return j * (n - 1) / (m - 1); };
+      DecodeBuffer buf(m + 1, n);
+      buf.seed_scale(kSymmetricHeadroom);  // scale 1
+      std::size_t expected = 0;
+      for (std::size_t i = 0; i < m; ++i) {
+        std::vector<float> t(n, 0.0f);
+        t[column(i)] = values[i];
+        buf.push(t);
+        if (clamped(values[i])) ++expected;
+        EXPECT_EQ(buf.clamped_token_count(), expected)
+            << what << " value " << values[i];
+        for (std::size_t c = 0; c < n; ++c) {
+          EXPECT_EQ(buf.tokens()(i, c), twice(t[c]))
+              << what << " value " << values[i] << " column " << c;
+        }
+      }
+      std::vector<float> all(n, 0.0f);
+      for (std::size_t j = 0; j < m; ++j) all[column(j)] = values[j];
+      buf.push(all);
+      EXPECT_EQ(buf.clamped_token_count(), expected + 1) << what;
+      for (std::size_t c = 0; c < n; ++c) {
+        EXPECT_EQ(buf.tokens()(m, c), twice(all[c])) << what << " column " << c;
+      }
+      if (mode == FE_TONEAREST) {
+        const std::vector<int> codes = {126, -126, 127, -127, 127, -127,
+                                        0,   127,  -127, 127, 0};
+        for (std::size_t j = 0; j < m; ++j) {
+          EXPECT_EQ(buf.tokens()(m, column(j)), codes[j])
+              << what << " value " << values[j];
+        }
+        EXPECT_EQ(expected, 7u) << what;  // all but +-126.5, NaN and -0
+      }
     }
   }
-  buf.push(values);
-  EXPECT_EQ(buf.clamped_token_count(), expected + 1);
-  const std::vector<int> codes = {126, -126, 127, -127, 127, -127,
-                                  0,   127,  -127, 127, 0};
-  for (std::size_t c = 0; c < n; ++c) {
-    EXPECT_EQ(buf.tokens()(n, c), twice(values[c])) << "value " << values[c];
-    EXPECT_EQ(buf.tokens()(n, c), codes[c]) << "value " << values[c];
-  }
-  EXPECT_EQ(expected, 7u);  // all but +-126.5, NaN and -0
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
 }
 
 TEST(DecodeBufferTest, RoundTripErrorWithinHalfScale) {

@@ -373,13 +373,14 @@ TEST(FusedDecodeParity, Int4BlocksReadInPlaceOrUnpacked) {
   }
 }
 
-// --- V's second stage folded into P~V --------------------------------------
+// --- K's and V's second stage folded into q.K and P~V --------------------
 //
-// Over a packed block every entry sums a channel's raw codes and takes one
-// affine step, s_int * sum(p * code) + z_int * sum(p), wherever the
-// channel's table is linear; a channel whose table clamps a code goes
-// through the table. The cases below put both kinds in one 16-channel
-// group, with the clamped codes in use, and check the reference's bits.
+// Over a packed block every entry sums raw codes wherever a channel's
+// table is linear: q.k takes the weights q_c * s_int and adds sum q_c *
+// z_int once, and P~V takes s_int * sum(p * code) + z_int * sum(p). A
+// channel whose table clamps a code goes through the table. The cases
+// below mix both kinds in K and in V, with the clamped codes in use, and
+// check the reference's bits.
 
 // Channel c spans [86, 127]: the gap of 41 gets s_int 14 / 6 / 3 at INT2
 // / INT3 / INT4, under which 127 takes the code that maps to 128, so the
@@ -403,31 +404,46 @@ MatrixI8 linear_i8(std::size_t rows, std::size_t d, Rng& rng) {
   return m;
 }
 
-// Packed blocks of the given row counts whose V mixes linear channels with
-// top-clamping ones (channels 0, 5, 6 and 11 of every 16, and the last),
-// plus a buffered tail.
-Blocks mixed_v_blocks(std::size_t d, BitWidth bits,
-                      const std::vector<std::size_t>& block_rows,
-                      std::size_t tail, std::uint64_t seed) {
-  const auto clamping = [d](std::size_t c) {
-    const std::size_t j = c % 16;
-    return j == 0 || j == 5 || j == 6 || j == 11 || c == d - 1;
-  };
+// Whether channel c of a block clamps in mixed_kv_blocks: in V channels
+// 0, 5, 6 and 11 of every 16; in K channels 1 and 2 (inside one quad of
+// four channels), 7 (a quad's last) and 15 (a group of sixteen's last);
+// and the last channel in both.
+bool v_clamping(std::size_t c, std::size_t d) {
+  const std::size_t j = c % 16;
+  return j == 0 || j == 5 || j == 6 || j == 11 || c == d - 1;
+}
+bool k_clamping(std::size_t c, std::size_t d) {
+  const std::size_t j = c % 16;
+  return j == 1 || j == 2 || j == 7 || j == 15 || c == d - 1;
+}
+
+// Packed blocks of the given row counts whose K and V mix linear channels
+// with top-clamping ones, plus a buffered tail.
+Blocks mixed_kv_blocks(std::size_t d, BitWidth bits,
+                       const std::vector<std::size_t>& block_rows,
+                       std::size_t tail, std::uint64_t seed) {
   Rng rng(seed);
   Blocks b(d, 64);
+  const int top = max_code(bits);
   for (const std::size_t rows : block_rows) {
+    MatrixI8 k = linear_i8(rows, d, rng);
     MatrixI8 v = linear_i8(rows, d, rng);
     for (std::size_t c = 0; c < d; ++c) {
-      if (clamping(c)) make_top_clamping(v, c, rng);
+      if (k_clamping(c, d)) make_top_clamping(k, c, rng);
+      if (v_clamping(c, d)) make_top_clamping(v, c, rng);
     }
     auto block = std::make_unique<KvBlock>();
-    block->k = progressive_compress(random_i8(rows, d, rng), 0.02f, bits);
+    block->k = progressive_compress(k, 0.02f, bits);
     block->v = progressive_compress(v, 0.03f, bits);
-    const int top = max_code(bits);
     for (std::size_t c = 0; c < d; ++c) {
-      const ChannelParams cp = block->v.channels[c];
-      EXPECT_EQ(top * cp.s_int + cp.z_int > 127, clamping(c)) << "c=" << c;
-      EXPECT_GE(cp.z_int, -127) << "c=" << c;
+      const ChannelParams kp = block->k.channels[c];
+      const ChannelParams vp = block->v.channels[c];
+      EXPECT_EQ(top * kp.s_int + kp.z_int > 127, k_clamping(c, d))
+          << "K c=" << c;
+      EXPECT_EQ(top * vp.s_int + vp.z_int > 127, v_clamping(c, d))
+          << "V c=" << c;
+      EXPECT_GE(kp.z_int, -127) << "K c=" << c;
+      EXPECT_GE(vp.z_int, -127) << "V c=" << c;
     }
     b.view.push_back(block.get());
     b.owned.push_back(std::move(block));
@@ -437,17 +453,20 @@ Blocks mixed_v_blocks(std::size_t d, BitWidth bits,
 }
 
 TEST(FusedDecodeFoldedPv, ClampingAndLinearChannelsInOneGroup) {
-  // 64-row blocks (the AVX-512 entry's paired INT4 read takes two
-  // channels in one load), a 128-row one (two loads per pair) and a
-  // ragged 33-row one (unpacked codes); d = 72 ends in a group of eight
-  // channels, the tail of the paired read.
+  // 64-row blocks (the AVX-512 entry reads INT4 ones in place, a 64-row
+  // block's channels back to back), a 128-row one (one read per channel)
+  // and a ragged 33-row one (unpacked codes). d = 72 ends in a group of
+  // eight channels, d = 44 in one of twelve, so that a group's last
+  // channel and the last quad's are both the block's last.
   test::record_fused_entries();
-  for (const std::size_t d : {std::size_t{128}, std::size_t{72}}) {
+  for (const std::size_t d :
+       {std::size_t{128}, std::size_t{72}, std::size_t{44}}) {
     for (const BitWidth bits :
          {BitWidth::kInt2, BitWidth::kInt3, BitWidth::kInt4}) {
       const std::string what =
           "d=" + std::to_string(d) + " bits=" + std::to_string(bit_count(bits));
-      const Blocks b = mixed_v_blocks(d, bits, {64, 128, 64, 33}, 5, 111 + d);
+      const Blocks b =
+          mixed_kv_blocks(d, bits, {64, 128, 64, 33}, 5, 111 + d);
       expect_entries_match(b, AttentionConfig{}, 112, what);
     }
   }
@@ -455,10 +474,11 @@ TEST(FusedDecodeFoldedPv, ClampingAndLinearChannelsInOneGroup) {
 
 TEST(FusedDecodeFoldedPv, FlushedRowsHoldingMinus128) {
   // A restored buffer takes raw INT8 rows, -128 included, and flushes them
-  // into a block like any other. A V channel whose minimum is -128 gets
+  // into a block like any other. A channel whose minimum is -128 gets
   // z_int = -128, and its table lifts code 0 to -127: no top code clamps
   // (the channel spans [-128, 100]), so only the z_int half of the test
-  // sends it through the table.
+  // sends it through the table. V holds -128 in every third channel from
+  // 0, K in every third from 1.
   test::record_fused_entries();
   for (const std::size_t d : {std::size_t{128}, std::size_t{72}}) {
     for (const BitWidth bits :
@@ -472,11 +492,13 @@ TEST(FusedDecodeFoldedPv, FlushedRowsHoldingMinus128) {
         DecodeBuffer values(rows, d);
         keys.restore_scale(0.05f);
         values.restore_scale(0.04f);
-        const MatrixI8 k = random_i8(rows, d, rng);
+        MatrixI8 k = linear_i8(rows, d, rng);
         MatrixI8 v = linear_i8(rows, d, rng);
         for (std::size_t r = 0; r < rows; ++r) {
-          for (std::size_t c = 0; c < d; c += 3) {
-            if ((r + c) % 4 == 0) v(r, c) = -128;
+          for (std::size_t c = 0; c < d; ++c) {
+            if ((r + c) % 4 != 0) continue;
+            if (c % 3 == 0) v(r, c) = -128;
+            if (c % 3 == 1) k(r, c) = -128;
           }
           keys.push_quantized(k.row(r));
           values.push_quantized(v.row(r));
@@ -485,10 +507,14 @@ TEST(FusedDecodeFoldedPv, FlushedRowsHoldingMinus128) {
         block->k = progressive_compress(keys.take(), keys.scale(), bits);
         block->v = progressive_compress(values.take(), values.scale(), bits);
         for (std::size_t c = 0; c < d; ++c) {
-          const ChannelParams cp = block->v.channels[c];
-          EXPECT_EQ(cp.z_int == -128, c % 3 == 0) << what << " c=" << c;
-          EXPECT_LE(max_code(bits) * cp.s_int + cp.z_int, 127)
-              << what << " c=" << c;
+          const ChannelParams kp = block->k.channels[c];
+          const ChannelParams vp = block->v.channels[c];
+          EXPECT_EQ(kp.z_int == -128, c % 3 == 1) << what << " K c=" << c;
+          EXPECT_EQ(vp.z_int == -128, c % 3 == 0) << what << " V c=" << c;
+          EXPECT_LE(max_code(bits) * kp.s_int + kp.z_int, 127)
+              << what << " K c=" << c;
+          EXPECT_LE(max_code(bits) * vp.s_int + vp.z_int, 127)
+              << what << " V c=" << c;
         }
         b.view.push_back(block.get());
         b.owned.push_back(std::move(block));
@@ -499,13 +525,13 @@ TEST(FusedDecodeFoldedPv, FlushedRowsHoldingMinus128) {
 }
 
 TEST(FusedDecodeFoldedPv, WindowStartsInsideAPairedBlock) {
-  // The paired INT4 read takes a 64-row block's even tokens apart from its
-  // odd ones; a sliding window that starts inside such a block, at an odd
-  // and at an even row, masks tokens of both.
+  // The in-place INT4 read takes a 64-row block's even tokens apart from
+  // its odd ones, in K and in V; a sliding window that starts inside such
+  // a block, at an odd and at an even row, masks tokens of both.
   test::record_fused_entries();
   for (const std::size_t d : {std::size_t{128}, std::size_t{72}}) {
     const Blocks b =
-        mixed_v_blocks(d, BitWidth::kInt4, {64, 64, 64}, 5, 131 + d);
+        mixed_kv_blocks(d, BitWidth::kInt4, {64, 64, 64}, 5, 131 + d);
     // 197 tokens: the window starts at row 37, 20 or 13 of a block.
     for (const std::size_t window :
          {std::size_t{96}, std::size_t{113}, std::size_t{184}}) {
@@ -514,6 +540,81 @@ TEST(FusedDecodeFoldedPv, WindowStartsInsideAPairedBlock) {
       expect_entries_match(b, cfg, 132,
                            "d=" + std::to_string(d) +
                                " window=" + std::to_string(window));
+    }
+  }
+}
+
+TEST(FusedDecodeFoldedPv, LargestClampFreeKScaleAgainstFullScaleQ) {
+  // q.K's AVX-512 fold splits each weight q_c * s_int into int8 halves,
+  // 128 h + l. Its largest magnitudes come from the largest s_int whose
+  // table stays linear, 84 / 36 / 16 at INT2 / INT3 / INT4 (channel gaps
+  // of 252 / 252 / 240, z_int from -127 up to -125 / -125 / -113), against
+  // a q whose stage-1 codes are all +-119, the largest stage 1 gives
+  // (every |q_c| is the maximum). The signs run all +, all -, alternating
+  // by channel and by pairs of channels.
+  test::record_fused_entries();
+  const Sas sas;
+  for (const std::size_t d : {std::size_t{128}, std::size_t{44}}) {
+    for (const BitWidth bits :
+         {BitWidth::kInt2, BitWidth::kInt3, BitWidth::kInt4}) {
+      const int top = max_code(bits);
+      const int s_max = bits == BitWidth::kInt2   ? 84
+                        : bits == BitWidth::kInt3 ? 36
+                                                  : 16;
+      const std::string what =
+          "d=" + std::to_string(d) + " bits=" + std::to_string(bit_count(bits));
+      Rng rng(141 + d);
+      Blocks b(d, 64);
+      for (const std::size_t rows : {64, 128, 33}) {
+        MatrixI8 k(rows, d);
+        const int gap = bits == BitWidth::kInt4 ? 240 : 252;
+        for (std::size_t c = 0; c < d; ++c) {
+          // z_int from -127 up to 127 - top * s_max, the largest that
+          // keeps the table linear.
+          const int lo = -127 + static_cast<int>(
+                                    c % static_cast<std::size_t>(
+                                            255 - top * s_max));
+          for (std::size_t r = 0; r < rows; ++r) {
+            k(r, c) = static_cast<std::int8_t>(
+                lo + static_cast<int>(rng.uniform_index(
+                         static_cast<std::size_t>(gap) + 1)));
+          }
+          k(0, c) = static_cast<std::int8_t>(lo);
+          k(1, c) = static_cast<std::int8_t>(lo + gap);
+        }
+        auto block = std::make_unique<KvBlock>();
+        block->k = progressive_compress(k, 0.02f, bits);
+        block->v = progressive_compress(linear_i8(rows, d, rng), 0.03f, bits);
+        for (std::size_t c = 0; c < d; ++c) {
+          const ChannelParams kp = block->k.channels[c];
+          EXPECT_EQ(kp.s_int, s_max) << what << " c=" << c;
+          EXPECT_LE(top * kp.s_int + kp.z_int, 127) << what << " c=" << c;
+          EXPECT_GE(kp.z_int, -127) << what << " c=" << c;
+        }
+        b.view.push_back(block.get());
+        b.owned.push_back(std::move(block));
+      }
+      push_tail(b, 7, rng);
+      for (int pattern = 0; pattern < 4; ++pattern) {
+        std::vector<float> q(d);
+        for (std::size_t c = 0; c < d; ++c) {
+          const bool negative = pattern == 1 || (pattern == 2 && c % 2 == 1) ||
+                                (pattern == 3 && c / 2 % 2 == 1);
+          q[c] = negative ? -1.5f : 1.5f;
+        }
+        std::vector<std::int8_t> codes(d);
+        quantize_symmetric_int8(q, symmetric_scale_int8(q), codes);
+        for (const std::int8_t x : codes) ASSERT_EQ(std::abs(x), 119) << what;
+        const std::vector<float> ref =
+            turbo_attention_decode(q, b.view, b.keys, b.values,
+                                   AttentionConfig{}, sas);
+        for (const auto& e : detail::fused_entries()) {
+          if (!e.supported) continue;
+          EXPECT_TRUE(same_bits(ref, e.decode(q, b.view, b.keys, b.values,
+                                              AttentionConfig{}, sas)))
+              << what << " entry=" << e.name << " pattern=" << pattern;
+        }
+      }
     }
   }
 }
