@@ -8,8 +8,10 @@
 // mirrors the GPU argument.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <vector>
 
 #include "attention/flash.h"
 #include "attention/reference.h"
@@ -223,6 +225,16 @@ const bool kFusedEntryContext = [] {
   return true;
 }();
 
+// The *FusedEntry benches' rows: 9 repetitions each, reported as their
+// mean, median, stddev and min, so that one entry's change can be told
+// from this host's swings between runs.
+void entry_rows(benchmark::internal::Benchmark* b) {
+  b->Repetitions(9)->DisplayAggregatesOnly(true)->ComputeStatistics(
+      "min", [](const std::vector<double>& v) {
+        return *std::min_element(v.begin(), v.end());
+      });
+}
+
 // The compiled fused entry a *FusedEntry bench's first argument names, or
 // nullptr (and the bench skipped) when this build or CPU lacks it.
 const detail::FusedEntry* entry_arg(benchmark::State& state) {
@@ -274,14 +286,15 @@ BENCHMARK(BM_TurboPrefillFused)
 
 void BM_TurboPrefillFusedEntry(benchmark::State& state) {
   // {entry, prompt, head_dim}: one compiled entry through the detail seam
-  // (0 baseline, 1 avx2, 2 avx512vnni), so the rows show each ISA side by
-  // side on any host that runs them.
+  // (0 baseline, 1 avx2, 2 avx512vnni, 3 amx), so the rows show each ISA
+  // side by side on any host that runs them.
   if (const detail::FusedEntry* e = entry_arg(state)) {
     run_prefill(state, e->prefill, 1);
   }
 }
 BENCHMARK(BM_TurboPrefillFusedEntry)
-    ->ArgsProduct({{0, 1, 2}, {1024, 4096}, {128}});
+    ->ArgsProduct({{0, 1, 2, 3}, {1024, 4096}, {128}})
+    ->Apply(entry_rows);
 
 // Decode benches take {context, head_dim}; head_dim 128 is the model
 // profiles' (and the end-to-end benchmark's).
@@ -356,7 +369,8 @@ void run_decode_entry(benchmark::State& state, const detail::FusedEntry& e,
 
 void BM_TurboDecodeFusedEntry(benchmark::State& state) {
   // {entry, context, head_dim}: BM_TurboDecodeFused's workload through one
-  // compiled entry (0 baseline, 1 avx2, 2 avx512vnni).
+  // compiled entry (0 baseline, 1 avx2, 2 avx512vnni, 3 amx, which runs
+  // the avx512vnni decode).
   if (const detail::FusedEntry* e = entry_arg(state)) {
     run_decode_entry(state, *e,
                      decode_cache(static_cast<std::size_t>(state.range(1)),
@@ -364,7 +378,8 @@ void BM_TurboDecodeFusedEntry(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TurboDecodeFusedEntry)
-    ->ArgsProduct({{0, 1, 2}, {1024, 4096}, {128}});
+    ->ArgsProduct({{0, 1, 2, 3}, {1024, 4096}, {128}})
+    ->Apply(entry_rows);
 
 void BM_TurboDecodeFusedEntryAppended(benchmark::State& state) {
   // {entry, prompt, appended, head_dim}: a cache built like decode_512's,
@@ -388,7 +403,8 @@ void BM_TurboDecodeFusedEntryAppended(benchmark::State& state) {
   run_decode_entry(state, *e, cache);
 }
 BENCHMARK(BM_TurboDecodeFusedEntryAppended)
-    ->ArgsProduct({{0, 1, 2}, {256}, {512}, {128}});
+    ->ArgsProduct({{0, 1, 2, 3}, {256}, {512}, {128}})
+    ->Apply(entry_rows);
 
 void BM_KvCacheAppendToken(benchmark::State& state) {
   // One decode step's KV write: QuantizedKvCache::append_token of a

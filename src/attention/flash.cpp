@@ -46,9 +46,11 @@ FlashResult flash_attention(const MatrixF& q, const MatrixF& k,
   const std::size_t br = cfg.block_rows;
   const std::size_t bc = cfg.block_cols;
 
-  std::vector<float> m_run(br);
-  std::vector<float> l_run(br);
-  MatrixF s_tile(br, bc);
+  // A Q tile has at most min(br, n_q) rows: one for a decode step.
+  const std::size_t tile_rows = std::min(br, n_q);
+  std::vector<float> m_run(tile_rows);
+  std::vector<float> l_run(tile_rows);
+  MatrixF s_tile(tile_rows, bc);
 
   for (std::size_t qb = 0; qb < n_q; qb += br) {
     const std::size_t q_rows = std::min(br, n_q - qb);

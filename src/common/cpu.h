@@ -2,9 +2,10 @@
 //
 // The fused kernels (kernels/dispatch.h) and the batch SAS
 // (Sas::apply) have three builds: the baseline ISA, AVX2 + F16C, and
-// AVX-512 with VNNI. Each predicate below says whether this CPU, and the
-// OS, can run one of the wider builds. They read CPUID; callers cache the
-// answer in a function-local static.
+// AVX-512 with VNNI; the fused prefill has a fourth, the AVX-512 build with
+// its QK^T and P~V on AMX-INT8 tiles. Each predicate below says whether
+// this CPU, and the OS, can run one of the wider builds. They read CPUID;
+// callers cache the answer in a function-local static.
 #pragma once
 
 namespace turbo {
@@ -27,6 +28,35 @@ inline bool cpu_has_avx512vnni() {
          __builtin_cpu_supports("avx512bw") &&
          __builtin_cpu_supports("avx512vl") &&
          __builtin_cpu_supports("avx512vnni");
+#else
+  return false;
+#endif
+}
+
+// cpu_has_avx512vnni() + AMX-TILE + AMX-INT8, with the tile data state
+// granted to this process: the kernels' "amx" entry. Linux enables that
+// state only for a process that asks for it, arch_prctl(ARCH_REQ_XCOMP_PERM
+// = 0x1023, XFEATURE_XTILEDATA = 18); before that, a tile instruction
+// raises SIGILL. The grant covers every thread of the process. The request
+// is made once per process, through the raw syscall instruction: libc's
+// syscall() would add a dynamic import to every binary that links the
+// kernels. GCC only, like the entry.
+inline bool cpu_has_amx_int8() {
+#if defined(__x86_64__) && defined(__linux__) && defined(__GNUC__) && \
+    !defined(__clang__)
+  static const bool kGranted = [] {
+    if (!cpu_has_avx512vnni() || !__builtin_cpu_supports("amx-tile") ||
+        !__builtin_cpu_supports("amx-int8")) {
+      return false;
+    }
+    long ret = 158;  // SYS_arch_prctl
+    asm volatile("syscall"
+                 : "+a"(ret)
+                 : "D"(0x1023L), "S"(18L)
+                 : "rcx", "r11", "memory");
+    return ret == 0;
+  }();
+  return kGranted;
 #else
   return false;
 #endif

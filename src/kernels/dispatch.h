@@ -5,11 +5,16 @@
 // entry of the table below: "baseline" for the baseline ISA, and on
 // x86-64 with GCC "avx2" for AVX2 + F16C (kernels/fused_kernels.cpp) and
 // "avx512vnni" for AVX2 + F16C + AVX-512 F/BW/VL/VNNI
-// (kernels/fused_kernels_avx512.cpp). Both files build with
+// (kernels/fused_kernels_avx512.cpp). A fourth entry, "amx", runs the
+// avx512vnni decode and a second instance of the AVX-512 prefill body,
+// fused_prefill<true>, whose QK^T and P~V are AMX-INT8 tile products over
+// the K and V tiles' quad copies, which are already AMX's B operand. It is
+// supported where the CPU has AMX-TILE and AMX-INT8 and Linux grants the
+// process the tile state (cpu_has_amx_int8). Both files build with
 // -ffp-contract=off, so no multiply-add contracts into an FMA. The first
 // call of either kernel picks the last entry this CPU supports, from
 // CPUID (common/cpu.h); both kernels run that entry, and nothing else
-// selects it.
+// selects it. Every entry is bit-identical to the scalar oracles.
 //
 // The table is the seam the parity tests and benches use to run every
 // compiled entry the host supports, the narrower ones included.
@@ -40,7 +45,7 @@ using FusedPrefillFn = TurboPrefillResult (*)(const MatrixF& q,
 
 // One compiled build of the kernel bodies.
 struct FusedEntry {
-  const char* name;  // "baseline", "avx2" or "avx512vnni"
+  const char* name;  // "baseline", "avx2", "avx512vnni" or "amx"
   FusedDecodeFn decode;
   FusedPrefillFn prefill;
   bool supported;  // this CPU can run it

@@ -542,16 +542,18 @@ inline void transpose4x16_epi32(__m512i* x) {
   x[3] = _mm512_shuffle_i32x4(c1, c3, 0xDD);
 }
 
-// The quad-major copy of n_rows token-major INT8 rows of d: for each four
-// rows and 64 channels, the 4 x 16 dword transpose leaves each channel
-// quad's 4 x 4 bytes row by row, and one byte shuffle per 128-bit block
-// turns them channel by channel. Rows past n_rows read as zero.
+// The quad-major copy of n_rows token-major INT8 rows of d, stride dwords
+// per quad row: for each four rows and 64 channels, the 4 x 16 dword
+// transpose leaves each channel quad's 4 x 4 bytes row by row, and one byte
+// shuffle per 128-bit block turns them channel by channel. Rows past n_rows
+// read as zero.
 inline void v_quads_avx512(const std::int8_t* rows, std::size_t n_rows,
-                           std::size_t d, std::uint32_t* out) {
+                           std::size_t d, std::size_t stride,
+                           std::uint32_t* out) {
   const __m512i order = _mm512_broadcast_i32x4(
       _mm_setr_epi8(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15));
   for (std::size_t t = 0; t < n_rows; t += 4) {
-    std::uint32_t* dst = out + t / 4 * d;
+    std::uint32_t* dst = out + t / 4 * stride;
     for (std::size_t c0 = 0; c0 < d; c0 += 64) {
       const __mmask64 cols = byte_mask(d - c0);
       __m512i x[4] = {};
@@ -1178,13 +1180,15 @@ inline bool p_codes(const float* p, std::size_t n, float inv_p,
 }
 
 // The quad-major copy of n_rows token-major INT8 rows of d, the layout
-// the SIMD P~V reads: out[t4 * d + c] holds rows 4 t4 .. 4 t4 + 3 of
+// the SIMD P~V reads: out[t4 * stride + c] holds rows 4 t4 .. 4 t4 + 3 of
 // channel c, one byte each from the low one up, zero past the last row.
+// stride is d, or more where a reader wants whole blocks of channels (the
+// AMX prefill); the dwords past d are left as they are.
 inline void v_quads(const std::int8_t* rows, std::size_t n_rows,
-                    std::size_t d, std::uint32_t* out) {
+                    std::size_t d, std::size_t stride, std::uint32_t* out) {
 #if defined(__x86_64__)
   if constexpr (kAvx512) {
-    v_quads_avx512(rows, n_rows, d, out);
+    v_quads_avx512(rows, n_rows, d, stride, out);
     return;
   }
 #endif
@@ -1192,7 +1196,7 @@ inline void v_quads(const std::int8_t* rows, std::size_t n_rows,
     return t < n_rows ? std::uint32_t{trunc_to_u8(rows[t * d + c])} : 0u;
   };
   for (std::size_t t = 0; t < n_rows; t += 4) {
-    std::uint32_t* dst = out + t / 4 * d;
+    std::uint32_t* dst = out + t / 4 * stride;
     for (std::size_t c = 0; c < d; ++c) {
       dst[c] = byte(t, c) | byte(t + 1, c) << 8 | byte(t + 2, c) << 16 |
                byte(t + 3, c) << 24;
@@ -1379,7 +1383,7 @@ inline void absorb_chunk(DecodeState& st, float q_scale, float k_scale,
   }
   if constexpr (kSimd) {
     w.v_quads.resize((tokens + 3) / 4 * d);
-    v_quads(vs.rows, tokens, d, w.v_quads.data());
+    v_quads(vs.rows, tokens, d, d, w.v_quads.data());
   }
   pv_rows(st.o.data(), w.p_q.data(), 0, tokens, vs.rows, w.v_quads.data(), d,
           o_scale, w.sums);

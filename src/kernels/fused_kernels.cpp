@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #if defined(__x86_64__)
@@ -27,7 +28,8 @@ namespace detail {
 // The kernel bodies, once per instruction set (see fused_decode_body.h).
 // Every header they need is included above, before the target pragma.
 // kSimd turns on the AVX2 helpers, kAvx512 the AVX-512 VNNI ones in front
-// of them; the kAvx512 build lives in fused_kernels_avx512.cpp.
+// of them; the kAvx512 build, and its prefill's kAmx instance, live in
+// fused_kernels_avx512.cpp.
 namespace baseline_isa {
 constexpr bool kSimd = false;
 constexpr bool kAvx512 = false;
@@ -48,13 +50,15 @@ constexpr bool kAvx512 = false;
 }  // namespace avx2_isa
 #pragma GCC pop_options
 
-// The AVX-512 VNNI build, compiled in fused_kernels_avx512.cpp.
+// The AVX-512 VNNI build, compiled in fused_kernels_avx512.cpp, which
+// instantiates its prefill without AMX and with.
 namespace avx512vnni_isa {
 std::vector<float> fused_decode(std::span<const float> q,
                                 std::span<const KvBlock* const> blocks,
                                 const DecodeBuffer& key_buffer,
                                 const DecodeBuffer& value_buffer,
                                 const AttentionConfig& cfg, const Sas& sas);
+template <bool kAmx>
 TurboPrefillResult fused_prefill(const MatrixF& q, const MatrixF& k,
                                  const MatrixF& v, const AttentionConfig& cfg,
                                  const Sas& sas, QuantizedKvCache* cache);
@@ -64,12 +68,14 @@ TurboPrefillResult fused_prefill(const MatrixF& q, const MatrixF& k,
 std::span<const FusedEntry> fused_entries() {
   static const std::array kEntries = {
       FusedEntry{"baseline", &baseline_isa::fused_decode,
-                 &baseline_isa::fused_prefill, true},
+                 &baseline_isa::fused_prefill<false>, true},
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-      FusedEntry{"avx2", &avx2_isa::fused_decode, &avx2_isa::fused_prefill,
-                 cpu_has_avx2_f16c()},
+      FusedEntry{"avx2", &avx2_isa::fused_decode,
+                 &avx2_isa::fused_prefill<false>, cpu_has_avx2_f16c()},
       FusedEntry{"avx512vnni", &avx512vnni_isa::fused_decode,
-                 &avx512vnni_isa::fused_prefill, cpu_has_avx512vnni()},
+                 &avx512vnni_isa::fused_prefill<false>, cpu_has_avx512vnni()},
+      FusedEntry{"amx", &avx512vnni_isa::fused_decode,
+                 &avx512vnni_isa::fused_prefill<true>, cpu_has_amx_int8()},
 #endif
   };
   return kEntries;

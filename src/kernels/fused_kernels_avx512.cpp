@@ -1,8 +1,12 @@
-// The AVX-512 VNNI entry of the fused kernels (kernels/dispatch.h): the
-// decode and prefill bodies compiled a third time, for AVX2 + F16C +
-// AVX-512 F/BW/VL/VNNI, with kAvx512 turning on their vpdpbusd and
-// 16-lane helpers. fused_kernels.cpp holds the other two builds and the
-// table.
+// The AVX-512 VNNI and AMX entries of the fused kernels
+// (kernels/dispatch.h): the decode and prefill bodies compiled a third
+// time, for AVX2 + F16C + AVX-512 F/BW/VL/VNNI, with kAvx512 turning on
+// their vpdpbusd and 16-lane helpers, and the prefill body instantiated
+// twice: without AMX for the "avx512vnni" entry, and with kAmx, whose
+// QK^T and P~V run on AMX-INT8 tiles, for the "amx" entry. The "amx" entry
+// runs this build's decode. The target adds AMX-TILE and AMX-INT8, which
+// GCC never emits on its own: only the kAmx instance's tile intrinsics
+// use them. fused_kernels.cpp holds the other two builds and the table.
 //
 // It has its own translation unit so that fused_kernels.cpp stays under
 // GCC's inlining growth limit. Compiled into that file, it made GCC stop
@@ -16,6 +20,7 @@
 #include <cstring>
 #include <limits>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #if defined(__x86_64__)
@@ -48,12 +53,26 @@ namespace turbo::detail {
 // file with -ffp-contract=off so nothing contracts.
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
 #pragma GCC push_options
-#pragma GCC target("avx2,f16c,avx512f,avx512bw,avx512vl,avx512vnni")
+#pragma GCC target( \
+    "avx2,f16c,avx512f,avx512bw,avx512vl,avx512vnni,amx-tile,amx-int8")
 namespace avx512vnni_isa {
 constexpr bool kSimd = true;
 constexpr bool kAvx512 = true;
 #include "kernels/fused_decode_body.h"
 #include "kernels/fused_prefill_body.h"
+// The "avx512vnni" entry's prefill, and the "amx" entry's.
+template TurboPrefillResult fused_prefill<false>(const MatrixF&,
+                                                 const MatrixF&,
+                                                 const MatrixF&,
+                                                 const AttentionConfig&,
+                                                 const Sas&,
+                                                 QuantizedKvCache*);
+template TurboPrefillResult fused_prefill<true>(const MatrixF&,
+                                                const MatrixF&,
+                                                const MatrixF&,
+                                                const AttentionConfig&,
+                                                const Sas&,
+                                                QuantizedKvCache*);
 }  // namespace avx512vnni_isa
 #pragma GCC pop_options
 #endif

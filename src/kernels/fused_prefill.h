@@ -18,7 +18,12 @@
 // Its output (o, lse and the cache) is bit-identical to the oracle's;
 // fused_prefill_test pins that for every compiled entry. Dispatch is the
 // decode kernel's (kernels/dispatch.h): baseline, AVX2 + F16C (P~V on
-// maddubs), or AVX-512 with VNNI, where QK^T and P~V run on vpdpbusd.
+// maddubs), AVX-512 with VNNI, where QK^T and P~V run one query row at a
+// time on vpdpbusd, or AMX, where each (Q tile, KV tile)'s QK^T and P~V
+// are AMX-INT8 tile products for all of the tile's rows at once (tdpbsud
+// against the K tile's quad copy, tdpbusd against the V tile's), with the
+// operands padded with zero bytes to whole 16-row, 64-byte tiles. The
+// tiles are configured once per call and released on every exit from it.
 #pragma once
 
 #include "attention/config.h"

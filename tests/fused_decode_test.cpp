@@ -210,8 +210,10 @@ void expect_entries_match(const Blocks& b, const AttentionConfig& cfg,
   expect_entries_match(b.view, b.keys, b.values, cfg, seed, what);
 }
 
-TEST(FusedDecodeEntries, PicksAvx512VnniWhenTheCpuHasIt) {
-  if (cpu_has_avx512vnni()) {
+TEST(FusedDecodeEntries, PicksAmxWhenTheCpuHasIt) {
+  if (cpu_has_amx_int8()) {
+    EXPECT_STREQ(detail::fused_entry().name, "amx");
+  } else if (cpu_has_avx512vnni()) {
     EXPECT_STREQ(detail::fused_entry().name, "avx512vnni");
   } else if (cpu_has_avx2_f16c()) {
     EXPECT_STREQ(detail::fused_entry().name, "avx2");

@@ -120,8 +120,10 @@ AttentionConfig tiles(std::size_t br, std::size_t bc, bool causal = true,
   return cfg;
 }
 
-TEST(FusedPrefillEntries, PicksAvx512VnniWhenTheCpuHasIt) {
-  if (cpu_has_avx512vnni()) {
+TEST(FusedPrefillEntries, PicksAmxWhenTheCpuHasIt) {
+  if (cpu_has_amx_int8()) {
+    EXPECT_STREQ(detail::fused_entry().name, "amx");
+  } else if (cpu_has_avx512vnni()) {
     EXPECT_STREQ(detail::fused_entry().name, "avx512vnni");
   } else if (cpu_has_avx2_f16c()) {
     EXPECT_STREQ(detail::fused_entry().name, "avx2");
@@ -141,10 +143,12 @@ class FusedPrefillParity : public ::testing::TestWithParam<std::size_t> {
 TEST_P(FusedPrefillParity, PromptLengths) {
   const std::size_t d = GetParam();
   // 1, 33 and 63 keys leave one ragged KV tile; 1,001 leaves a 41-key one
-  // after 15 full tiles.
+  // after 15 full tiles. 15 and 17 rows leave a Q tile under 16 rows and
+  // one 16-row block plus a 1-row one in the AMX products.
   for (const std::size_t n :
-       {std::size_t{1}, std::size_t{33}, std::size_t{37}, std::size_t{63},
-        std::size_t{1000}, std::size_t{1001}}) {
+       {std::size_t{1}, std::size_t{15}, std::size_t{17}, std::size_t{33},
+        std::size_t{37}, std::size_t{63}, std::size_t{1000},
+        std::size_t{1001}}) {
     const Inputs in = make_inputs(n, n, d, 100 + n);
     expect_entries_match(in.q, in.k, in.v, tiles(64, 64), SasConfig{},
                          "causal n=" + std::to_string(n));
@@ -166,9 +170,11 @@ TEST_P(FusedPrefillParity, FewerQueriesThanKeys) {
 TEST_P(FusedPrefillParity, TileSizes) {
   const std::size_t d = GetParam();
   const Inputs in = make_inputs(200, 200, d, 13);
+  // 16 and 48 rows or keys: one AMX tile block, and an odd number of them.
   for (const auto& [br, bc] :
        {std::pair<std::size_t, std::size_t>{32, 32}, {64, 64}, {128, 128},
-        {32, 128}, {128, 32}, {64, 32}}) {
+        {32, 128}, {128, 32}, {64, 32}, {16, 16}, {48, 48}, {16, 48},
+        {48, 16}}) {
     const std::string what =
         "Br=" + std::to_string(br) + " Bc=" + std::to_string(bc);
     expect_entries_match(in.q, in.k, in.v, tiles(br, bc), SasConfig{},

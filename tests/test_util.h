@@ -65,16 +65,20 @@ inline std::vector<std::uint8_t> pack_codes_bitwise(
 
 // Record which fused-kernel entries a parity test runs, the ones this CPU
 // supports, as the test property `fused_entries` and one stdout line, so a
-// CI log shows whether the AVX-512 entry ran.
+// CI log shows whether the AVX-512 and AMX entries ran. A second line,
+// `[ untested ]`, names the compiled entries this CPU cannot run;
+// tools/check.sh prints the union of both over a lane's tests.
 inline void record_fused_entries() {
   std::string names;
+  std::string untested;
   for (const detail::FusedEntry& e : detail::fused_entries()) {
-    if (!e.supported) continue;
-    if (!names.empty()) names += ' ';
-    names += e.name;
+    std::string& list = e.supported ? names : untested;
+    if (!list.empty()) list += ' ';
+    list += e.name;
   }
   ::testing::Test::RecordProperty("fused_entries", names);
   std::cout << "[ entries  ] " << names << '\n';
+  if (!untested.empty()) std::cout << "[ untested ] " << untested << '\n';
 }
 
 }  // namespace turbo::test
