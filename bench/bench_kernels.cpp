@@ -13,6 +13,10 @@
 #include <numeric>
 #include <vector>
 
+#if defined(TURBO_HAVE_LIBMVEC)
+#include <immintrin.h>
+#endif
+
 #include "attention/flash.h"
 #include "attention/reference.h"
 #include "attention/turbo.h"
@@ -28,6 +32,7 @@
 #include "quant/progressive.h"
 #include "quant/symmetric.h"
 #include "softmax/sas.h"
+#include "softmax/sas_paths.h"
 #include "softmax/softmax.h"
 
 namespace {
@@ -99,11 +104,27 @@ void BM_PackCodes(benchmark::State& state) {
 }
 BENCHMARK(BM_PackCodes);
 
-// SAS vs libm exponentiation — the Section 4 claim, measured.
-void BM_ExpLibm(benchmark::State& state) {
+// Rows that run 9 repetitions each, reported as their mean, median,
+// stddev, cv and min, so that one row's change can be told from this
+// host's swings between runs: the exponent rows and the *FusedEntry rows.
+void entry_rows(benchmark::internal::Benchmark* b) {
+  b->Repetitions(9)->DisplayAggregatesOnly(true)->ComputeStatistics(
+      "min", [](const std::vector<double>& v) {
+        return *std::min_element(v.begin(), v.end());
+      });
+}
+
+// SAS vs libm exponentiation — the Section 4 claim, measured. Every
+// exponent row runs the same 4,096 inputs in [-6, 0].
+std::vector<float> exp_inputs() {
   std::vector<float> x(4096);
   Rng rng(5);
   for (float& v : x) v = static_cast<float>(rng.uniform(-6.0, 0.0));
+  return x;
+}
+
+void BM_ExpLibm(benchmark::State& state) {
+  const std::vector<float> x = exp_inputs();
   for (auto _ : state) {
     float acc = 0.0f;
     for (float v : x) acc += std::exp(v);
@@ -111,15 +132,13 @@ void BM_ExpLibm(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * x.size());
 }
-BENCHMARK(BM_ExpLibm);
+BENCHMARK(BM_ExpLibm)->Apply(entry_rows);
 
 // The production configuration (FP16 arithmetic, n_r = -6), one call per
 // element, as the prefill kernel runs it.
 void BM_ExpSas(benchmark::State& state) {
   const Sas sas;
-  std::vector<float> x(4096);
-  Rng rng(5);
-  for (float& v : x) v = static_cast<float>(rng.uniform(-6.0, 0.0));
+  const std::vector<float> x = exp_inputs();
   for (auto _ : state) {
     float acc = 0.0f;
     for (float v : x) acc += sas.exp_neg(v);
@@ -127,25 +146,64 @@ void BM_ExpSas(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * x.size());
 }
-BENCHMARK(BM_ExpSas);
+BENCHMARK(BM_ExpSas)->Apply(entry_rows);
 
-// Same values through the batch path the decode kernel runs (AVX2 + F16C
-// when the CPU has them), bit-identical to BM_ExpSas's results.
+// Same values through the batch path the kernels run, Sas::apply, one row
+// per compiled path (0 scalar, 1 avx2, 2 avx512, 3 avx512fp16; see
+// softmax/sas_paths.h), each bit-identical to BM_ExpSas's results. A path
+// this build or CPU lacks is skipped.
 void BM_ExpSasApply(benchmark::State& state) {
+  const auto paths = detail::sas_paths();
+  const auto i = static_cast<std::size_t>(state.range(0));
+  if (i >= paths.size() || !paths[i].supported) {
+    state.SkipWithError("SAS path not compiled or not supported here");
+    return;
+  }
+  state.SetLabel(paths[i].name);
   const Sas sas;
-  std::vector<float> x(4096);
-  Rng rng(5);
-  for (float& v : x) v = static_cast<float>(rng.uniform(-6.0, 0.0));
+  const std::vector<float> x = exp_inputs();
   std::vector<float> y(x.size());
   for (auto _ : state) {
     y = x;
-    sas.apply(y);
+    paths[i].apply(sas, y);
     benchmark::DoNotOptimize(y.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * x.size());
 }
-BENCHMARK(BM_ExpSasApply);
+BENCHMARK(BM_ExpSasApply)->DenseRange(0, 3)->Apply(entry_rows);
+
+#if defined(TURBO_HAVE_LIBMVEC)
+// glibc's 16-lane expf (libmvec), the vector FP32 exponent a CPU
+// FlashAttention would use, on the same values in place, as
+// BM_ExpSasApply runs them. Built where CMake finds libmvec; skipped on a
+// CPU without AVX-512.
+extern "C" __m512 _ZGVeN16v_expf(__m512 x);
+
+__attribute__((target("avx512f"))) void libmvec_exp(std::vector<float>& y) {
+  for (std::size_t i = 0; i < y.size(); i += 16) {
+    _mm512_storeu_ps(y.data() + i,
+                     _ZGVeN16v_expf(_mm512_loadu_ps(y.data() + i)));
+  }
+}
+
+void BM_ExpLibmvec(benchmark::State& state) {
+  if (!__builtin_cpu_supports("avx512f")) {
+    state.SkipWithError("libmvec's 16-lane expf needs AVX-512");
+    return;
+  }
+  const std::vector<float> x = exp_inputs();
+  std::vector<float> y(x.size());
+  for (auto _ : state) {
+    y = x;
+    libmvec_exp(y);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * x.size());
+}
+BENCHMARK(BM_ExpLibmvec)->Apply(entry_rows);
+#endif
 
 void BM_SoftmaxExact(benchmark::State& state) {
   const MatrixF scores = random_matrix(64, 1024, 6);
@@ -219,21 +277,13 @@ void BM_FlashAttentionFp16(benchmark::State& state) {
 }
 BENCHMARK(BM_FlashAttentionFp16)->Arg(256)->Arg(512);
 
-// Every output names the fused entry the dispatched kernels run.
+// Every output names the fused entry the dispatched kernels run, and the
+// path Sas::apply runs.
 const bool kFusedEntryContext = [] {
   benchmark::AddCustomContext("fused_entry", detail::fused_entry().name);
+  benchmark::AddCustomContext("sas_path", detail::sas_path().name);
   return true;
 }();
-
-// The *FusedEntry benches' rows: 9 repetitions each, reported as their
-// mean, median, stddev and min, so that one entry's change can be told
-// from this host's swings between runs.
-void entry_rows(benchmark::internal::Benchmark* b) {
-  b->Repetitions(9)->DisplayAggregatesOnly(true)->ComputeStatistics(
-      "min", [](const std::vector<double>& v) {
-        return *std::min_element(v.begin(), v.end());
-      });
-}
 
 // The compiled fused entry a *FusedEntry bench's first argument names, or
 // nullptr (and the bench skipped) when this build or CPU lacks it.

@@ -36,3 +36,10 @@ target_link_libraries(bench_kernels PRIVATE turbo::turbo
   benchmark::benchmark benchmark::benchmark_main)
 set_target_properties(bench_kernels PROPERTIES
   RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
+# glibc's vector math library, for BM_ExpLibmvec: linked into
+# bench_kernels only, and only where CMake finds it.
+find_library(TURBO_LIBMVEC mvec)
+if(TURBO_LIBMVEC)
+  target_link_libraries(bench_kernels PRIVATE ${TURBO_LIBMVEC})
+  target_compile_definitions(bench_kernels PRIVATE TURBO_HAVE_LIBMVEC)
+endif()

@@ -1,12 +1,18 @@
 // CPU feature checks for the kernels' runtime dispatch.
 //
-// The fused kernels (kernels/dispatch.h) and the batch SAS
-// (Sas::apply) have three builds: the baseline ISA, AVX2 + F16C, and
-// AVX-512 with VNNI; the fused prefill has a fourth, the AVX-512 build with
-// its QK^T and P~V on AMX-INT8 tiles. Each predicate below says whether
-// this CPU, and the OS, can run one of the wider builds. They read CPUID;
-// callers cache the answer in a function-local static.
+// The fused kernels (kernels/dispatch.h) and the batch SAS (Sas::apply,
+// softmax/sas_paths.h) have three builds: the baseline ISA, AVX2 + F16C,
+// and AVX-512 with VNNI. The fused prefill has a fourth, the AVX-512 build
+// with its QK^T and P~V on AMX-INT8 tiles; the batch SAS has a fourth too,
+// the AVX-512 build with its binary16 arithmetic on AVX-512 FP16. Each
+// predicate below says whether this CPU, and the OS, can run one of the
+// wider builds. They read CPUID; callers cache the answer in a
+// function-local static.
 #pragma once
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#endif
 
 namespace turbo {
 
@@ -28,6 +34,24 @@ inline bool cpu_has_avx512vnni() {
          __builtin_cpu_supports("avx512bw") &&
          __builtin_cpu_supports("avx512vl") &&
          __builtin_cpu_supports("avx512vnni");
+#else
+  return false;
+#endif
+}
+
+// cpu_has_avx512vnni() + AVX-512 FP16: the 32-lane binary16 SAS. The FP16
+// bit is read from CPUID (leaf 7, EDX bit 23), since clang before 16 does
+// not know __builtin_cpu_supports("avx512fp16"); cpu_has_avx512vnni()
+// already asks that the OS saves the AVX-512 state.
+inline bool cpu_has_avx512fp16() {
+#if defined(__x86_64__)
+  unsigned eax = 0;
+  unsigned ebx = 0;
+  unsigned ecx = 0;
+  unsigned edx = 0;
+  return cpu_has_avx512vnni() &&
+         __get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) != 0 &&
+         (edx & (1u << 23)) != 0;
 #else
   return false;
 #endif

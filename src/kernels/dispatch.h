@@ -7,10 +7,13 @@
 // "avx512vnni" for AVX2 + F16C + AVX-512 F/BW/VL/VNNI
 // (kernels/fused_kernels_avx512.cpp). A fourth entry, "amx", runs the
 // avx512vnni decode and a second instance of the AVX-512 prefill body,
-// fused_prefill<true>, whose QK^T and P~V are AMX-INT8 tile products over
-// the K and V tiles' quad copies, which are already AMX's B operand. It is
-// supported where the CPU has AMX-TILE and AMX-INT8 and Linux grants the
-// process the tile state (cpu_has_amx_int8). Both files build with
+// fused_prefill<true>, whose (Q tile, KV tile) step is key-major: K Q^T
+// and O^T = V^T P~^T are AMX-INT8 tile products, each query row is one
+// vector lane, and the online softmax between them runs as vertical
+// vector ops. It is supported where the CPU has AMX-TILE and AMX-INT8 and
+// Linux grants the process the tile state (cpu_has_amx_int8). Sas::apply,
+// which every entry calls, has a dispatch table of its own
+// (softmax/sas_paths.h). Both files build with
 // -ffp-contract=off, so no multiply-add contracts into an FMA. The first
 // call of either kernel picks the last entry this CPU supports, from
 // CPUID (common/cpu.h); both kernels run that entry, and nothing else

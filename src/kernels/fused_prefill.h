@@ -19,10 +19,11 @@
 // fused_prefill_test pins that for every compiled entry. Dispatch is the
 // decode kernel's (kernels/dispatch.h): baseline, AVX2 + F16C (P~V on
 // maddubs), AVX-512 with VNNI, where QK^T and P~V run one query row at a
-// time on vpdpbusd, or AMX, where each (Q tile, KV tile)'s QK^T and P~V
-// are AMX-INT8 tile products for all of the tile's rows at once (tdpbsud
-// against the K tile's quad copy, tdpbusd against the V tile's), with the
-// operands padded with zero bytes to whole 16-row, 64-byte tiles. The
+// time on vpdpbusd, or AMX, where each (Q tile, KV tile) step is
+// key-major: K Q^T (tdpbssd) and O^T = V^T P~^T (tdpbsud) are AMX-INT8
+// tile products for all of the tile's rows at once, with the operands
+// padded with zero bytes to whole 16-row, 64-byte tiles, and each query
+// row is one lane of the vector code between them, its O transposed. The
 // tiles are configured once per call and released on every exit from it.
 #pragma once
 

@@ -4,11 +4,13 @@
 #include <cmath>
 
 #if defined(__x86_64__)
-// GCC 12's AVX-512 headers trip -Wmaybe-uninitialized inside their own
-// inline functions (_mm512_cvtps_ph among them). The warning is located in
-// the header, so only a pragma around the include silences it.
+// GCC 12's AVX-512 headers trip -Wmaybe-uninitialized and -Wuninitialized
+// inside their own inline functions (_mm512_cvtps_ph, and
+// _mm512_inserti64x4 through _mm512_undefined_epi32). The warning is
+// located in the header, so only a pragma around the include silences it.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
 #include <immintrin.h>
 #pragma GCC diagnostic pop
 #endif
@@ -16,6 +18,7 @@
 #include "common/check.h"
 #include "common/cpu.h"
 #include "common/fp16.h"
+#include "softmax/sas_paths.h"
 
 namespace turbo {
 
@@ -139,9 +142,178 @@ void apply_avx512(const SasConfig& config, std::span<const float> lut,
   }
 }
 
+// One half of apply_avx512fp16's 32-lane step: sixteen inputs through
+// apply_avx512's FP32 prologue, whose integer/fraction split is exact only
+// on the FP32 input, then the LUT index as words and the fraction rounded
+// to binary16 (t of poly_fp16).
+struct SasHalf {
+  __m512 in;
+  __mmask16 nan;
+  __mmask16 keep;
+  __m256i index;  // y_int, one word per lane
+  __m256i t;      // round16(y_dec), binary16 bits
+};
+
+__attribute__((target(
+    "avx2,f16c,avx512f,avx512bw,avx512vl,avx512vnni,avx512fp16"))) inline SasHalf
+sas_half(const float* values, __mmask16 lanes, __m512 threshold) {
+  const __m512 zero = _mm512_setzero_ps();
+  const __m512i sign = _mm512_castps_si512(_mm512_set1_ps(-0.0f));
+  SasHalf h;
+  h.in = _mm512_maskz_loadu_ps(lanes, values);
+  h.nan = _mm512_cmp_ps_mask(h.in, h.in, _CMP_UNORD_Q);
+  const __m512 x = _mm512_mask_blend_ps(
+      _mm512_cmp_ps_mask(h.in, zero, _CMP_GT_OQ), h.in, zero);
+  h.keep = _mm512_cmp_ps_mask(x, threshold, _CMP_GE_OQ);
+  const __m512 y = _mm512_maskz_mov_ps(
+      h.keep,
+      _mm512_castsi512_ps(_mm512_xor_si512(_mm512_castps_si512(x), sign)));
+  const __m512i y_int = _mm512_cvttps_epi32(y);
+  const __m512 y_dec = _mm512_sub_ps(y, _mm512_cvtepi32_ps(y_int));
+  h.index = _mm512_cvtepi32_epi16(y_int);
+  h.t = _mm512_maskz_cvtps_ph(__mmask16{0xFFFF}, y_dec,
+                              _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  return h;
+}
+
+// Two 16-word halves as one 32-word register, lo in words 0-15.
+__attribute__((target(
+    "avx2,f16c,avx512f,avx512bw,avx512vl,avx512vnni,avx512fp16"))) inline __m512i
+join_words(__m256i lo, __m256i hi) {
+  return _mm512_inserti64x4(_mm512_zextsi256_si512(lo), hi, 1);
+}
+
+// apply_avx512 on 32 lanes per step, for a LUT of at most 16 entries
+// (threshold >= -14), with its binary16 arithmetic on AVX-512 FP16: after
+// the FP32 prologue, the Horner chain and the LUT product run as vmulph and
+// vaddph, 32 binary16 lanes to a register, rounded to nearest even whatever
+// the rounding direction. Each equals the FP32 operation of its two
+// binary16 operands rounded once more to binary16, poly_fp16's round trip,
+// because FP32's 24 bits are at least 2 * 11 + 2: the double rounding is
+// innocuous. The keep and NaN blends run in FP32 again. The LUT, whose
+// entries are binary16 values already, and the coefficients, which round
+// as round_to_fp16 rounds them, are converted once per call.
+__attribute__((target(
+    "avx2,f16c,avx512f,avx512bw,avx512vl,avx512vnni,avx512fp16"))) void
+apply_avx512fp16(const SasConfig& config, std::span<const float> lut,
+                 std::span<float> values) {
+  constexpr int kNearest = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
+  // Words 0-15: the LUT; words 16-19: c3, c2, c1, c0.
+  const __m512h table = _mm512_castsi512_ph(join_words(
+      _mm512_maskz_cvtps_ph(
+          __mmask16{0xFFFF},
+          _mm512_maskz_loadu_ps(
+              static_cast<__mmask16>((1u << lut.size()) - 1u), lut.data()),
+          kNearest),
+      _mm512_maskz_cvtps_ph(__mmask16{0xFFFF},
+                            _mm512_setr_ps(kC3, kC2, kC1, kC0, 0.0f, 0.0f,
+                                           0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f,
+                                           0.0f, 0.0f, 0.0f, 0.0f),
+                            kNearest)));
+  const __m512h c3 = _mm512_permutexvar_ph(_mm512_set1_epi16(16), table);
+  const __m512h c2 = _mm512_permutexvar_ph(_mm512_set1_epi16(17), table);
+  const __m512h c1 = _mm512_permutexvar_ph(_mm512_set1_epi16(18), table);
+  const __m512h c0 = _mm512_permutexvar_ph(_mm512_set1_epi16(19), table);
+  const __m512 threshold =
+      _mm512_set1_ps(static_cast<float>(config.threshold));
+  const std::size_t n = values.size();
+  for (std::size_t i = 0; i < n; i += 32) {
+    const std::size_t left = n - i;
+    const __mmask16 lanes_lo =
+        left >= 16 ? __mmask16{0xFFFF}
+                   : static_cast<__mmask16>((1u << left) - 1u);
+    const __mmask16 lanes_hi =
+        left >= 32 ? __mmask16{0xFFFF}
+        : left > 16 ? static_cast<__mmask16>((1u << (left - 16)) - 1u)
+                    : __mmask16{0};
+    const SasHalf lo = sas_half(values.data() + i, lanes_lo, threshold);
+    const SasHalf hi = sas_half(values.data() + i + 16, lanes_hi, threshold);
+    const __m512h t = _mm512_castsi512_ph(join_words(lo.t, hi.t));
+    __m512h acc = _mm512_mul_round_ph(c3, t, kNearest);
+    acc = _mm512_add_round_ph(acc, c2, kNearest);
+    acc = _mm512_mul_round_ph(acc, t, kNearest);
+    acc = _mm512_add_round_ph(acc, c1, kNearest);
+    acc = _mm512_mul_round_ph(acc, t, kNearest);
+    acc = _mm512_add_round_ph(acc, c0, kNearest);
+    const __m512h lut_v =
+        _mm512_permutexvar_ph(join_words(lo.index, hi.index), table);
+    const __m512i prod =
+        _mm512_castph_si512(_mm512_mul_round_ph(lut_v, acc, kNearest));
+    const __m512 prod_lo = _mm512_cvtph_ps(_mm512_castsi512_si256(prod));
+    const __m512 prod_hi = _mm512_cvtph_ps(_mm512_extracti64x4_epi64(prod, 1));
+    _mm512_mask_storeu_ps(
+        values.data() + i, lanes_lo,
+        _mm512_mask_blend_ps(lo.nan, _mm512_maskz_mov_ps(lo.keep, prod_lo),
+                             lo.in));
+    _mm512_mask_storeu_ps(
+        values.data() + i + 16, lanes_hi,
+        _mm512_mask_blend_ps(hi.nan, _mm512_maskz_mov_ps(hi.keep, prod_hi),
+                             hi.in));
+  }
+}
+
+#endif  // __x86_64__
+
+void apply_scalar(const Sas& sas, std::span<float> values) {
+  for (float& v : values) v = sas.exp_neg(v);
+}
+
+#if defined(__x86_64__)
+
+// The vector paths take the configuration the kernels run, binary16
+// arithmetic and no exact exp, with a LUT of at most lut_max entries; the
+// rest is exp_neg.
+bool vector_config(const Sas& sas, std::size_t lut_max) {
+  return sas.config().fp16_arithmetic && !sas.config().exact_exp &&
+         sas.lut().size() <= lut_max;
+}
+
+void apply_avx2_path(const Sas& sas, std::span<float> values) {
+  std::size_t done = 0;
+  if (vector_config(sas, 8)) done = apply_avx2(sas.config(), sas.lut(), values);
+  apply_scalar(sas, values.subspan(done));
+}
+
+void apply_avx512_path(const Sas& sas, std::span<float> values) {
+  if (!vector_config(sas, 16)) return apply_scalar(sas, values);
+  apply_avx512(sas.config(), sas.lut(), values);
+}
+
+void apply_avx512fp16_path(const Sas& sas, std::span<float> values) {
+  if (!vector_config(sas, 16)) return apply_scalar(sas, values);
+  apply_avx512fp16(sas.config(), sas.lut(), values);
+}
+
 #endif  // __x86_64__
 
 }  // namespace
+
+namespace detail {
+
+std::span<const SasPath> sas_paths() {
+  static const std::array kPaths = {
+      SasPath{"scalar", &apply_scalar, true},
+#if defined(__x86_64__)
+      SasPath{"avx2", &apply_avx2_path, cpu_has_avx2_f16c()},
+      SasPath{"avx512", &apply_avx512_path, cpu_has_avx512vnni()},
+      SasPath{"avx512fp16", &apply_avx512fp16_path, cpu_has_avx512fp16()},
+#endif
+  };
+  return kPaths;
+}
+
+const SasPath& sas_path() {
+  static const SasPath* const kPicked = [] {
+    const SasPath* picked = nullptr;
+    for (const SasPath& p : sas_paths()) {
+      if (p.supported) picked = &p;
+    }
+    return picked;
+  }();
+  return *kPicked;
+}
+
+}  // namespace detail
 
 Sas::Sas(SasConfig config) : config_(config) {
   TURBO_CHECK_MSG(config_.threshold < 0,
@@ -197,21 +369,7 @@ float Sas::exp_neg(float x) const {
 }
 
 void Sas::apply(std::span<float> values) const {
-  std::size_t done = 0;
-#if defined(__x86_64__)
-  static const bool kAvx512 = cpu_has_avx512vnni();
-  static const bool kAvx2 = cpu_has_avx2_f16c();
-  // Other configurations (exact exp, FP32 arithmetic, a LUT wider than
-  // the register) take the scalar loop.
-  if (config_.fp16_arithmetic && !config_.exact_exp) {
-    if (kAvx512 && lut_.size() <= 16) {
-      apply_avx512(config_, lut_, values);
-      return;
-    }
-    if (kAvx2 && lut_.size() <= 8) done = apply_avx2(config_, lut_, values);
-  }
-#endif
-  for (float& v : values.subspan(done)) v = exp_neg(v);
+  detail::sas_path().apply(*this, values);
 }
 
 MatrixF Sas::softmax(const MatrixF& scores) const {

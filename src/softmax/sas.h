@@ -16,7 +16,8 @@
 // exactly 0, which keeps the LUT at |n_r|+1 entries and zeroes the long
 // tail of attention scores (their true value is < e^-6 ~= 0.0025).
 // All arithmetic optionally rounds through FP16 to model tensor-core
-// execution.
+// execution; on a CPU with AVX-512 FP16, Sas::apply runs it as native
+// binary16 arithmetic.
 #pragma once
 
 #include <span>
@@ -59,11 +60,12 @@ class Sas {
 
   // Apply exp_neg element-wise in place, bit for bit. With binary16
   // arithmetic and no exact exp, the CPU (checked once, from CPUID; see
-  // common/cpu.h) picks a vector path: sixteen values per step on
-  // AVX-512 with VNNI (threshold >= -14, a masked final vector), else
-  // eight on AVX2 + F16C (threshold >= -6). The F16C conversions do the
-  // binary16 rounding. Other configurations and CPUs, and the oracle the
-  // vector paths are tested against, are exp_neg.
+  // softmax/sas_paths.h and common/cpu.h) picks a vector path: 32 values
+  // per step on native binary16 arithmetic with AVX-512 FP16, else
+  // sixteen on AVX-512 with VNNI (both threshold >= -14, a masked final
+  // vector), else eight on AVX2 + F16C (threshold >= -6), where F16C
+  // conversions do the binary16 rounding. Other configurations and CPUs,
+  // and the oracle the vector paths are tested against, are exp_neg.
   void apply(std::span<float> values) const;
 
   // Full Algorithm 3: row-shift by max, sparsify, LUT x POLY, renormalize.

@@ -171,16 +171,53 @@ TEST_P(FusedPrefillParity, TileSizes) {
   const std::size_t d = GetParam();
   const Inputs in = make_inputs(200, 200, d, 13);
   // 16 and 48 rows or keys: one AMX tile block, and an odd number of them.
+  // 80 rows: five 16-row lane groups in the AMX entry's key-major step, an
+  // odd count past one 2 x 2 block of its products.
   for (const auto& [br, bc] :
        {std::pair<std::size_t, std::size_t>{32, 32}, {64, 64}, {128, 128},
         {32, 128}, {128, 32}, {64, 32}, {16, 16}, {48, 48}, {16, 48},
-        {48, 16}}) {
+        {48, 16}, {80, 80}, {80, 16}}) {
     const std::string what =
         "Br=" + std::to_string(br) + " Bc=" + std::to_string(bc);
     expect_entries_match(in.q, in.k, in.v, tiles(br, bc), SasConfig{},
                          what + " causal");
     expect_entries_match(in.q, in.k, in.v, tiles(br, bc, false), SasConfig{},
                          what + " non-causal");
+  }
+}
+
+TEST(FusedPrefillParity, RowWithNoCodeWhileOtherRowsAreLive) {
+  // A row whose P~ codes of a KV tile are all 0, while the tile's other
+  // rows have codes, keeps its O as it is, -0 included: the AMX entry's
+  // key-major step masks its O update in that lane. Row 5's query is
+  // 3 k_70, so its running max jumps far past -n_r in KV tile 1: alpha = 0
+  // turns its negative O values into -0. V's tile 1 is so small that
+  // o_scale underflows to 0, so P~V adds a zero of each sum's sign there,
+  // and some -0s stay. Every score of row 5 in tile 2 is then sparsified
+  // to 0: the row is live (its block max is finite) but has no code.
+  test::record_fused_entries();
+  for (const std::size_t d : {std::size_t{128}, std::size_t{44}}) {
+    MatrixF q = test::random_matrix(64, d, 41, 0.5);
+    const MatrixF k = test::random_matrix(192, d, 42);
+    MatrixF v = test::random_matrix(192, d, 43);
+    for (std::size_t c = 0; c < d; ++c) q(5, c) = 3.0f * k(70, c);
+    for (std::size_t r = 64; r < 128; ++r) {
+      for (float& x : v.row(r)) x *= 1e-42f;
+    }
+    for (const bool causal : {false, true}) {
+      const AttentionConfig cfg = tiles(64, 64, causal);
+      const std::string what = "d=" + std::to_string(d) +
+                               (causal ? " causal" : " non-causal");
+      // The case is there: the oracle's row 5 holds -0s.
+      const TurboPrefillResult ref =
+          turbo_attention_prefill(q, k, v, cfg, Sas{}, nullptr);
+      std::size_t negative_zeros = 0;
+      for (const float x : ref.o.row(5)) {
+        if (x == 0.0f && std::signbit(x)) ++negative_zeros;
+      }
+      ASSERT_GT(negative_zeros, 0u) << what;
+      expect_entries_match(q, k, v, cfg, SasConfig{}, what);
+    }
   }
 }
 

@@ -3,7 +3,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,6 +14,7 @@
 #include "common/check.h"
 #include "common/fp16.h"
 #include "common/stats.h"
+#include "softmax/sas_paths.h"
 #include "softmax/softmax.h"
 #include "tests/test_util.h"
 
@@ -227,7 +231,7 @@ TEST(SasTest, NanPropagatesInsteadOfIndexingTheLut) {
   EXPECT_TRUE(std::isnan(Sas(SasConfig{.exact_exp = true}).exp_neg(nan)));
 }
 
-// --- Sas::apply (the batch path the decode kernel runs) == exp_neg -----
+// --- Sas::apply (the batch path the kernels run) == exp_neg --------------
 
 std::vector<float> sas_inputs(int threshold) {
   std::vector<float> xs;
@@ -241,8 +245,30 @@ std::vector<float> sas_inputs(int threshold) {
   for (int i = 0; i <= 200000; ++i) {
     xs.push_back(-span * static_cast<float>(i) / 200000.0f);
   }
-  // Specials, and positive inputs (clamped to 0).
   const float inf = std::numeric_limits<float>::infinity();
+  // Each value and its FP32 neighbours, 1 and 2 ulps either side.
+  const auto with_neighbours = [&](float v) {
+    const float down = std::nextafter(v, -inf);
+    const float up = std::nextafter(v, inf);
+    for (const float x : {std::nextafter(down, -inf), down, v, up,
+                          std::nextafter(up, inf)}) {
+      xs.push_back(x);
+    }
+  };
+  // Around every integer in [n_r - 1, 0], where the integer/fraction split
+  // changes: it must run on the FP32 input (-2.9999 rounds to binary16
+  // -3.0).
+  for (int i = threshold - 1; i <= 0; ++i) {
+    with_neighbours(static_cast<float>(i));
+  }
+  // Around -(a + b) / 2 for every two adjacent binary16 values a < b in
+  // [0, 1): the fraction's rounding to binary16 breaks a tie there.
+  for (std::uint32_t h = 0; h < 0x3BFFu; ++h) {
+    const float a = half_bits_to_float(static_cast<std::uint16_t>(h));
+    const float b = half_bits_to_float(static_cast<std::uint16_t>(h + 1));
+    with_neighbours(-(a + (b - a) / 2.0f));
+  }
+  // Specials, and positive inputs (clamped to 0).
   const float nan = std::numeric_limits<float>::quiet_NaN();
   for (const float v :
        {0.0f, -0.0f, -inf, nan, -nan, inf, 1.0f, 1e-30f, 3.5f,
@@ -257,66 +283,93 @@ std::vector<float> sas_inputs(int threshold) {
   return xs;
 }
 
+// Sas::apply, and every compiled path this CPU supports
+// (softmax/sas_paths.h), against exp_neg. Each test records the paths it
+// runs.
 class SasApplyParity
-    : public ::testing::TestWithParam<std::tuple<int, bool, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<int, bool, bool>> {
+ protected:
+  void SetUp() override { test::record_fused_entries(); }
+
+  // Every supported path's apply, then the dispatched Sas::apply.
+  static std::vector<std::pair<std::string, std::function<void(
+                                                std::span<float>)>>>
+  appliers(const Sas& sas) {
+    std::vector<std::pair<std::string, std::function<void(std::span<float>)>>>
+        out;
+    for (const detail::SasPath& p : detail::sas_paths()) {
+      if (!p.supported) continue;
+      out.emplace_back(p.name, [&sas, fn = p.apply](std::span<float> v) {
+        fn(sas, v);
+      });
+    }
+    out.emplace_back("dispatched",
+                     [&sas](std::span<float> v) { sas.apply(v); });
+    return out;
+  }
+};
 
 TEST_P(SasApplyParity, ApplyEqualsExpNegBitForBit) {
   const auto [threshold, fp16, exact] = GetParam();
   const Sas sas(SasConfig{
       .threshold = threshold, .fp16_arithmetic = fp16, .exact_exp = exact});
   const std::vector<float> xs = sas_inputs(threshold);
-  std::vector<float> ys = xs;
-  sas.apply(ys);
-  std::size_t mismatches = 0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const auto want = std::bit_cast<std::uint32_t>(sas.exp_neg(xs[i]));
-    const auto got = std::bit_cast<std::uint32_t>(ys[i]);
-    if (want != got && ++mismatches <= 5) {
-      ADD_FAILURE() << "x=" << xs[i] << " apply=" << ys[i]
-                    << " exp_neg=" << sas.exp_neg(xs[i]);
+  for (const auto& [name, apply] : appliers(sas)) {
+    std::vector<float> ys = xs;
+    apply(ys);
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      const auto want = std::bit_cast<std::uint32_t>(sas.exp_neg(xs[i]));
+      const auto got = std::bit_cast<std::uint32_t>(ys[i]);
+      if (want != got && ++mismatches <= 5) {
+        ADD_FAILURE() << name << ": x=" << xs[i] << " apply=" << ys[i]
+                      << " exp_neg=" << sas.exp_neg(xs[i]);
+      }
     }
+    EXPECT_EQ(mismatches, 0u) << name;
   }
-  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST_P(SasApplyParity, EveryLengthUpTo40) {
-  // Lengths 1-40 run the 16-lane body zero to two times, then its masked
-  // final vector (or the 8-lane body and the scalar tail), over windows
-  // of the inputs at a few offsets.
+  // Lengths 1-40 run the 32-lane body zero or one time and the 16-lane
+  // body zero to two times, then their masked final vectors (or the 8-lane
+  // body and the scalar tail), over windows of the inputs at a few offsets.
   const auto [threshold, fp16, exact] = GetParam();
   const Sas sas(SasConfig{
       .threshold = threshold, .fp16_arithmetic = fp16, .exact_exp = exact});
   const std::vector<float> xs = sas_inputs(threshold);
-  std::size_t mismatches = 0;
-  for (std::size_t n = 1; n <= 40; ++n) {
-    for (const std::size_t offset :
-         {std::size_t{0}, xs.size() / 3, xs.size() - 40}) {
-      std::vector<float> ys(xs.begin() + static_cast<std::ptrdiff_t>(offset),
-                            xs.begin() +
-                                static_cast<std::ptrdiff_t>(offset + n));
-      sas.apply(ys);
-      for (std::size_t i = 0; i < n; ++i) {
-        const float x = xs[offset + i];
-        if (std::bit_cast<std::uint32_t>(ys[i]) !=
-                std::bit_cast<std::uint32_t>(sas.exp_neg(x)) &&
-            ++mismatches <= 5) {
-          ADD_FAILURE() << "n=" << n << " i=" << i << " x=" << x
-                        << " apply=" << ys[i]
-                        << " exp_neg=" << sas.exp_neg(x);
+  for (const auto& [name, apply] : appliers(sas)) {
+    std::size_t mismatches = 0;
+    for (std::size_t n = 1; n <= 40; ++n) {
+      for (const std::size_t offset :
+           {std::size_t{0}, xs.size() / 3, xs.size() - 40}) {
+        std::vector<float> ys(
+            xs.begin() + static_cast<std::ptrdiff_t>(offset),
+            xs.begin() + static_cast<std::ptrdiff_t>(offset + n));
+        apply(ys);
+        for (std::size_t i = 0; i < n; ++i) {
+          const float x = xs[offset + i];
+          if (std::bit_cast<std::uint32_t>(ys[i]) !=
+                  std::bit_cast<std::uint32_t>(sas.exp_neg(x)) &&
+              ++mismatches <= 5) {
+            ADD_FAILURE() << name << ": n=" << n << " i=" << i << " x=" << x
+                          << " apply=" << ys[i]
+                          << " exp_neg=" << sas.exp_neg(x);
+          }
         }
       }
     }
+    EXPECT_EQ(mismatches, 0u) << name;
   }
-  EXPECT_EQ(mismatches, 0u);
 }
 
-// With AVX-512 VNNI, apply takes LUTs of up to 16 entries (n_r >= -14) on
-// 16 lanes; with AVX2 only, up to 8 (n_r >= -6), so n_r = -9 runs the
-// scalar loop there. Without fp16 arithmetic, or with exact_exp, apply is
-// always the scalar loop.
+// The 16- and 32-lane paths take LUTs of up to 16 entries (n_r >= -14),
+// the 8-lane path up to 8 (n_r >= -6), so n_r = -9 and -14 run the scalar
+// loop there, and n_r = -15 on every path. Without fp16 arithmetic, or
+// with exact_exp, every path is the scalar loop.
 INSTANTIATE_TEST_SUITE_P(
     ThresholdsAndModes, SasApplyParity,
-    ::testing::Combine(::testing::Values(-4, -6, -9),
+    ::testing::Combine(::testing::Values(-4, -6, -9, -14, -15),
                        ::testing::Bool(),    // fp16_arithmetic
                        ::testing::Bool()));  // exact_exp
 

@@ -13,6 +13,7 @@
 #include "common/rng.h"
 #include "kernels/dispatch.h"
 #include "quant/packing.h"
+#include "softmax/sas_paths.h"
 
 namespace turbo::test {
 
@@ -63,18 +64,25 @@ inline std::vector<std::uint8_t> pack_codes_bitwise(
   return out;
 }
 
-// Record which fused-kernel entries a parity test runs, the ones this CPU
-// supports, as the test property `fused_entries` and one stdout line, so a
-// CI log shows whether the AVX-512 and AMX entries ran. A second line,
-// `[ untested ]`, names the compiled entries this CPU cannot run;
-// tools/check.sh prints the union of both over a lane's tests.
+// Record which fused-kernel entries and Sas::apply paths a parity test
+// runs, the ones this CPU supports, as the test property `fused_entries`
+// and one stdout line, so a CI log shows whether the AVX-512, AMX and
+// AVX-512 FP16 code ran. SAS paths carry a `sas:` prefix. A second line,
+// `[ untested ]`, names the compiled entries and paths this CPU cannot
+// run; tools/check.sh prints the union of both over a lane's tests.
 inline void record_fused_entries() {
   std::string names;
   std::string untested;
-  for (const detail::FusedEntry& e : detail::fused_entries()) {
-    std::string& list = e.supported ? names : untested;
+  const auto add = [&](bool supported, const std::string& name) {
+    std::string& list = supported ? names : untested;
     if (!list.empty()) list += ' ';
-    list += e.name;
+    list += name;
+  };
+  for (const detail::FusedEntry& e : detail::fused_entries()) {
+    add(e.supported, e.name);
+  }
+  for (const detail::SasPath& p : detail::sas_paths()) {
+    add(p.supported, std::string("sas:") + p.name);
   }
   ::testing::Test::RecordProperty("fused_entries", names);
   std::cout << "[ entries  ] " << names << '\n';
