@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #if defined(TURBO_HAVE_LIBMVEC)
@@ -30,6 +31,7 @@
 #include "quant/asymmetric.h"
 #include "quant/packing.h"
 #include "quant/progressive.h"
+#include "quant/progressive_paths.h"
 #include "quant/symmetric.h"
 #include "softmax/sas.h"
 #include "softmax/sas_paths.h"
@@ -70,18 +72,6 @@ void BM_QuantizeSymmetricInt8(benchmark::State& state) {
 }
 BENCHMARK(BM_QuantizeSymmetricInt8);
 
-void BM_ProgressiveCompress(benchmark::State& state) {
-  const BitWidth bits = state.range(0) == 2 ? BitWidth::kInt2
-                                            : BitWidth::kInt4;
-  const Int8Tile tile = quantize_tile_int8(random_matrix(64, 128, 3));
-  for (auto _ : state) {
-    ProgressiveBlock b = progressive_compress(tile.q, tile.scale, bits);
-    benchmark::DoNotOptimize(b.packed.data());
-  }
-  state.SetItemsProcessed(state.iterations() * tile.q.size());
-}
-BENCHMARK(BM_ProgressiveCompress)->Arg(2)->Arg(4);
-
 void BM_ProgressiveDecompress(benchmark::State& state) {
   const Int8Tile tile = quantize_tile_int8(random_matrix(64, 128, 4));
   const ProgressiveBlock b =
@@ -106,13 +96,63 @@ BENCHMARK(BM_PackCodes);
 
 // Rows that run 9 repetitions each, reported as their mean, median,
 // stddev, cv and min, so that one row's change can be told from this
-// host's swings between runs: the exponent rows and the *FusedEntry rows.
+// host's swings between runs: the second-stage rows, the exponent rows
+// and the *FusedEntry rows.
 void entry_rows(benchmark::internal::Benchmark* b) {
   b->Repetitions(9)->DisplayAggregatesOnly(true)->ComputeStatistics(
       "min", [](const std::vector<double>& v) {
         return *std::min_element(v.begin(), v.end());
       });
 }
+
+// The work count of an entry_rows row: `items` per iteration, reported as
+// the counter time_per_item, CPU time over items (an inverted rate).
+// google-benchmark aggregates every counter on its own, so a rate's min
+// would be the slowest repetition's rate; a time's min is the fastest
+// repetition's, and a _min row's time_per_item is its CPU time over the
+// items.
+void per_item(benchmark::State& state, std::size_t items) {
+  state.counters["time_per_item"] = benchmark::Counter(
+      static_cast<double>(items),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+
+// The row of a dispatch table (detail::fused_entries(), sas_paths() or
+// progressive_paths()) that a bench's first argument names, its name as
+// the bench's label, or nullptr (and the bench skipped) when this build or
+// CPU lacks it.
+template <typename Row>
+const Row* path_arg(benchmark::State& state, std::span<const Row> table) {
+  const auto i = static_cast<std::size_t>(state.range(0));
+  if (i >= table.size() || !table[i].supported) {
+    state.SkipWithError("path not compiled or not supported here");
+    return nullptr;
+  }
+  state.SetLabel(table[i].name);
+  return &table[i];
+}
+
+// The second stage on its own, one row per compiled path of
+// progressive_compress ({path, bits}: path 0 scalar, 1 avx512; see
+// quant/progressive_paths.h) on a 64 x 128 stage-1 tile, a prefill block
+// of head dim 128. A path this build or CPU lacks is skipped.
+void BM_ProgressiveCompress(benchmark::State& state) {
+  const detail::ProgressivePath* path =
+      path_arg(state, detail::progressive_paths());
+  if (path == nullptr) return;
+  const BitWidth bits = state.range(1) == 2 ? BitWidth::kInt2
+                                            : BitWidth::kInt4;
+  const Int8Tile tile = quantize_tile_int8(random_matrix(64, 128, 3));
+  for (auto _ : state) {
+    ProgressiveBlock b = path->compress(tile.q, bits);
+    benchmark::DoNotOptimize(b.packed.data());
+  }
+  per_item(state, tile.q.size());
+}
+BENCHMARK(BM_ProgressiveCompress)
+    ->ArgsProduct({{0, 1}, {2, 4}})
+    ->Apply(entry_rows);
 
 // SAS vs libm exponentiation — the Section 4 claim, measured. Every
 // exponent row runs the same 4,096 inputs in [-6, 0].
@@ -130,7 +170,7 @@ void BM_ExpLibm(benchmark::State& state) {
     for (float v : x) acc += std::exp(v);
     benchmark::DoNotOptimize(acc);
   }
-  state.SetItemsProcessed(state.iterations() * x.size());
+  per_item(state, x.size());
 }
 BENCHMARK(BM_ExpLibm)->Apply(entry_rows);
 
@@ -144,7 +184,7 @@ void BM_ExpSas(benchmark::State& state) {
     for (float v : x) acc += sas.exp_neg(v);
     benchmark::DoNotOptimize(acc);
   }
-  state.SetItemsProcessed(state.iterations() * x.size());
+  per_item(state, x.size());
 }
 BENCHMARK(BM_ExpSas)->Apply(entry_rows);
 
@@ -153,23 +193,18 @@ BENCHMARK(BM_ExpSas)->Apply(entry_rows);
 // softmax/sas_paths.h), each bit-identical to BM_ExpSas's results. A path
 // this build or CPU lacks is skipped.
 void BM_ExpSasApply(benchmark::State& state) {
-  const auto paths = detail::sas_paths();
-  const auto i = static_cast<std::size_t>(state.range(0));
-  if (i >= paths.size() || !paths[i].supported) {
-    state.SkipWithError("SAS path not compiled or not supported here");
-    return;
-  }
-  state.SetLabel(paths[i].name);
+  const detail::SasPath* path = path_arg(state, detail::sas_paths());
+  if (path == nullptr) return;
   const Sas sas;
   const std::vector<float> x = exp_inputs();
   std::vector<float> y(x.size());
   for (auto _ : state) {
     y = x;
-    paths[i].apply(sas, y);
+    path->apply(sas, y);
     benchmark::DoNotOptimize(y.data());
     benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * x.size());
+  per_item(state, x.size());
 }
 BENCHMARK(BM_ExpSasApply)->DenseRange(0, 3)->Apply(entry_rows);
 
@@ -200,7 +235,7 @@ void BM_ExpLibmvec(benchmark::State& state) {
     benchmark::DoNotOptimize(y.data());
     benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * x.size());
+  per_item(state, x.size());
 }
 BENCHMARK(BM_ExpLibmvec)->Apply(entry_rows);
 #endif
@@ -285,19 +320,6 @@ const bool kFusedEntryContext = [] {
   return true;
 }();
 
-// The compiled fused entry a *FusedEntry bench's first argument names, or
-// nullptr (and the bench skipped) when this build or CPU lacks it.
-const detail::FusedEntry* entry_arg(benchmark::State& state) {
-  const auto entries = detail::fused_entries();
-  const auto i = static_cast<std::size_t>(state.range(0));
-  if (i >= entries.size() || !entries[i].supported) {
-    state.SkipWithError("fused entry not compiled or not supported here");
-    return nullptr;
-  }
-  state.SetLabel(entries[i].name);
-  return &entries[i];
-}
-
 // Prefill benches take {prompt, head_dim} from their arguments `arg` and
 // `arg + 1`; {1024, 128} is the end-to-end benchmark's prefill_1k shape.
 // Each runs one prefill kernel (same signature as turbo_attention_prefill)
@@ -338,7 +360,7 @@ void BM_TurboPrefillFusedEntry(benchmark::State& state) {
   // {entry, prompt, head_dim}: one compiled entry through the detail seam
   // (0 baseline, 1 avx2, 2 avx512vnni, 3 amx), so the rows show each ISA
   // side by side on any host that runs them.
-  if (const detail::FusedEntry* e = entry_arg(state)) {
+  if (const auto* e = path_arg(state, detail::fused_entries())) {
     run_prefill(state, e->prefill, 1);
   }
 }
@@ -413,15 +435,14 @@ void run_decode_entry(benchmark::State& state, const detail::FusedEntry& e,
                       cfg, sas);
     benchmark::DoNotOptimize(o.data());
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(cache.token_count() * d));
+  per_item(state, cache.token_count() * d);
 }
 
 void BM_TurboDecodeFusedEntry(benchmark::State& state) {
   // {entry, context, head_dim}: BM_TurboDecodeFused's workload through one
   // compiled entry (0 baseline, 1 avx2, 2 avx512vnni, 3 amx, which runs
   // the avx512vnni decode).
-  if (const detail::FusedEntry* e = entry_arg(state)) {
+  if (const auto* e = path_arg(state, detail::fused_entries())) {
     run_decode_entry(state, *e,
                      decode_cache(static_cast<std::size_t>(state.range(1)),
                                   static_cast<std::size_t>(state.range(2))));
@@ -439,7 +460,7 @@ void BM_TurboDecodeFusedEntryAppended(benchmark::State& state) {
   // fallback runs. {256, 512} gives 12 blocks, 8 of them flushes; every
   // channel of a prefill block, and so of BM_TurboDecodeFusedEntry's
   // cache, is clamp-free.
-  const detail::FusedEntry* e = entry_arg(state);
+  const detail::FusedEntry* e = path_arg(state, detail::fused_entries());
   if (e == nullptr) return;
   const auto appended = static_cast<std::size_t>(state.range(2));
   const auto d = static_cast<std::size_t>(state.range(3));

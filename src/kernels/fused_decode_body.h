@@ -511,11 +511,6 @@ inline __mmask16 lane_mask(std::size_t n) {
                  : static_cast<__mmask16>((1u << n) - 1u);
 }
 
-// All ones in the bytes [0, n) of a 64-byte vector.
-inline __mmask64 byte_mask(std::size_t n) {
-  return n >= 64 ? ~__mmask64{0} : (__mmask64{1} << n) - 1u;
-}
-
 // The 4 x 16 dword matrix x[0 .. 3] (row j is x[j]), transposed: taken as
 // one 64-dword array, the result holds input row j, column i at dword
 // 4 i + j, so x[k] holds columns 4k .. 4k + 3, four dwords each. Dwords

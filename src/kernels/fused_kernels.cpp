@@ -12,8 +12,10 @@
 #include <immintrin.h>
 #endif
 
+#include "common/avx512.h"
 #include "common/check.h"
 #include "common/cpu.h"
+#include "common/dispatch_table.h"
 #include "common/numeric.h"
 #include "kernels/dispatch.h"
 #include "kernels/fused_decode.h"
@@ -82,14 +84,8 @@ std::span<const FusedEntry> fused_entries() {
 }
 
 const FusedEntry& fused_entry() {
-  static const FusedEntry* const kPicked = [] {
-    const FusedEntry* picked = nullptr;
-    for (const FusedEntry& e : fused_entries()) {
-      if (e.supported) picked = &e;
-    }
-    return picked;
-  }();
-  return *kPicked;
+  static const FusedEntry& kPicked = last_supported(fused_entries());
+  return kPicked;
 }
 
 }  // namespace detail

@@ -36,6 +36,7 @@
 #pragma GCC diagnostic pop
 #endif
 
+#include "common/avx512.h"
 #include "common/check.h"
 #include "common/cpu.h"
 #include "common/numeric.h"

@@ -343,35 +343,6 @@ std::span<const std::uint8_t> bytes_from(const T* p, const std::vector<T>& v) {
 }
 
 #if defined(__x86_64__)
-// The 16 x 16 dword matrix r[0 .. 15] (row i is r[i]), transposed in
-// place: dwords interleave within each 128-bit block, then qwords, which
-// leaves r[4 b + j] with column 4 L + j of rows 4 b .. 4 b + 3 in block L;
-// a 4 x 4 transpose of blocks across r[j], r[4 + j], r[8 + j], r[12 + j]
-// finishes each column.
-inline void transpose16x16_epi32(__m512i* r) {
-  __m512i t[16];
-  for (std::size_t i = 0; i < 16; i += 2) {
-    t[i] = _mm512_unpacklo_epi32(r[i], r[i + 1]);
-    t[i + 1] = _mm512_unpackhi_epi32(r[i], r[i + 1]);
-  }
-  for (std::size_t i = 0; i < 16; i += 4) {
-    r[i] = _mm512_unpacklo_epi64(t[i], t[i + 2]);
-    r[i + 1] = _mm512_unpackhi_epi64(t[i], t[i + 2]);
-    r[i + 2] = _mm512_unpacklo_epi64(t[i + 1], t[i + 3]);
-    r[i + 3] = _mm512_unpackhi_epi64(t[i + 1], t[i + 3]);
-  }
-  for (std::size_t j = 0; j < 4; ++j) {
-    const __m512i lo01 = _mm512_shuffle_i32x4(r[j], r[4 + j], 0x44);
-    const __m512i hi01 = _mm512_shuffle_i32x4(r[j], r[4 + j], 0xEE);
-    const __m512i lo23 = _mm512_shuffle_i32x4(r[8 + j], r[12 + j], 0x44);
-    const __m512i hi23 = _mm512_shuffle_i32x4(r[8 + j], r[12 + j], 0xEE);
-    r[j] = _mm512_shuffle_i32x4(lo01, lo23, 0x88);
-    r[4 + j] = _mm512_shuffle_i32x4(lo01, lo23, 0xDD);
-    r[8 + j] = _mm512_shuffle_i32x4(hi01, hi23, 0x88);
-    r[12 + j] = _mm512_shuffle_i32x4(hi01, hi23, 0xDD);
-  }
-}
-
 // The Q tile's codes (q_rows rows of d) as K Q^T's B operand, w.q_quads:
 // per 16 rows and 64 channels, the rows' bytes as a 16 x 16 dword block,
 // transposed. Channels past d and rows past q_rows read as zero.

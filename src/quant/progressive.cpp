@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "common/numeric.h"
+#include "quant/progressive_paths.h"
 
 namespace turbo {
 
@@ -14,52 +15,8 @@ ProgressiveBlock progressive_compress(const MatrixI8& q1, float fp_scale,
               bits == BitWidth::kInt4);
   TURBO_CHECK(q1.rows() > 0 && q1.cols() > 0);
   TURBO_CHECK_FINITE(fp_scale);
-
-  const std::size_t rows = q1.rows();
-  const std::size_t cols = q1.cols();
-  ProgressiveBlock block;
-  block.rows = rows;
-  block.cols = cols;
-  block.bits = bits;
+  ProgressiveBlock block = detail::progressive_path().compress(q1, bits);
   block.fp_scale = fp_scale;
-  block.channels.resize(cols);
-
-  // Channel extremes, row by row so the inner loop runs along memory.
-  std::vector<std::int8_t> lo(cols, 127);
-  std::vector<std::int8_t> hi(cols, -127);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const std::int8_t* row = q1.data() + r * cols;
-    for (std::size_t c = 0; c < cols; ++c) {
-      lo[c] = std::min(lo[c], row[c]);
-      hi[c] = std::max(hi[c], row[c]);
-    }
-  }
-
-  const int codes_hi = max_code(bits);
-  std::vector<std::uint8_t> codes(rows * cols);
-  for (std::size_t c = 0; c < cols; ++c) {
-    const int gap = hi[c] - lo[c];
-    // Algorithm 1 rounds the integer scale to nearest; values past
-    // max_code * s_int clip into the top code (rare, only the channel's
-    // extreme when the gap isn't divisible), which beats the systematic
-    // precision loss a ceil() scale would impose on every element.
-    const int s_int = std::max(1, (2 * gap + codes_hi) / (2 * codes_hi));
-    TURBO_DCHECK(s_int <= 127);
-    block.channels[c].s_int = clamp_to_i8(s_int);
-    block.channels[c].z_int = lo[c];
-
-    // Integer round-to-nearest of (q1 - z) / s: add s/2, then divide, by
-    // the exact reciprocal multiply (q1 - z <= 255, s/2 <= 63).
-    const std::uint32_t recip = scale_reciprocal(s_int);
-    const int bias = s_int / 2 - lo[c];
-    std::uint8_t* out = codes.data() + c * rows;
-    for (std::size_t r = 0; r < rows; ++r) {
-      const auto num = static_cast<std::uint32_t>(q1(r, c) + bias);
-      out[r] = saturate_cast<std::uint8_t>(
-          std::min((num * recip) >> 16, static_cast<std::uint32_t>(codes_hi)));
-    }
-  }
-  block.packed = pack_codes(codes, bits);
   return block;
 }
 

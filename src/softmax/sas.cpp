@@ -17,6 +17,7 @@
 
 #include "common/check.h"
 #include "common/cpu.h"
+#include "common/dispatch_table.h"
 #include "common/fp16.h"
 #include "softmax/sas_paths.h"
 
@@ -303,14 +304,8 @@ std::span<const SasPath> sas_paths() {
 }
 
 const SasPath& sas_path() {
-  static const SasPath* const kPicked = [] {
-    const SasPath* picked = nullptr;
-    for (const SasPath& p : sas_paths()) {
-      if (p.supported) picked = &p;
-    }
-    return picked;
-  }();
-  return *kPicked;
+  static const SasPath& kPicked = last_supported(sas_paths());
+  return kPicked;
 }
 
 }  // namespace detail

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/stats.h"
 #include "quant/error.h"
+#include "quant/progressive_paths.h"
 #include "tests/test_util.h"
 
 namespace turbo {
@@ -226,6 +228,132 @@ TEST_P(ProgressiveOracle, MatchesTheDivisionLoop) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, ProgressiveOracle,
+                         ::testing::Values(BitWidth::kInt2, BitWidth::kInt3,
+                                           BitWidth::kInt4));
+
+// Every field of two blocks, byte for byte.
+::testing::AssertionResult same_block(const ProgressiveBlock& got,
+                                      const ProgressiveBlock& want) {
+  if (got.rows != want.rows || got.cols != want.cols ||
+      got.bits != want.bits || got.fp_scale != want.fp_scale) {
+    return ::testing::AssertionFailure()
+           << "shape " << got.rows << "x" << got.cols << " bits "
+           << bit_count(got.bits) << " fp_scale " << got.fp_scale
+           << ", want " << want.rows << "x" << want.cols << " bits "
+           << bit_count(want.bits) << " fp_scale " << want.fp_scale;
+  }
+  if (got.channels.size() != want.channels.size()) {
+    return ::testing::AssertionFailure() << "channel count";
+  }
+  for (std::size_t c = 0; c < got.channels.size(); ++c) {
+    if (got.channels[c].s_int != want.channels[c].s_int ||
+        got.channels[c].z_int != want.channels[c].z_int) {
+      return ::testing::AssertionFailure()
+             << "channel " << c << ": (s_int, z_int) = ("
+             << int{got.channels[c].s_int} << ", "
+             << int{got.channels[c].z_int} << "), want ("
+             << int{want.channels[c].s_int} << ", "
+             << int{want.channels[c].z_int} << ")";
+    }
+  }
+  if (got.packed.size() != want.packed.size()) {
+    return ::testing::AssertionFailure()
+           << got.packed.size() << " packed bytes, want "
+           << want.packed.size();
+  }
+  for (std::size_t i = 0; i < got.packed.size(); ++i) {
+    if (got.packed[i] != want.packed[i]) {
+      return ::testing::AssertionFailure()
+             << "packed byte " << i << " = " << int{got.packed[i]}
+             << ", want " << int{want.packed[i]};
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Every compiled path of progressive_compress (quant/progressive_paths.h)
+// against the scalar path and the division loop, and the public function
+// through the path it picks, over shapes that put channel and 64-row
+// chunk edges everywhere: channel and row counts around 64, odd row
+// counts (INT4 and INT2 codes off a byte boundary) and rows past one
+// chunk. Channel kinds rotate so that a one-channel tile meets each:
+// constant, all -128 (z_int = -128 under a -127 maximum, as decode-buffer
+// flushes give), the full -128 .. 127 range (each width's largest s_int),
+// gaps one below and at the smallest gap whose s_int is 2, a range from
+// -128, and a random range.
+class ProgressiveCompressParity : public ::testing::TestWithParam<BitWidth> {
+};
+
+TEST_P(ProgressiveCompressParity, EveryPathMatchesTheScalarLoop) {
+  test::record_fused_entries();
+  const BitWidth bits = GetParam();
+  const int top = max_code(bits);
+  int edge = 1;  // the smallest gap whose s_int is 2
+  while ((2 * edge + top) / (2 * top) < 2) ++edge;
+  Rng rng(static_cast<std::uint64_t>(bit_count(bits)) * 7919);
+  const auto value = [&](int lo, int hi) {
+    return static_cast<std::int8_t>(
+        lo + static_cast<int>(rng.uniform_index(
+                 static_cast<std::size_t>(hi - lo + 1))));
+  };
+  constexpr int kKinds = 7;
+  const auto paths = detail::progressive_paths();
+  ASSERT_STREQ(paths[0].name, "scalar");
+  for (const std::size_t rows :
+       {1, 2, 3, 4, 5, 17, 63, 64, 65, 128, 200}) {
+    for (const std::size_t cols : {1, 44, 64, 65, 100, 128, 130, 256}) {
+      const int trials = cols < kKinds ? kKinds : 2;
+      for (int trial = 0; trial < trials; ++trial) {
+        MatrixI8 q1(rows, cols);
+        for (std::size_t c = 0; c < cols; ++c) {
+          int lo = value(-128, 127);
+          int hi = value(lo, 127);
+          switch ((static_cast<int>(c) + trial) % kKinds) {
+            case 0:
+              hi = lo;
+              break;
+            case 1:
+              lo = hi = -128;
+              break;
+            case 2:
+              lo = -128;
+              hi = 127;
+              break;
+            case 3:
+            case 4:
+              lo = value(-128, 127 - edge);
+              hi = lo + edge - ((static_cast<int>(c) + trial) % kKinds == 3);
+              break;
+            case 5:
+              lo = -128;
+              break;
+            default:
+              break;
+          }
+          for (std::size_t r = 0; r < rows; ++r) q1(r, c) = value(lo, hi);
+          q1(rng.uniform_index(rows), c) = static_cast<std::int8_t>(lo);
+          q1(rng.uniform_index(rows), c) = static_cast<std::int8_t>(hi);
+        }
+        const std::string where = "rows=" + std::to_string(rows) +
+                                  " cols=" + std::to_string(cols) +
+                                  " trial=" + std::to_string(trial);
+        const ProgressiveBlock want = compress_by_division(q1, 0.5f, bits);
+        ASSERT_TRUE(same_block(progressive_compress(q1, 0.5f, bits), want))
+            << where;
+        const ProgressiveBlock scalar = paths[0].compress(q1, bits);
+        for (const detail::ProgressivePath& path : paths) {
+          if (!path.supported) continue;
+          ProgressiveBlock got = path.compress(q1, bits);
+          ASSERT_TRUE(same_block(got, scalar)) << path.name << ' ' << where;
+          got.fp_scale = 0.5f;
+          ASSERT_TRUE(same_block(got, want)) << path.name << ' ' << where;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, ProgressiveCompressParity,
                          ::testing::Values(BitWidth::kInt2, BitWidth::kInt3,
                                            BitWidth::kInt4));
 

@@ -13,6 +13,7 @@
 #include "common/rng.h"
 #include "kernels/dispatch.h"
 #include "quant/packing.h"
+#include "quant/progressive_paths.h"
 #include "softmax/sas_paths.h"
 
 namespace turbo::test {
@@ -64,12 +65,14 @@ inline std::vector<std::uint8_t> pack_codes_bitwise(
   return out;
 }
 
-// Record which fused-kernel entries and Sas::apply paths a parity test
-// runs, the ones this CPU supports, as the test property `fused_entries`
-// and one stdout line, so a CI log shows whether the AVX-512, AMX and
-// AVX-512 FP16 code ran. SAS paths carry a `sas:` prefix. A second line,
-// `[ untested ]`, names the compiled entries and paths this CPU cannot
-// run; tools/check.sh prints the union of both over a lane's tests.
+// Record which fused-kernel entries, Sas::apply paths and
+// progressive_compress paths a parity test runs, the ones this CPU
+// supports, as the test property `fused_entries` and one stdout line, so
+// a CI log shows whether the AVX-512, AMX and AVX-512 FP16 code ran. SAS
+// paths carry a `sas:` prefix and second-stage paths a `stage2:` prefix.
+// A second line, `[ untested ]`, names the compiled entries and paths this
+// CPU cannot run; tools/check.sh prints the union of both over a lane's
+// tests.
 inline void record_fused_entries() {
   std::string names;
   std::string untested;
@@ -83,6 +86,9 @@ inline void record_fused_entries() {
   }
   for (const detail::SasPath& p : detail::sas_paths()) {
     add(p.supported, std::string("sas:") + p.name);
+  }
+  for (const detail::ProgressivePath& p : detail::progressive_paths()) {
+    add(p.supported, std::string("stage2:") + p.name);
   }
   ::testing::Test::RecordProperty("fused_entries", names);
   std::cout << "[ entries  ] " << names << '\n';

@@ -55,11 +55,12 @@ log_union() {
     awk 'NF && !seen[$0]++' | paste -sd' ' -
 }
 
-# The fused-kernel entries and Sas::apply paths (`sas:` names) a lane's
-# parity tests ran (their `[ entries  ]` lines) and the compiled ones this
-# host cannot run (`[ untested ]`), so a lane on a host without AVX-512,
-# AMX or AVX-512 FP16 says which went untested instead of passing
-# silently. It gates nothing.
+# The fused-kernel entries, Sas::apply paths (`sas:` names) and
+# progressive_compress paths (`stage2:` names) a lane's parity tests ran
+# (their `[ entries  ]` lines) and the compiled ones this host cannot run
+# (`[ untested ]`), so a lane on a host without AVX-512, AMX or AVX-512
+# FP16 says which went untested instead of passing silently. It gates
+# nothing.
 report_entries() {
   local log="$1/Testing/Temporary/LastTest.log" ran untested
   ran="$(log_union "$log" 'entries ')"
